@@ -50,7 +50,7 @@ from .oracles import (
     format_report,
     gaussian_state,
     gaussian_state_momentum,
-    run_verification_suite,
+    iter_verification_suites,
 )
 from .starprod import MarginalField, marginal_momentum, marginal_position, star_B, star_general, star_hbar, star_vartheta
 from .wigner import (
@@ -447,16 +447,14 @@ def _cmd_star(args) -> int:
 
 def _cmd_verify(args) -> int:
     suites = None if args.suite == "all" else tuple(s for s in args.suite.split(",") if s)
-    if suites == ():
-        reports = []
-    else:
-        reports = run_verification_suite(VerifyConfig(suites=suites, seed=args.seed))
+    reports = []
+    for name, suite_reports, seconds in iter_verification_suites(
+            VerifyConfig(suites=suites, seed=args.seed)):
+        reports.extend(suite_reports)
+        print(f"[ncwig] {name}: {seconds:.2f}s", file=sys.stderr)
     lines = [format_report(r) for r in reports]
     body = "\n".join(lines) + ("\n" if lines else "")
     sys.stdout.write(body)
-    for r in reports:
-        if r.runtime_s is not None:
-            print(f"[ncwig] {r.name}: {r.runtime_s:.2f}s", file=sys.stderr)
     if args.out:
         if args.out.endswith(".json"):
             # structured variant; runtimes are volatile and stay out

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +42,7 @@ __all__ = [
     "isometry_ratio",
     "expected_isometry_constant",
     "run_verification_suite",
+    "iter_verification_suites",
     "format_report",
 ]
 
@@ -429,11 +431,14 @@ class VerifyConfig:
     seed: int = 7
 
 
-def run_verification_suite(config: VerifyConfig | None = None) -> list[VerificationReport]:
-    """Run the named verification suites with default grids.
+def iter_verification_suites(
+        config: VerifyConfig | None = None,
+) -> Iterator[tuple[str, list[VerificationReport], float]]:
+    """Run the named verification suites with default grids, one at a time.
 
-    Deterministic for a fixed seed: reports (metrics included) are
-    bitwise-reproducible.  Failures are reported, not raised.
+    Yields (suite name, its reports, its wall seconds) as each suite ends;
+    the seconds cover that suite's work only.  Unknown names are rejected
+    before any suite runs.
     """
     from . import _suites  # deferred: the suites drive the fast transforms
 
@@ -442,17 +447,19 @@ def run_verification_suite(config: VerifyConfig | None = None) -> list[Verificat
     unknown = set(names) - set(SUITE_NAMES)
     if unknown:
         raise ValueError(f"unknown suites {sorted(unknown)}; available: {SUITE_NAMES}")
-    reports: list[VerificationReport] = []
     for name in names:
         t0 = time.perf_counter()
-        rng = np.random.default_rng(config.seed)
-        for rep in _suites.SUITES[name](rng):
-            if rep.runtime_s is None:
-                rep = VerificationReport(rep.name, rep.metric, rep.tolerance,
-                                         rep.passed, rep.details,
-                                         time.perf_counter() - t0)
-            reports.append(rep)
-    return reports
+        reports = list(_suites.SUITES[name](np.random.default_rng(config.seed)))
+        yield name, reports, time.perf_counter() - t0
+
+
+def run_verification_suite(config: VerifyConfig | None = None) -> list[VerificationReport]:
+    """Run the named verification suites with default grids.
+
+    Deterministic for a fixed seed: reports (metrics included) are
+    bitwise-reproducible.  Failures are reported, not raised.
+    """
+    return [r for _, reports, _ in iter_verification_suites(config) for r in reports]
 
 
 SUITE_NAMES = (

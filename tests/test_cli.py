@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,18 @@ class TestVerifyAndLimit:
         assert main(argv + ["--out", str(a)]) == 0
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_verify_times_each_suite_once(self, capsys):
+        # wigner_symmetries yields three reports; each suite gets one
+        # timing line on stderr, covering that suite alone
+        argv = ["verify", "--suite", "wigner_symmetries,group_associativity",
+                "--seed", "7"]
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert len(out.splitlines()) == 4
+        names = [re.fullmatch(r"\[ncwig\] (\w+): \d+\.\d\ds", ln).group(1)
+                 for ln in err.splitlines()]
+        assert names == ["wigner_symmetries", "group_associativity"]
 
     def test_limit_prints_decreasing(self, capsys):
         code = main(["limit", "--k1", "1", "--c", "0.25", "--halvings", "4",

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from ncwigner import (
     wigner_tau0,
 )
 from ncwigner.core import Grid1D, nc_domain, orbit_domain, orbit_to_nc
+from ncwigner import wigner
 from ncwigner.oracles import direct_wigner_oracle, random_hermite_gaussian
 from ncwigner.wigner import (
     aligned_center_grid,
@@ -440,3 +442,107 @@ class TestInvariants:
         f = wigner_nc_position(gauss_position, gauss_position, dom2, label,
                                method="fft")
         assert sup_rel(d.values, f.values) <= 1e-10
+
+
+def centre_cloud(rng, field, n_centres, scattered):
+    """wigner_nc points over n_centres random centres p^nc, each with one
+    kind of q^nc group in turn: 16-24 FFT-lattice points (FFT path), a 3x3
+    product of off-lattice values (separable contraction), a single point
+    and, with ``scattered``, 6 unrelated off-lattice points (per-point
+    contraction).  Assumes |k1 a| = 1."""
+    g = field.grid.axis0
+    half_dk = math.pi / (g.n * g.step)
+    kinds = 4 if scattered else 3
+    groups = []
+    for i, (p1, p2) in enumerate(rng.uniform(-2.0, 2.0, size=(n_centres, 2))):
+        kind = i % kinds
+        if kind == 0:
+            q = rng.integers(-6, 7, size=(int(rng.integers(16, 25)), 2)) * half_dk
+        elif kind == 1:
+            a, b = rng.uniform(-2.0, 2.0, size=(2, 3))
+            q = np.stack(np.meshgrid(a, b, indexing="ij"), axis=-1).reshape(-1, 2)
+        elif kind == 2:
+            q = rng.uniform(-2.0, 2.0, size=(1, 2))
+        else:
+            q = rng.uniform(-2.0, 2.0, size=(6, 2))
+        groups.append(np.column_stack([q, np.broadcast_to((p1, p2), q.shape)]))
+    return np.concatenate(groups)
+
+
+@pytest.fixture(scope="module")
+def cloud_op():
+    rng = np.random.default_rng(21)
+    grid = default_state_grid(32, 6.0)
+    chi = random_hermite_gaussian(rng, grid, rep="momentum")
+    lam = random_hermite_gaussian(rng, grid, rep="momentum")
+    return RankOneOperator(chi, lam)
+
+
+def permuted_values(op, pts, label, rng):
+    """wigner_nc over pts in a random order, put back in the input order."""
+    perm = rng.permutation(len(pts))
+    out = np.empty(len(pts), dtype=np.complex128)
+    out[perm] = wigner_nc(op, pts[perm], label)
+    return out
+
+
+class TestCentreGrouping:
+    def test_empty_point_array(self, generic_label, gauss_op):
+        vals = wigner_generic(gauss_op, np.empty((0, 4)), generic_label)
+        assert vals.shape == (0,)
+        assert wigner_nc(gauss_op, np.empty((0, 4)), generic_label).shape == (0,)
+
+    def test_single_point(self, generic_label, gauss_op):
+        # centre on the state lattice, so the oracle needs no interpolation
+        step = gauss_op.ket.grid.axis0.step
+        pt = orbit_from_wave_coords(generic_label, 0.37, -0.21, 3 * step, -2 * step)
+        fast = wigner_generic(gauss_op, [pt], generic_label)
+        slow = direct_wigner_oracle(gauss_op, pt, generic_label)
+        assert fast.shape == (1,)
+        assert abs(fast[0] - slow) <= 1e-8 * abs(slow)
+
+    def test_signed_zero_centres_share_a_group(self, generic_label, gauss_op,
+                                               monkeypatch):
+        centres = []
+        eval_group = wigner._GroupEvaluator.eval_group
+
+        def spy(self, c0, c1, w0, w1):
+            centres.append((c0, c1))
+            return eval_group(self, c0, c1, w0, w1)
+
+        monkeypatch.setattr(wigner._GroupEvaluator, "eval_group", spy)
+        pts = np.array([[0.3, -0.2, 0.0, 0.0],
+                        [0.3, -0.2, -0.0, -0.0],
+                        [0.3, -0.2, -0.0, 0.0]])
+        vals = wigner_nc(gauss_op, pts, generic_label)
+        assert len(centres) == 1
+        assert vals[0] == vals[1] == vals[2]
+
+    @pytest.mark.parametrize("scattered", [False, pytest.param(True, marks=pytest.mark.xfail(
+        reason="the per-point contraction (np.einsum in _GroupEvaluator.eval_group) "
+               "runs its BLAS product with the points along the columns; with "
+               "OpenBLAS its last bits depend on each point's position within "
+               "its centre group"))])
+    def test_permutation_invariance(self, generic_label, cloud_op, scattered):
+        rng = np.random.default_rng(22)
+        pts = centre_cloud(rng, cloud_op.ket, 96, scattered)
+        assert len(np.unique(pts[:, 2:], axis=0)) >= 64  # threaded branch
+        ref = wigner_nc(cloud_op, pts, generic_label)
+        for _ in range(2):
+            assert permuted_values(cloud_op, pts, generic_label, rng).tobytes() \
+                == ref.tobytes()
+
+    def test_thread_count_invariance(self, generic_label, cloud_op, monkeypatch):
+        pts = centre_cloud(np.random.default_rng(24), cloud_op.ket, 96,
+                           scattered=True)
+        assert len(np.unique(pts[:, 2:], axis=0)) >= 64  # threaded branch
+        monkeypatch.setenv("NCWIG_THREADS", "1")
+        one = wigner_nc(cloud_op, pts, generic_label)
+        monkeypatch.setenv("NCWIG_THREADS", "2")
+        two = wigner_nc(cloud_op, pts, generic_label)
+        assert one.tobytes() == two.tobytes()
+
+    def test_worker_count_clamped_to_cpus(self, monkeypatch):
+        # reads the clamped value only; no transform runs at this setting
+        monkeypatch.setenv("NCWIG_THREADS", "1000000")
+        assert wigner._worker_count() == (os.cpu_count() or 1)
