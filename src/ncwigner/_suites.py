@@ -27,7 +27,7 @@ from .core import (
     orbit_domain,
 )
 from .group import group_inverse, group_multiply, identity_element, uir_apply
-from .numerics import default_state_grid, momentum_representation
+from .numerics import _axis_weights, default_state_grid, momentum_representation
 from .oracles import (
     VerificationReport,
     direct_star_oracle,
@@ -255,13 +255,6 @@ def suite_marginals(rng) -> list[VerificationReport]:
     return reports
 
 
-def _trapz_weights(g: Grid1D) -> np.ndarray:
-    w = np.full(g.n, g.step)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
-
-
 def _prop42_lhs(psi, params, out0, out1, which, cint, kint):
     """Marginal of the parameter-form Wigner field over two orbit coordinates.
 
@@ -278,14 +271,16 @@ def _prop42_lhs(psi, params, out0, out1, which, cint, kint):
         jac = abs(e / (hb * th))
         pts = np.stack([k1v.ravel(), k2v.ravel(), k3v.ravel(), k4v.ravel()], axis=1)
         vals = wigner_nc_params(psi, pts, params).reshape(k1v.shape)
-        return jac * np.einsum("abkc,k,c->ab", vals, _trapz_weights(kint), _trapz_weights(cint))
+        return jac * np.einsum("abkc,k,c->ab", vals, _axis_weights(kint, "trapezoid"),
+                               _axis_weights(cint, "trapezoid"))
     c0v, k2v, k3v, k4v = np.meshgrid(cint.coords(), kint.coords(),
                                      out0.coords(), out1.coords(), indexing="ij")
     k1v = (e * c0v - hb * th * k4v) / hb ** 2
     jac = abs(e / hb ** 2)
     pts = np.stack([k1v.ravel(), k2v.ravel(), k3v.ravel(), k4v.ravel()], axis=1)
     vals = wigner_nc_params(psi, pts, params).reshape(c0v.shape)
-    return jac * np.einsum("ckab,c,k->ab", vals, _trapz_weights(cint), _trapz_weights(kint))
+    return jac * np.einsum("ckab,c,k->ab", vals, _axis_weights(cint, "trapezoid"),
+                           _axis_weights(kint, "trapezoid"))
 
 
 def _prop42_errors(label, coarse_state, fine_pos, fine_mom, out):

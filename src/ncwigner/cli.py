@@ -126,11 +126,12 @@ def write_field_file(path: str, grids: tuple[Grid1D, Grid1D], values: np.ndarray
 
 
 def read_field_file(path: str) -> ComplexField2D:
-    """Read a csv field file written by :func:`write_field_file`."""
+    """Read a csv field file written by :func:`write_field_file`; a
+    malformed file raises ValueError with a one-line message."""
     meta: dict[str, str] = {}
     rows = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
@@ -140,14 +141,25 @@ def read_field_file(path: str) -> ComplexField2D:
                     key, _, val = body.partition(":")
                     meta[key.strip()] = val.strip()
                 continue
-            rows.append([float(t) for t in line.split(",")])
+            try:
+                row = [float(t) for t in line.split(",")]
+            except ValueError:
+                row = []
+            if len(row) != 4:
+                raise ValueError(f"field file {path}, line {lineno}: expected four "
+                                 f"comma-separated numbers x0,x1,re,im")
+            rows.append(row)
     grids = []
     for name in ("axis0", "axis1"):
         if name not in meta:
             raise ValueError(f"field file {path} lacks the {name} header")
-        kv = dict(tok.split("=") for tok in meta[name].split())
-        grids.append(Grid1D(n=int(kv["n"]), origin=float(kv["origin"]),
-                            step=float(kv["step"])))
+        try:
+            kv = dict(tok.split("=") for tok in meta[name].split())
+            grids.append(Grid1D(n=int(kv["n"]), origin=float(kv["origin"]),
+                                step=float(kv["step"])))
+        except (KeyError, ValueError):
+            raise ValueError(f"field file {path}: malformed {name} header "
+                             f"{meta[name]!r}") from None
     g0, g1 = grids
     data = np.asarray(rows, dtype=float)
     if data.shape[0] != g0.n * g1.n:
@@ -165,6 +177,15 @@ class _CliFailure(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
+
+
+def _read_state_file(path: str) -> ComplexField2D:
+    """read_field_file for --state file:<path>; a missing or malformed file
+    is an argument error."""
+    try:
+        return read_field_file(path)
+    except (OSError, ValueError) as exc:
+        raise _CliFailure(2, f"--state file: {exc}") from None
 
 
 def _parse_state_spec(spec: str):
@@ -204,7 +225,13 @@ def _parse_slice(spec: str | None, names) -> dict[str, float]:
         name = name.strip()
         if name not in names:
             raise _CliFailure(2, f"--slice: unknown coordinate {name!r}; expected one of {names}")
-        fixed[name] = float(val)
+        try:
+            v = float(val)
+        except ValueError:
+            v = math.nan
+        if not math.isfinite(v):
+            raise _CliFailure(2, f"--slice: {name}={val!r} is not a finite number")
+        fixed[name] = v
     return fixed
 
 
@@ -215,7 +242,10 @@ def _build_domain(names, fixed: dict[str, float], n: int, extent: float) -> Doma
             spec[name] = fixed[name]
         else:
             spec[name] = Grid1D.symmetric(n, extent)
-    return Domain4D.build(names, **spec)
+    try:
+        return Domain4D.build(names, **spec)
+    except ValueError as exc:
+        raise _CliFailure(2, f"--slice: {exc}") from None
 
 
 def _meta_lines(label: OrbitLabel | None, params: NCParams | None, extra: dict[str, str]):
@@ -244,25 +274,24 @@ def _momentum_state_for_output(args, label: OrbitLabel, domain: Domain4D,
     """Build the momentum-side field; gaussian sources go on a grid fine
     enough to resolve every requested output phase."""
     if state[0] == "file":
-        f = read_field_file(state[1])
+        f = _read_state_file(state[1])
         if f.rep != "momentum":
             raise _CliFailure(2, "--state file must carry representation: momentum "
                                  "for this transform")
         return f
     _, hermite, center = state
     a = label.k1 * label.consts.alpha
-    from .wigner import _wave_coords  # frequency bound for the requested points
-
-    pts = domain.points()
+    # frequency bound for the requested points
     if domain.names == ORBIT_COORDS:
+        from .wigner import _wave_coords  # orbit frequencies mix the axes
+
         omega = abs(label.consts.alpha)
-        w0, w1, _, _ = _wave_coords(label, pts)
-        kmax = 2.0 * omega * max(float(np.max(np.abs(w0))),
-                                 float(np.max(np.abs(w1))), 1e-9)
+        w0, w1, _, _ = _wave_coords(label, domain.points())
     else:
         omega = abs(a)
-        kmax = 2.0 * omega * max(float(np.max(np.abs(pts[:, 0]))),
-                                 float(np.max(np.abs(pts[:, 1]))), 1e-9)
+        w0, w1 = domain.axes()[:2]  # the q^nc axes are the frequencies
+    kmax = 2.0 * omega * max(float(np.max(np.abs(w0))),
+                             float(np.max(np.abs(w1))), 1e-9)
     # extent covers the state's momentum support; the step is refined until
     # the conjugate band covers every requested output phase
     extent = max(12.0, abs(center[2]) + 10.0, abs(center[3]) + 10.0) / abs(a)
@@ -281,7 +310,7 @@ def _momentum_state_for_output(args, label: OrbitLabel, domain: Domain4D,
 
 def _position_state(args, state) -> ComplexField2D:
     if state[0] == "file":
-        f = read_field_file(state[1])
+        f = _read_state_file(state[1])
         if f.rep != "position":
             raise _CliFailure(2, "--state file must carry representation: position "
                                  "for this transform")
@@ -402,7 +431,7 @@ def _cmd_star(args) -> int:
     _log_run(meta)
     if kind in ("vartheta", "b"):
         if state[0] == "file":
-            f = read_field_file(state[1])
+            f = _read_state_file(state[1])
         else:
             _, hermite, center = state
             need_mom = kind == "b"

@@ -486,20 +486,18 @@ class Domain4D:
     def is_full(self) -> bool:
         return len(self.varying) == 4
 
+    def axes(self) -> list[np.ndarray]:
+        """The four coordinate axes in ``names`` order; a fixed coordinate is
+        a one-point axis.  Their product, first axis slowest, is the domain."""
+        grids = dict(zip(self.varying, self.grids))
+        fixed = dict(self.fixed)
+        return [grids[name].coords() if name in grids else np.array([fixed[name]])
+                for name in self.names]
+
     def points(self) -> np.ndarray:
         """All sampled coordinates as an (M, 4) array in ``names`` order."""
-        axes = [g.coords() for g in self.grids]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        flat = {name: m.ravel() for name, m in zip(self.varying, mesh)}
-        m = mesh[0].size
-        cols = []
-        fixed = dict(self.fixed)
-        for name in self.names:
-            if name in flat:
-                cols.append(flat[name])
-            else:
-                cols.append(np.full(m, fixed[name]))
-        return np.stack(cols, axis=1)
+        mesh = np.meshgrid(*self.axes(), indexing="ij")
+        return np.stack([m.ravel() for m in mesh], axis=1)
 
 
 def orbit_domain(**coords) -> Domain4D:

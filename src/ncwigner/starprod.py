@@ -42,6 +42,7 @@ from .core import (
     OrbitLabel,
     WignerField,
 )
+from .numerics import _axis_weights
 
 __all__ = [
     "MarginalField",
@@ -80,13 +81,6 @@ class MarginalField:
         object.__setattr__(self, "values", v)
 
 
-def _trapz_axis_weights(g: Grid1D) -> np.ndarray:
-    w = np.full(g.n, g.step)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
-
-
 def _integrate_axes(w: WignerField, names: tuple[str, str]) -> np.ndarray:
     if not (w.domain.names == NC_COORDS and w.domain.is_full):
         raise ValueError("marginals need a full 4D field over the nc coordinates")
@@ -95,7 +89,7 @@ def _integrate_axes(w: WignerField, names: tuple[str, str]) -> np.ndarray:
     # contract the higher axis first so the lower index stays valid
     order = sorted(((w.domain.varying.index(n), n) for n in names), reverse=True)
     for axis, name in order:
-        out = np.tensordot(out, _trapz_axis_weights(grids[name]), axes=([axis], [0]))
+        out = np.tensordot(out, _axis_weights(grids[name], "trapezoid"), axes=([axis], [0]))
     return out
 
 
@@ -207,7 +201,8 @@ def star_vartheta(f: ComplexField2D, g: ComplexField2D, params: NCParams,
          (2.0 / abs(th)) * (np.max(np.abs(o0)) + s0) * grid.axis1.step],
         "star_vartheta",
     )
-    w2d = np.outer(_trapz_axis_weights(grid.axis0), _trapz_axis_weights(grid.axis1))
+    w2d = np.outer(_axis_weights(grid.axis0, "trapezoid"),
+                   _axis_weights(grid.axis1, "trapezoid"))
     res = np.empty((out.axis0.n, out.axis1.n), dtype=np.complex128)
     for j, k2 in enumerate(o1):
         g_ref = _reflect_about(g.values, axis=1, center=k2, grid=grid.axis1)
@@ -240,7 +235,8 @@ def star_B(f: ComplexField2D, g: ComplexField2D, params: NCParams,
          (2.0 / abs(bf)) * (np.max(np.abs(o0)) + s0) * grid.axis1.step],
         "star_B",
     )
-    w2d = np.outer(_trapz_axis_weights(grid.axis0), _trapz_axis_weights(grid.axis1))
+    w2d = np.outer(_axis_weights(grid.axis0, "trapezoid"),
+                   _axis_weights(grid.axis1, "trapezoid"))
     res = np.empty((out.axis0.n, out.axis1.n), dtype=np.complex128)
     for i, k3 in enumerate(o0):
         g_ref = _reflect_about(g.values, axis=0, center=k3, grid=grid.axis0)
@@ -290,10 +286,9 @@ def _star4d_setup(w1: WignerField, w2: WignerField, max_axis_points: int):
             )
     grids = w1.domain.grids
     coords = [g.coords() for g in grids]
-    wt4 = (_trapz_axis_weights(grids[0])[:, None, None, None]
-           * _trapz_axis_weights(grids[1])[None, :, None, None]
-           * _trapz_axis_weights(grids[2])[None, None, :, None]
-           * _trapz_axis_weights(grids[3])[None, None, None, :])
+    wt = [_axis_weights(g, "trapezoid") for g in grids]
+    wt4 = (wt[0][:, None, None, None] * wt[1][None, :, None, None]
+           * wt[2][None, None, :, None] * wt[3][None, None, None, :])
     return grids, coords, wt4
 
 

@@ -13,6 +13,16 @@ frequencies land on the conjugate lattice) or one separable phase
 contraction (for arbitrary points).  A slower, structurally independent
 quadrature lives in :mod:`ncwigner.oracles`.
 
+Centre groups are enumerated in one of two ways.  When wigner_nc,
+wigner_nc_position or cross_wigner_standard gets a Domain4D, each frequency
+and each centre is one domain axis (a fixed coordinate is a one-point
+axis), so the input is already [centre grid] x [frequency grid]: it is
+evaluated on that grid, with one frequency-side step per call and no point
+array or sort.  Point arrays, and orbit-coordinate domains (whose maps mix
+the axes), are grouped by a stable sort on the centres.  Both ways share
+the per-centre step and one contract: groups run with c0 slowest, then c1,
+each group's points in input order, so per point they give the same bits.
+
 Coordinate dictionary (k1, k2, k3 label the sector; a, b, g are the
 dimensional constants; D = k1^2 a^2 - k2 k3 b g):
 
@@ -56,6 +66,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -123,19 +134,23 @@ def _worker_count() -> int:
 # Point handling
 # ---------------------------------------------------------------------------
 
+def _checked_domain(domain: Domain4D, names, max_axis_points) -> Domain4D:
+    if domain.names != names:
+        raise ValueError(f"domain over {domain.names} passed where {names} expected")
+    if domain.is_full:
+        for g in domain.grids:
+            if g.n > max_axis_points:
+                raise GridTooLarge(
+                    f"full 4D grids are capped at {max_axis_points} points "
+                    f"per axis (got {g.n}); pass max_axis_points to override"
+                )
+    return domain
+
+
 def _as_points(pts, names, max_axis_points):
     """Normalise pts to an (M, 4) array; keep the domain when one is given."""
     if isinstance(pts, Domain4D):
-        if pts.names != names:
-            raise ValueError(f"domain over {pts.names} passed where {names} expected")
-        if pts.is_full:
-            for g in pts.grids:
-                if g.n > max_axis_points:
-                    raise GridTooLarge(
-                        f"full 4D grids are capped at {max_axis_points} points "
-                        f"per axis (got {g.n}); pass max_axis_points to override"
-                    )
-        return pts.points(), pts
+        return _checked_domain(pts, names, max_axis_points).points(), pts
     if isinstance(pts, np.ndarray):
         arr = np.atleast_2d(np.asarray(pts, dtype=float))
         if arr.shape[1] != 4:
@@ -149,6 +164,33 @@ def _as_points(pts, names, max_axis_points):
             rows.append(np.asarray(p, dtype=float))
     arr = np.asarray(rows, dtype=float).reshape(-1, 4)
     return arr, None
+
+
+def _phase_space_integral(ket, bra, pts, names, freq, omega, method,
+                          max_axis_points):
+    """I(w; c) for the transforms whose frequencies are the coordinates
+    ``freq`` of ``names`` (a pair of indices) and whose centres are the
+    other two, at the same omega on both axes.
+
+    A Domain4D is evaluated on its product grid, read from its axes; other
+    inputs go through the grouping pass.  Returns (values, domain or None),
+    the values in the domain's shape.
+    """
+    centre = tuple(i for i in range(4) if i not in freq)
+    if isinstance(pts, Domain4D):
+        domain = _checked_domain(pts, names, max_axis_points)
+        axes = domain.axes()
+        out = np.empty([a.size for a in axes], dtype=np.complex128)
+        # a view of out with axes (c0, c1, w0, w1), so each centre writes
+        # its frequency block in place
+        _phase_integral_grid(ket, bra, *(axes[i] for i in freq + centre),
+                             omega, omega, method,
+                             out.transpose(centre + freq))
+        return out.reshape(domain.shape), domain
+    arr, _ = _as_points(pts, names, max_axis_points)
+    cols = arr.T
+    return _phase_integral(ket, bra, *(cols[i] for i in freq + centre),
+                           omega, omega, method), None
 
 
 def _package(values, domain, label):
@@ -242,11 +284,15 @@ class _GroupEvaluator:
         k = _axis_shift(self._ket_c0, -c1, self.g1.step, axis=1)
         return np.conj(b) * k
 
-    def eval_group(self, c0, c1, w0, w1):
-        """I(w; c) for all (w0, w1) pairs at one centre (c0, c1)."""
-        h = self._integrand(float(c0), float(c1))
-        if np.max(np.abs(h)) <= self.tail_cut:
-            return np.zeros(np.asarray(w0).shape, dtype=np.complex128)
+    def frequency_step(self, w0, w1):
+        """Frequency-side work for (w0, w1) pairs that share their centres.
+
+        Runs the resolution guard, the alignment and ``auto`` decision, and
+        builds the lattice indices or contraction matrices and the
+        grid-origin phase.  w0 and w1 broadcast against each other: one
+        group's 1-D point arrays, or a column and a row for a product grid.
+        Returns contract(h) -> I(w; c) for an integrand h of those centres.
+        """
         m0, m1 = self.check_resolution(w0, w1)
         r0 = np.round(m0)
         r1 = np.round(m1)
@@ -257,34 +303,88 @@ class _GroupEvaluator:
                 "output frequencies are not on the FFT conjugate lattice; "
                 "use method='direct' or an aligned output grid"
             )
+        size = np.broadcast(w0, w1).size
         use_fft = self.method == "fft" or (
-            self.method == "auto" and aligned and np.asarray(w0).size >= 16
+            self.method == "auto" and aligned and size >= 16
         )
+        n0, n1 = self.g0.n, self.g1.n
         if use_fft:
-            spec = np.fft.ifft2(h) * (self.g0.n * self.g1.n)
-            i0 = (r0.astype(int)) % self.g0.n
-            i1 = (r1.astype(int)) % self.g1.n
-            vals = spec[i0, i1]
+            i0 = (r0.astype(int)) % n0
+            i1 = (r1.astype(int)) % n1
             kap0 = r0 * self.dk0
             kap1 = r1 * self.dk1
+
+            def transform(h):
+                return (np.fft.ifft2(h) * (n0 * n1))[i0, i1]
         else:
             kap0 = 2.0 * self.omega0 * np.asarray(w0)
             kap1 = 2.0 * self.omega1 * np.asarray(w1)
             u0, inv0 = np.unique(kap0, return_inverse=True)
             u1, inv1 = np.unique(kap1, return_inverse=True)
-            if u0.size * u1.size <= 4 * kap0.size:
-                # pairs (near-)fill a product grid: separable contraction
+            if u0.size * u1.size <= 4 * size:
+                # pairs (near-)fill a product grid, as a product grid's
+                # always do: separable contraction
                 e0 = np.exp(1j * np.outer(u0, self.t0 - self.g0.origin))
                 e1 = np.exp(1j * np.outer(u1, self.t1 - self.g1.origin))
-                vals = (e0 @ h @ e1.T)[inv0, inv1]
+                inv0 = inv0.reshape(kap0.shape)
+                inv1 = inv1.reshape(kap1.shape)
+
+                def transform(h):
+                    return (e0 @ h @ e1.T)[inv0, inv1]
             else:
+                # scattered points; each row's sum is independent of its
+                # position, so the values do not depend on the point order
                 e0 = np.exp(1j * np.outer(kap0, self.t0 - self.g0.origin))
                 e1 = np.exp(1j * np.outer(kap1, self.t1 - self.g1.origin))
-                vals = np.einsum("mi,ij,mj->m", e0, h, e1, optimize=True)
-        # fold in the grid origin so the phases reference absolute coordinates
-        vals = vals * np.exp(1j * (kap0 * self.g0.origin + kap1 * self.g1.origin))
-        return 4.0 * self.cell * vals
 
+                def transform(h):
+                    return np.einsum("mi,mi->m", e0 @ h, e1)
+        # fold in the grid origin so the phases reference absolute coordinates
+        phase = np.exp(1j * (kap0 * self.g0.origin + kap1 * self.g1.origin))
+        scale = 4.0 * self.cell
+
+        def contract(h):
+            return scale * (transform(h) * phase)
+        return contract
+
+    def eval_centre(self, c0, c1, frequency_step):
+        """Per-centre step: I(w; c) at (c0, c1), or 0.0 when the integrand
+        lies below the tail cut.  ``frequency_step()`` yields the contraction
+        and is called only for centres above the cut, so the frequency
+        guards fire only where the integrand carries mass."""
+        h = self._integrand(float(c0), float(c1))
+        if np.max(np.abs(h)) <= self.tail_cut:
+            return 0.0
+        return frequency_step()(h)
+
+    def eval_group(self, c0, c1, w0, w1):
+        """I(w; c) for all (w0, w1) pairs at one centre (c0, c1)."""
+        return self.eval_centre(c0, c1, lambda: self.frequency_step(w0, w1))
+
+
+def _run_groups(n_groups, run, new_evaluator):
+    """run(lo, hi, evaluator) over groups 0..n_groups-1, threaded when there
+    are enough groups.  Threads take contiguous chunks, so each chunk's
+    evaluator (one per chunk: each holds a reflected ket) keeps its c0
+    cache warm."""
+    workers = _worker_count()
+    if workers > 1 and n_groups >= 64:
+        chunk = -(-n_groups // workers)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [
+                pool.submit(run, lo, min(lo + chunk, n_groups), new_evaluator())
+                for lo in range(0, n_groups, chunk)
+            ]
+            for f in futures:
+                f.result()
+    else:
+        run(0, n_groups, new_evaluator())
+
+
+# Both entry points below enumerate centre groups under one contract, which
+# bit-identity between them and the c0 shift cache rely on: groups run in
+# ascending centre order with c0 slowest, then c1, and each group's points
+# keep their input order.  Per point, the two give the same bits.
 
 def _phase_integral(ket, bra, w0, w1, c0, c1, omega0, omega1, method="auto"):
     """Batched I(w; c) over M points, grouped by centre."""
@@ -296,12 +396,10 @@ def _phase_integral(ket, bra, w0, w1, c0, c1, omega0, omega1, method="auto"):
     out = np.empty(m, dtype=np.complex128)
     if m == 0:
         return out
-    # Grouping contract, which bit-identity and the c0 shift cache rely on:
-    # groups run in ascending centre order with c0 slowest, then c1, and
-    # each group's points keep their input order.  A stable sort on the
-    # complex key c0 + i c1 (lexicographic; same order as
-    # np.lexsort((c1, c0)), but faster) gives both; a group starts wherever
-    # either key changes (0.0 == -0.0, so signed zeros share a group).
+    # A stable sort on the complex key c0 + i c1 (lexicographic; same order
+    # as np.lexsort((c1, c0)), but faster) meets the grouping contract; a
+    # group starts wherever either key changes (0.0 == -0.0, so signed
+    # zeros share a group).
     key = np.empty(m, dtype=np.complex128)
     key.real = c0
     key.imag = c1
@@ -317,23 +415,40 @@ def _phase_integral(ket, bra, w0, w1, c0, c1, omega0, omega1, method="auto"):
             idx = order[a:b]
             out[idx] = evaluator.eval_group(s0[a], s1[a], w0[idx], w1[idx])
 
-    n_groups = bounds.size - 1
-    workers = _worker_count()
-    if workers > 1 and n_groups >= 64:
-        # contiguous chunks of the sorted groups, so each chunk's evaluator
-        # (one per chunk: each holds a reflected ket) keeps its cache warm
-        chunk = -(-n_groups // workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(run, lo, min(lo + chunk, n_groups),
-                            _GroupEvaluator(ket, bra, omega0, omega1, method))
-                for lo in range(0, n_groups, chunk)
-            ]
-            for f in futures:
-                f.result()
-    else:
-        run(0, n_groups, _GroupEvaluator(ket, bra, omega0, omega1, method))
+    _run_groups(bounds.size - 1, run,
+                lambda: _GroupEvaluator(ket, bra, omega0, omega1, method))
     return out
+
+
+def _phase_integral_grid(ket, bra, w0, w1, c0, c1, omega0, omega1, method, out):
+    """I(w; c) on the product grid [c0 x c1] x [w0 x w1] of four ascending
+    1-D axes, written to out[i0, i1, j0, j1].
+
+    Every centre shares one frequency set, so the frequency-side step runs
+    once per call, at the first centre above the tail cut; no points are
+    materialised and nothing is sorted.
+    """
+    lock = threading.Lock()
+    steps = []
+
+    def frequency_step(evaluator):
+        with lock:
+            if not steps:
+                steps.append(evaluator.frequency_step(w0[:, None], w1[None, :]))
+        return steps[0]
+
+    n1 = c1.size
+
+    def run(lo, hi, evaluator):
+        def step():
+            return frequency_step(evaluator)
+
+        for k in range(lo, hi):
+            i, j = divmod(k, n1)
+            out[i, j] = evaluator.eval_centre(c0[i], c1[j], step)
+
+    _run_groups(c0.size * n1, run,
+                lambda: _GroupEvaluator(ket, bra, omega0, omega1, method))
 
 
 # ---------------------------------------------------------------------------
@@ -461,11 +576,10 @@ def wigner_nc(op: RankOneOperator, pts, label: OrbitLabel,
     _require_sector(label, Sector.GENERIC, "wigner_nc")
     _require_rep(op.ket, "momentum", "ket")
     _require_rep(op.bra, "momentum", "bra")
-    arr, domain = _as_points(pts, NC_COORDS, max_axis_points)
-    q1, q2, p1, p2 = arr.T
     om = -label.k1 * label.consts.alpha
-    vals = _nc_pref(label) * _phase_integral(op.ket, op.bra, q1, q2, p1, p2,
-                                             om, om, method)
+    vals, domain = _phase_space_integral(op.ket, op.bra, pts, NC_COORDS, (0, 1),
+                                         om, method, max_axis_points)
+    np.multiply(_nc_pref(label), vals, out=vals)  # in place: grids reach 4M values
     return _package(vals, domain, label)
 
 
@@ -482,11 +596,10 @@ def wigner_nc_position(psi: ComplexField2D, phi: ComplexField2D, pts,
     _require_sector(label, Sector.GENERIC, "wigner_nc_position")
     _require_rep(psi, "position", "psi")
     _require_rep(phi, "position", "phi")
-    arr, domain = _as_points(pts, NC_COORDS, max_axis_points)
-    q1, q2, p1, p2 = arr.T
     om = label.k1 * label.consts.alpha
-    vals = _nc_pref(label) * _phase_integral(phi, psi, p1, p2, q1, q2,
-                                             om, om, method)
+    vals, domain = _phase_space_integral(phi, psi, pts, NC_COORDS, (2, 3),
+                                         om, method, max_axis_points)
+    np.multiply(_nc_pref(label), vals, out=vals)  # in place: grids reach 4M values
     return _package(vals, domain, label)
 
 
@@ -532,10 +645,10 @@ def cross_wigner_standard(phi: ComplexField2D, psi: ComplexField2D, pts,
         raise ValueError("h must be finite and nonzero")
     _require_rep(phi, "position", "phi")
     _require_rep(psi, "position", "psi")
-    arr, domain = _as_points(pts, PHASE_COORDS, max_axis_points)
-    q1, q2, p1, p2 = arr.T
     om = 2.0 * math.pi / h
-    vals = _phase_integral(phi, psi, p1, p2, q1, q2, om, om, method) / h ** 2
+    vals, domain = _phase_space_integral(phi, psi, pts, PHASE_COORDS, (2, 3),
+                                         om, method, max_axis_points)
+    np.divide(vals, h ** 2, out=vals)
     return _package(vals, domain, None)
 
 

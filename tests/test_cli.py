@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ncwigner.cli import main, read_field_file
+from ncwigner.core import Domain4D
 
 
 def run(argv, capsys=None):
@@ -160,3 +161,54 @@ class TestVerifyAndLimit:
         dists = [float(x) for x in out]
         assert len(dists) == 5
         assert all(a > b for a, b in zip(dists, dists[1:]))
+
+
+class TestInputContract:
+    """Bad input ends in exit 2 with one 'ncwig: error:' line, not a traceback."""
+
+    def standard(self, tmp_path, state="gaussian:0,0", slice_="q2=0,p2=0"):
+        return ["wigner", "standard", "--state", state, "--state-grid", "32",
+                "--state-extent", "6", "--grid", "4", "--extent", "1",
+                "--slice", slice_, "--out", str(tmp_path / "w.csv")]
+
+    def expect_exit_2(self, argv, capsys, fragment):
+        code = main(argv)
+        err = capsys.readouterr().err.splitlines()
+        errors = [ln for ln in err if ln.startswith("ncwig: error:")]
+        assert code == 2
+        assert len(errors) == 1 and fragment in errors[0]
+
+    def test_missing_state_file(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        self.expect_exit_2(self.standard(tmp_path, state=f"file:{missing}"), capsys,
+                           "No such file")
+
+    def test_malformed_state_file(self, tmp_path, capsys):
+        good = tmp_path / "good.csv"
+        assert main(self.standard(tmp_path)[:-1] + [str(good)]) == 0
+        lines = good.read_text().splitlines()
+        lines[-1] = "0.5,0.5,abc,0"
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        self.expect_exit_2(self.standard(tmp_path, state=f"file:{bad}"), capsys,
+                           f"line {len(lines)}")
+
+    def test_non_numeric_slice_value(self, tmp_path, capsys):
+        self.expect_exit_2(self.standard(tmp_path, slice_="q1=abc,q2=0"), capsys,
+                           "q1='abc'")
+
+    def test_slice_pinning_one_coordinate(self, tmp_path, capsys):
+        self.expect_exit_2(self.standard(tmp_path, slice_="q1=0"), capsys,
+                           "two or four coordinates")
+
+    def test_nc_commands_do_not_materialise_points(self, tmp_path, monkeypatch):
+        def no_points(self):
+            raise AssertionError("Domain4D.points() called for an nc domain")
+
+        monkeypatch.setattr(Domain4D, "points", no_points)
+        assert main(["marginal", "momentum", "--k1", "1", "--k2", "-1", "--k3", "1",
+                     "--grid", "4", "--extent", "1", "--int-grid", "8",
+                     "--int-extent", "2", "--out", str(tmp_path / "m.csv")]) == 0
+        assert main(["wigner", "nc", "--k1", "1", "--k2", "-1", "--k3", "1",
+                     "--grid", "4", "--extent", "1", "--slice", "p1nc=0,p2nc=0",
+                     "--out", str(tmp_path / "w.csv")]) == 0

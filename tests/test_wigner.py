@@ -1,5 +1,7 @@
 import math
 import os
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from ncwigner import (
     NCCoords,
     RankOneOperator,
     SectorMismatch,
+    ShiftOffGrid,
     TAU0_TO_QM_PREFACTOR_RATIO,
     cross_wigner_standard,
     default_state_grid,
@@ -27,7 +30,8 @@ from ncwigner import (
     wigner_qm_orbit,
     wigner_tau0,
 )
-from ncwigner.core import Grid1D, nc_domain, orbit_domain, orbit_to_nc
+from ncwigner.core import (Domain4D, Grid1D, nc_domain, orbit_domain, orbit_to_nc,
+                           phase_space_domain)
 from ncwigner import wigner
 from ncwigner.oracles import direct_wigner_oracle, random_hermite_gaussian
 from ncwigner.wigner import (
@@ -518,11 +522,7 @@ class TestCentreGrouping:
         assert len(centres) == 1
         assert vals[0] == vals[1] == vals[2]
 
-    @pytest.mark.parametrize("scattered", [False, pytest.param(True, marks=pytest.mark.xfail(
-        reason="the per-point contraction (np.einsum in _GroupEvaluator.eval_group) "
-               "runs its BLAS product with the points along the columns; with "
-               "OpenBLAS its last bits depend on each point's position within "
-               "its centre group"))])
+    @pytest.mark.parametrize("scattered", [False, True])
     def test_permutation_invariance(self, generic_label, cloud_op, scattered):
         rng = np.random.default_rng(22)
         pts = centre_cloud(rng, cloud_op.ket, 96, scattered)
@@ -546,3 +546,154 @@ class TestCentreGrouping:
         # reads the clamped value only; no transform runs at this setting
         monkeypatch.setenv("NCWIG_THREADS", "1000000")
         assert wigner._worker_count() == (os.cpu_count() or 1)
+
+
+def grid_transforms(label, gauss_op, gauss_position):
+    """name -> (evaluate(pts, method), domain factory, frequency names,
+    centre names, omega, state axis) for the transforms with a product-grid
+    path."""
+    a = label.k1 * label.consts.alpha
+    h = 1.0
+    return {
+        "wigner_nc": (
+            lambda pts, m: wigner_nc(gauss_op, pts, label, method=m),
+            nc_domain, ("q1nc", "q2nc"), ("p1nc", "p2nc"), -a, gauss_op.ket.grid.axis0),
+        "wigner_nc_position": (
+            lambda pts, m: wigner_nc_position(gauss_position, gauss_position, pts,
+                                              label, method=m),
+            nc_domain, ("p1nc", "p2nc"), ("q1nc", "q2nc"), a, gauss_position.grid.axis0),
+        "cross_wigner_standard": (
+            lambda pts, m: cross_wigner_standard(gauss_position, gauss_position, pts,
+                                                 h=h, method=m),
+            phase_space_domain, ("p1", "p2"), ("q1", "q2"), 2.0 * math.pi / h,
+            gauss_position.grid.axis0),
+    }
+
+
+def grid_path_domains(build, freq, centre, state_axis, omega, aligned):
+    """A full domain (4 points per axis), a q-only slice and a mixed q/p
+    slice (8 points per axis), on the FFT/state lattices or off them."""
+    if aligned:
+        f4, f8 = (aligned_frequency_grid(state_axis, omega, n) for n in (4, 8))
+        c4, c8 = (aligned_center_grid(state_axis, n) for n in (4, 8))
+    else:
+        f4, f8 = Grid1D(4, -0.61, 0.37), Grid1D(8, -0.83, 0.23)
+        c4, c8 = Grid1D(4, -0.53, 0.31), Grid1D(8, -0.77, 0.19)
+    axes = {name: (f4, f8) for name in freq} | {name: (c4, c8) for name in centre}
+    names = (*freq, *centre) if freq[0].startswith("q") else (*centre, *freq)
+    q1, q2, p1, p2 = names
+    fixed = {name: float(g8.coords()[5]) for name, (_, g8) in axes.items()}
+    return [
+        build(**{name: g4 for name, (g4, _) in axes.items()}),
+        build(**{q1: axes[q1][1], q2: axes[q2][1], p1: fixed[p1], p2: fixed[p2]}),
+        build(**{q1: axes[q1][1], q2: fixed[q2], p1: axes[p1][1], p2: fixed[p2]}),
+    ]
+
+
+class TestDomainGridPath:
+    """Domain4D inputs are evaluated on their product grid; per point they
+    must give the bits of the same transform on domain.points()."""
+
+    @pytest.mark.parametrize("aligned", [True, False])
+    @pytest.mark.parametrize("name", ["wigner_nc", "wigner_nc_position",
+                                      "cross_wigner_standard"])
+    def test_bitwise_equal_to_points(self, generic_label, gauss_op, gauss_position,
+                                     name, aligned):
+        evaluate, build, freq, centre, omega, axis = grid_transforms(
+            generic_label, gauss_op, gauss_position)[name]
+        for dom in grid_path_domains(build, freq, centre, axis, omega, aligned):
+            for method in ("auto", "fft", "direct"):
+                if method == "fft" and not aligned:
+                    for pts in (dom, dom.points()):
+                        with pytest.raises(ShiftOffGrid):
+                            evaluate(pts, method)
+                    continue
+                grid_vals = evaluate(dom, method)
+                point_vals = evaluate(dom.points(), method)
+                assert grid_vals.values.shape == dom.shape
+                assert grid_vals.values.tobytes() == point_vals.tobytes()
+
+    def test_all_centres_tail_skipped(self, generic_label, gauss_op):
+        # centres far off the state's support, frequencies beyond Nyquist:
+        # no centre reaches the frequency step, so nothing is checked
+        hs = gauss_op.ket.grid.axis0.step
+        far = Grid1D(4, 400 * hs, hs)
+        big = Grid1D(4, 1.2 * math.pi / hs, 1.0)
+        w = wigner_nc(gauss_op, nc_domain(q1nc=big, q2nc=big, p1nc=far, p2nc=far),
+                      generic_label)
+        assert np.all(w.values == 0)
+
+    def test_guards_match_point_path(self, generic_label, gauss_op):
+        hs = gauss_op.ket.grid.axis0.step
+        big = Grid1D(4, 1.2 * math.pi / hs, 1.0)   # beyond the Nyquist band
+        off = Grid1D(4, -0.61, 0.37)               # off the FFT lattice
+        c = aligned_center_grid(gauss_op.ket.grid.axis0, 4)
+        for q, method, exc in ((big, "auto", GridTooCoarse),
+                               (big, "fft", GridTooCoarse),
+                               (off, "fft", ShiftOffGrid)):
+            dom = nc_domain(q1nc=q, q2nc=q, p1nc=c, p2nc=c)
+            for pts in (dom, dom.points()):
+                with pytest.raises(exc):
+                    wigner_nc(gauss_op, pts, generic_label, method=method)
+        g = Grid1D.symmetric(33, 2.0)
+        with pytest.raises(GridTooLarge):
+            wigner_nc(gauss_op, nc_domain(q1nc=g, q2nc=g, p1nc=g, p2nc=g),
+                      generic_label)
+
+    def test_thread_count_invariance(self, generic_label, gauss_op, monkeypatch):
+        axis = gauss_op.ket.grid.axis0
+        f = aligned_frequency_grid(axis, -generic_label.k1 * generic_label.consts.alpha, 4)
+        c = Grid1D(8, -0.77, 0.19)   # 64 centres: the threaded branch
+        dom = nc_domain(q1nc=f, q2nc=f, p1nc=c, p2nc=c)
+        monkeypatch.setenv("NCWIG_THREADS", "1")
+        one = wigner_nc(gauss_op, dom, generic_label)
+        monkeypatch.setenv("NCWIG_THREADS", "2")
+        two = wigner_nc(gauss_op, dom, generic_label)
+        assert one.values.tobytes() == two.values.tobytes()
+
+    def test_frequency_step_runs_once_under_thread_stress(self, generic_label,
+                                                         gauss_op, monkeypatch):
+        # more workers than cores and a short switch interval: the shared
+        # frequency step must still be built exactly once, and every worker
+        # must write the same bits as a single thread
+        axis = gauss_op.ket.grid.axis0
+        f = aligned_frequency_grid(axis, -generic_label.k1 * generic_label.consts.alpha, 4)
+        c = aligned_center_grid(axis, 8)
+        dom = nc_domain(q1nc=f, q2nc=f, p1nc=c, p2nc=c)
+        monkeypatch.setattr(wigner, "_worker_count", lambda: 1)
+        one = wigner_nc(gauss_op, dom, generic_label)
+        calls = []
+        step = wigner._GroupEvaluator.frequency_step
+
+        def counted(self, w0, w1):
+            calls.append(1)
+            time.sleep(0.02)  # widen the window in which other workers arrive
+            return step(self, w0, w1)
+
+        monkeypatch.setattr(wigner._GroupEvaluator, "frequency_step", counted)
+        monkeypatch.setattr(wigner, "_worker_count", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            many = wigner_nc(gauss_op, dom, generic_label)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(calls) == 1
+        assert many.values.tobytes() == one.values.tobytes()
+
+    def test_points_never_materialised(self, generic_label, gauss_op, gauss_position,
+                                       monkeypatch):
+        def no_points(self):
+            raise AssertionError("Domain4D.points() called on the grid path")
+
+        monkeypatch.setattr(Domain4D, "points", no_points)
+        g = Grid1D.symmetric(4, 1.0)
+        w = wigner_nc(gauss_op, nc_domain(q1nc=g, q2nc=g, p1nc=g, p2nc=g), generic_label)
+        assert w.values.shape == (4, 4, 4, 4)
+        w = wigner_nc_position(gauss_position, gauss_position,
+                               nc_domain(q1nc=g, q2nc=0.0, p1nc=g, p2nc=0.0),
+                               generic_label)
+        assert w.values.shape == (4, 4)
+        w = cross_wigner_standard(gauss_position, gauss_position,
+                                  phase_space_domain(q1=0.0, q2=0.0, p1=g, p2=g), h=1.0)
+        assert w.values.shape == (4, 4)
