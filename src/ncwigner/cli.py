@@ -24,6 +24,7 @@ import numpy as np
 
 from .core import (
     ComplexField2D,
+    CoadjointPoint,
     DegenerateParams,
     DimensionalConstants,
     Domain4D,
@@ -43,8 +44,8 @@ from .core import (
     WignerField,
     make_orbit_label,
     nc_params_from_label,
+    orbit_to_nc,
 )
-from .numerics import conjugate_grid
 from .oracles import (
     VerifyConfig,
     format_report,
@@ -52,7 +53,7 @@ from .oracles import (
     gaussian_state_momentum,
     iter_verification_suites,
 )
-from .starprod import MarginalField, marginal_momentum, marginal_position, star_B, star_general, star_hbar, star_vartheta
+from .starprod import marginal_momentum, marginal_position, star_B, star_general, star_hbar, star_vartheta
 from .wigner import (
     cross_wigner_standard,
     qm_limit_check,
@@ -64,6 +65,7 @@ from .wigner import (
 )
 
 _FMT = "%.17g"
+_FIELD_MAGIC = "# ncwigner-field 1"
 
 
 def _fnum(x: float) -> str:
@@ -82,7 +84,7 @@ def write_field_file(path: str, grids: tuple[Grid1D, Grid1D], values: np.ndarray
     x0 = g0.coords()
     x1 = g1.coords()
     v = np.asarray(values, dtype=np.complex128)
-    lines = ["# ncwigner-field 1"]
+    lines = [_FIELD_MAGIC]
     for key, val in meta.items():
         lines.append(f"# {key}: {val}")
     for name, g in (("axis0", g0), ("axis1", g1)):
@@ -127,11 +129,14 @@ def write_field_file(path: str, grids: tuple[Grid1D, Grid1D], values: np.ndarray
 
 def read_field_file(path: str) -> ComplexField2D:
     """Read a csv field file written by :func:`write_field_file`; a
-    malformed file raises ValueError with a one-line message."""
+    malformed file or a missing magic first line raises ValueError with a
+    one-line message."""
     meta: dict[str, str] = {}
     rows = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
+        if fh.readline().strip() != _FIELD_MAGIC:
+            raise ValueError(f"field file {path}: first line is not {_FIELD_MAGIC!r}")
+        for lineno, line in enumerate(fh, 2):
             line = line.strip()
             if not line:
                 continue
@@ -236,6 +241,7 @@ def _parse_slice(spec: str | None, names) -> dict[str, float]:
 
 
 def _build_domain(names, fixed: dict[str, float], n: int, extent: float) -> Domain4D:
+    """The 2D output slice, checked before any state or transform is built."""
     spec = {}
     for name in names:
         if name in fixed:
@@ -243,9 +249,12 @@ def _build_domain(names, fixed: dict[str, float], n: int, extent: float) -> Doma
         else:
             spec[name] = Grid1D.symmetric(n, extent)
     try:
-        return Domain4D.build(names, **spec)
+        domain = Domain4D.build(names, **spec)
     except ValueError as exc:
         raise _CliFailure(2, f"--slice: {exc}") from None
+    if len(domain.varying) != 2:
+        raise _CliFailure(2, "--slice must pin all but two coordinates for file output")
+    return domain
 
 
 def _meta_lines(label: OrbitLabel | None, params: NCParams | None, extra: dict[str, str]):
@@ -283,10 +292,9 @@ def _momentum_state_for_output(args, label: OrbitLabel, domain: Domain4D,
     a = label.k1 * label.consts.alpha
     # frequency bound for the requested points
     if domain.names == ORBIT_COORDS:
-        from .wigner import _wave_coords  # orbit frequencies mix the axes
-
+        # orbit frequencies are the q^nc coordinates, which mix the axes
         omega = abs(label.consts.alpha)
-        w0, w1, _, _ = _wave_coords(label, domain.points())
+        w0, w1 = orbit_to_nc(CoadjointPoint(*domain.points().T), label).qnc
     else:
         omega = abs(a)
         w0, w1 = domain.axes()[:2]  # the q^nc axes are the frequencies
@@ -328,9 +336,9 @@ def _cmd_wigner(args) -> int:
     state = _parse_state_spec(args.state)
     variant = args.variant
     if variant == "standard":
-        psi = _position_state(args, state)
         fixed = _parse_slice(args.slice, PHASE_COORDS)
         domain = _build_domain(PHASE_COORDS, fixed, args.grid, args.extent)
+        psi = _position_state(args, state)
         h = args.planck_h
         meta = _meta_lines(None, None, {
             "transform": "standard", "planck_h": _fnum(h),
@@ -376,8 +384,6 @@ def _cmd_wigner(args) -> int:
 
 
 def _write_wigner(args, field: WignerField, meta: dict[str, str]) -> int:
-    if len(field.domain.varying) != 2:
-        raise _CliFailure(2, "--slice must pin all but two coordinates for file output")
     grids = tuple(field.domain.grids)
     write_field_file(args.out, (grids[0], grids[1]), field.values, meta, fmt=args.format)
     print(f"[ncwig] wrote {args.out}", file=sys.stderr)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -265,7 +265,8 @@ def orbit_to_nc(pt: CoadjointPoint, label: OrbitLabel) -> NCCoords:
     p2nc = (k1^2 k4* a^2 - k1 k1* k3 a g) / (k1^2 a^2 - k2 k3 b g)
 
     with a, b, g the dimensional constants.  For k2 = k3 = 0 the map is the
-    identity.
+    identity.  The map is elementwise, so the four coordinates of pt may
+    equally be arrays of one shape; the result then holds arrays too.
     """
     c = label.consts
     k1, k2, k3 = label.k1, label.k2, label.k3
@@ -276,7 +277,7 @@ def orbit_to_nc(pt: CoadjointPoint, label: OrbitLabel) -> NCCoords:
 
 
 def nc_to_orbit(nc: NCCoords, label: OrbitLabel) -> CoadjointPoint:
-    """Exact inverse of :func:`orbit_to_nc`.
+    """Exact inverse of :func:`orbit_to_nc`, elementwise on arrays like it.
 
     k2* and k3* are read off directly; (k1*, k4*) solve the 2x2 linear
     system, which non-degeneracy keeps invertible:
@@ -345,10 +346,6 @@ class Grid1D:
 
     def coords(self) -> np.ndarray:
         return self.origin + self.step * np.arange(self.n)
-
-    @property
-    def upper(self) -> float:
-        return self.origin + self.step * (self.n - 1)
 
 
 @dataclass(frozen=True)
@@ -526,7 +523,6 @@ class WignerField:
     domain: Domain4D
     values: np.ndarray
     label: OrbitLabel | None = None
-    attrs: tuple[tuple[str, str], ...] = field(default_factory=tuple)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.complex128)
@@ -535,13 +531,6 @@ class WignerField:
         v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
-
-    @property
-    def kind(self) -> str:
-        return "full4d" if self.domain.is_full else "slice2d"
-
-    def grid_for(self, name: str) -> Grid1D:
-        return self.grids_by_name()[name]
 
     def grids_by_name(self) -> dict[str, Grid1D]:
         return dict(zip(self.domain.varying, self.domain.grids))

@@ -1,5 +1,12 @@
 """Quadrature and Fourier machinery shared by the integral transforms.
 
+This module is the one home of the per-axis grid primitives: quadrature
+weights (:func:`_axis_weights`), index and Fourier shifts
+(:func:`_axis_integer_shift`, :func:`_axis_fourier_shift` and the choice
+between them, :func:`_axis_shift`), the reflection x -> -x on a symmetric
+grid with its symmetry check (:func:`_axis_reflect`) and the alignment
+tolerance ``_ALIGN_TOL``.
+
 Fourier convention: unitary, kernel (2 pi)^(-1/2) exp(-i s r) per coordinate
 for the forward (sign = -1) direction.  This makes the unit Gaussian
 self-dual and keeps Parseval exact on the grid.  Conjugate grids put s = 0
@@ -129,36 +136,49 @@ def cont_ft_axis(f: ComplexField2D, axis: int, sign: int = -1) -> ComplexField2D
     return ComplexField2D(grid, out, rep=f.rep)
 
 
-def _fourier_shift_values(values: np.ndarray, delta0: float, delta1: float) -> np.ndarray:
-    """Circular band-limited shift by (delta0, delta1) grid steps."""
-    spec = np.fft.fft2(values)
-    if delta0 != 0.0:
-        spec *= np.exp(2j * math.pi * np.fft.fftfreq(values.shape[0]) * delta0)[:, None]
-    if delta1 != 0.0:
-        spec *= np.exp(2j * math.pi * np.fft.fftfreq(values.shape[1]) * delta1)[None, :]
-    return np.fft.ifft2(spec)
+def _axis_fourier_shift(values: np.ndarray, delta: float, axis: int) -> np.ndarray:
+    """Circular band-limited shift by delta grid steps along axis 0 or 1."""
+    spec = np.fft.fft(values, axis=axis)
+    ph = np.exp(2j * math.pi * np.fft.fftfreq(values.shape[axis]) * delta)
+    spec *= ph[:, None] if axis == 0 else ph[None, :]
+    return np.fft.ifft(spec, axis=axis)
 
 
-def _integer_shift_values(values: np.ndarray, s0: int, s1: int) -> np.ndarray:
-    """Index translation with zero fill outside the domain (no wrap-around)."""
+def _axis_integer_shift(values: np.ndarray, s: int, axis: int) -> np.ndarray:
+    """values[j + s] along axis 0 or 1, zero-filled (no wrap-around)."""
+    n = values.shape[axis]
     out = np.zeros_like(values)
-    n0, n1 = values.shape
-    src0 = slice(max(s0, 0), min(n0 + s0, n0))
-    dst0 = slice(src0.start - s0, src0.stop - s0)
-    src1 = slice(max(s1, 0), min(n1 + s1, n1))
-    dst1 = slice(src1.start - s1, src1.stop - s1)
-    if src0.start < src0.stop and src1.start < src1.stop:
-        out[dst0, dst1] = values[src0, src1]
+    src = slice(max(s, 0), min(n + s, n))
+    dst = slice(src.start - s, src.stop - s)
+    if src.start < src.stop:
+        if axis == 0:
+            out[dst, :] = values[src, :]
+        else:
+            out[:, dst] = values[:, src]
     return out
+
+
+def _axis_shift(values: np.ndarray, d: float, step: float, axis: int) -> np.ndarray:
+    """Samples of f(x + d) along axis: index translation (none at d = 0) when
+    d is a whole number of steps, else the Fourier shift."""
+    delta = d / step
+    r = round(delta)
+    if abs(delta - r) <= _ALIGN_TOL:
+        return values if r == 0 else _axis_integer_shift(values, int(r), axis)
+    return _axis_fourier_shift(values, delta, axis)
 
 
 def fractional_shift(f: ComplexField2D, d0: float, d1: float) -> ComplexField2D:
     """Samples of f(r0 + d0, r1 + d1) by Fourier-phase multiplication.
 
     Exact for band-limited fields; the shift is circular, so callers must
-    keep the field supported well inside the grid.
+    keep the field supported well inside the grid.  An axis with a zero
+    shift is left untouched.
     """
-    out = _fourier_shift_values(f.values, d0 / f.grid.axis0.step, d1 / f.grid.axis1.step)
+    out = f.values
+    for axis, (d, g) in enumerate(((d0, f.grid.axis0), (d1, f.grid.axis1))):
+        if d != 0.0:
+            out = _axis_fourier_shift(out, d / g.step, axis)
     return f.with_values(out)
 
 
@@ -168,8 +188,10 @@ def shift_field(f: ComplexField2D, d0: float, d1: float, mode: str = "auto") -> 
     mode "integer": require d/step to be an integer within 1e-9 (else
     ShiftOffGrid) and translate indices with zero fill.  mode "fourier":
     always use the band-limited circular shift.  mode "auto": integer when
-    aligned, Fourier otherwise.
+    both axes are aligned, Fourier otherwise.
     """
+    if mode not in ("integer", "fourier", "auto"):
+        raise ValueError(f"unknown shift mode {mode!r}")
     delta0 = d0 / f.grid.axis0.step
     delta1 = d1 / f.grid.axis1.step
     aligned = (abs(delta0 - round(delta0)) <= _ALIGN_TOL
@@ -179,30 +201,28 @@ def shift_field(f: ComplexField2D, d0: float, d1: float, mode: str = "auto") -> 
             f"shift ({d0}, {d1}) is not an integer number of grid steps "
             f"({delta0:.3g}, {delta1:.3g} steps)"
         )
-    if mode not in ("integer", "fourier", "auto"):
-        raise ValueError(f"unknown shift mode {mode!r}")
-    if mode != "fourier" and aligned:
-        # f(r + d) sits at index j + d/step
-        out = _integer_shift_values(f.values, int(round(delta0)), int(round(delta1)))
-        return f.with_values(out)
-    return fractional_shift(f, d0, d1)
+    if mode == "fourier" or not aligned:
+        return fractional_shift(f, d0, d1)
+    # f(r + d) sits at index j + d/step
+    out = _axis_shift(f.values, d0, f.grid.axis0.step, 0)
+    return f.with_values(_axis_shift(out, d1, f.grid.axis1.step, 1))
 
 
-def _check_symmetric(g: Grid1D):
+def _axis_reflect(values: np.ndarray, g: Grid1D, axis: int) -> np.ndarray:
+    """Samples of f(-x) along axis on the symmetric grid g, by index reversal.
+
+    The missing +L sample is taken from -L, which is harmless for fields
+    vanishing at the boundary.
+    """
     if abs(g.origin + 0.5 * g.n * g.step) > _ALIGN_TOL * g.step:
         raise ValueError("reflection requires a symmetric grid [-L, L - step]")
+    return np.roll(np.flip(values, axis=axis), 1, axis=axis)
 
 
 def reflect_field(f: ComplexField2D) -> ComplexField2D:
-    """Samples of f(-r0, -r1) on the same symmetric grid.
-
-    The missing +L corner sample is taken from -L, which is harmless for
-    fields vanishing at the boundary.
-    """
-    _check_symmetric(f.grid.axis0)
-    _check_symmetric(f.grid.axis1)
-    out = np.roll(np.roll(f.values[::-1, ::-1], 1, axis=0), 1, axis=1)
-    return f.with_values(out)
+    """Samples of f(-r0, -r1) on the same symmetric grid."""
+    out = _axis_reflect(f.values, f.grid.axis0, 0)
+    return f.with_values(_axis_reflect(out, f.grid.axis1, 1))
 
 
 def momentum_representation(f: ComplexField2D, scale: float) -> ComplexField2D:

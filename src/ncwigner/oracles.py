@@ -29,6 +29,8 @@ from .core import (
     OrbitLabel,
     RankOneOperator,
     Sector,
+    duflo_moore_constant,
+    plancherel_density,
 )
 
 __all__ = [
@@ -61,18 +63,6 @@ class VerificationReport:
     passed: bool
     details: tuple[tuple[str, str], ...] = field(default_factory=tuple)
     runtime_s: float | None = None  # volatile; excluded from serialised output
-
-
-def _report(name, metric, tolerance, details, t0) -> VerificationReport:
-    det = tuple((str(k), str(v)) for k, v in details)
-    return VerificationReport(
-        name=name,
-        metric=float(metric),
-        tolerance=float(tolerance),
-        passed=bool(metric <= tolerance),
-        details=det,
-        runtime_s=time.perf_counter() - t0,
-    )
 
 
 def format_report(r: VerificationReport, include_runtime: bool = False) -> str:
@@ -326,23 +316,13 @@ def direct_star_oracle(values1: np.ndarray, values2: np.ndarray,
 def expected_isometry_constant(label: OrbitLabel) -> float:
     """Documented squared-norm ratio int |W|^2 dk* / (||ket||^2 ||bra||^2).
 
-    1/a^2 on the generic sector, 1/(2 pi a^2) for k3 = 0 and
-    1/((2 pi)^2 a^2) for k2 = k3 = 0, with a the alpha constant.  Fixed
-    once against this oracle and frozen in the tests.
+    The orthogonality relation d^2 / ((2 pi)^5 a^2), with d the
+    Duflo-Moore constant and a the alpha constant: 1/a^2 on the generic
+    sector, 1/(2 pi a^2) for k3 = 0 and 1/((2 pi)^2 a^2) for k2 = k3 = 0.
+    Checked against this oracle and frozen in the tests.
     """
-    a2 = label.consts.alpha ** 2
-    if label.sector is Sector.GENERIC:
-        return 1.0 / a2
-    if label.sector is Sector.TAU_ZERO:
-        return 1.0 / (2.0 * math.pi * a2)
-    return 1.0 / ((2.0 * math.pi) ** 2 * a2)
-
-
-def _orbit_jacobian(label: OrbitLabel) -> float:
-    # d^4 k* = J du dv dc0 dc1 for the frequency/centre parametrisation
-    if label.sector is Sector.GENERIC:
-        return label.abs_discriminant / label.consts.alpha ** 2
-    return label.k1 ** 2
+    alpha = label.consts.alpha
+    return duflo_moore_constant(label) ** 2 / ((2.0 * math.pi) ** 5 * alpha ** 2)
 
 
 def _shifted(values: np.ndarray, j0: int, j1: int) -> np.ndarray:
@@ -391,7 +371,7 @@ def isometry_ratio(ops, label: OrbitLabel, tolerance: float = 1e-4,
         raise ValueError("need at least two operators")
     alpha = label.consts.alpha
     pref = _sector_prefactor(label)
-    jac = _orbit_jacobian(label)
+    jac = plancherel_density(label)  # d^4 k* = jac du dv dc0 dc1
     ratios = []
     for op in ops:
         cell0 = op.ket.grid.axis0.step * op.ket.grid.axis1.step

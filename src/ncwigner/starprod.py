@@ -42,7 +42,7 @@ from .core import (
     OrbitLabel,
     WignerField,
 )
-from .numerics import _axis_weights
+from .numerics import _axis_reflect, _axis_shift, _axis_weights
 
 __all__ = [
     "MarginalField",
@@ -121,15 +121,17 @@ def marginal_position(w: WignerField, label: OrbitLabel) -> MarginalField:
 # 2D star products
 # ---------------------------------------------------------------------------
 
-def _support_extent(values: np.ndarray, coords0: np.ndarray, coords1: np.ndarray):
-    """Per-axis |coordinate| extent of the region above the support cut."""
+def _support_extent(values: np.ndarray, coords) -> list[float]:
+    """Per-axis |coordinate| extent of the region above the support cut;
+    coords holds one coordinate array per axis of values."""
     mag = np.abs(values)
     cut = _SUPPORT_CUT * float(mag.max()) if mag.size else 0.0
-    rows = np.where(mag.max(axis=1) > cut)[0]
-    cols = np.where(mag.max(axis=0) > cut)[0]
-    s0 = float(np.max(np.abs(coords0[rows]))) if rows.size else 0.0
-    s1 = float(np.max(np.abs(coords1[cols]))) if cols.size else 0.0
-    return s0, s1
+    ext = []
+    for axis, c in enumerate(coords):
+        other = tuple(a for a in range(mag.ndim) if a != axis)
+        idx = np.where(mag.max(axis=other) > cut)[0]
+        ext.append(float(np.max(np.abs(c[idx]))) if idx.size else 0.0)
+    return ext
 
 
 def _check_cell_phase(rates, what: str):
@@ -145,31 +147,12 @@ def _check_cell_phase(rates, what: str):
 def _reflect_about(values: np.ndarray, axis: int, center: float, grid: Grid1D) -> np.ndarray:
     """Samples of f with one argument reflected to 2*center - x.
 
-    Index arithmetic when 2*center lands on the grid lattice, Fourier
-    interpolation of the index-reversed array otherwise (the grids here are
-    symmetric, so plain reversal is node-exact).
+    The grids here are symmetric, so the index reversal (about x = 0) is
+    node-exact; shifting it by -2*center is an index translation when that
+    lands on the grid lattice and a Fourier shift otherwise.
     """
-    if abs(grid.origin + 0.5 * grid.n * grid.step) > 1e-9 * grid.step:
-        raise ValueError("reflection requires a symmetric grid [-L, L - step]")
-    rev = np.roll(np.flip(values, axis=axis), 1, axis=axis)
-    delta = 2.0 * center / grid.step  # reversal above is about x = 0
-    r = round(delta)
-    if abs(delta - r) <= 1e-9:
-        out = np.zeros_like(values)
-        n = grid.n
-        s = -int(r)  # rev(x - 2c) = shift of rev by -2c
-        src = slice(max(s, 0), min(n + s, n))
-        dst = slice(src.start - s, src.stop - s)
-        if src.start < src.stop:
-            if axis == 0:
-                out[dst, :] = rev[src, :]
-            else:
-                out[:, dst] = rev[:, src]
-        return out
-    spec = np.fft.fft(rev, axis=axis)
-    ph = np.exp(-2j * math.pi * np.fft.fftfreq(grid.n) * delta)
-    spec *= ph[:, None] if axis == 0 else ph[None, :]
-    return np.fft.ifft(spec, axis=axis)
+    rev = _axis_reflect(values, grid, axis)
+    return _axis_shift(rev, -2.0 * center, grid.step, axis)
 
 
 def _common_plane(f: ComplexField2D, g: ComplexField2D) -> Grid2D:
@@ -195,7 +178,7 @@ def star_vartheta(f: ComplexField2D, g: ComplexField2D, params: NCParams,
     e1 = grid.axis1.coords()
     o0 = out.axis0.coords()
     o1 = out.axis1.coords()
-    s0, s1 = _support_extent(np.maximum(np.abs(f.values), np.abs(g.values)), e0, e1)
+    s0, s1 = _support_extent(np.maximum(np.abs(f.values), np.abs(g.values)), (e0, e1))
     _check_cell_phase(
         [(2.0 / abs(th)) * (np.max(np.abs(o1)) + s1) * grid.axis0.step,
          (2.0 / abs(th)) * (np.max(np.abs(o0)) + s0) * grid.axis1.step],
@@ -229,7 +212,7 @@ def star_B(f: ComplexField2D, g: ComplexField2D, params: NCParams,
     e1 = grid.axis1.coords()
     o0 = out.axis0.coords()
     o1 = out.axis1.coords()
-    s0, s1 = _support_extent(np.maximum(np.abs(f.values), np.abs(g.values)), e0, e1)
+    s0, s1 = _support_extent(np.maximum(np.abs(f.values), np.abs(g.values)), (e0, e1))
     _check_cell_phase(
         [(2.0 / abs(bf)) * (np.max(np.abs(o1)) + s1) * grid.axis0.step,
          (2.0 / abs(bf)) * (np.max(np.abs(o0)) + s0) * grid.axis1.step],
@@ -292,18 +275,6 @@ def _star4d_setup(w1: WignerField, w2: WignerField, max_axis_points: int):
     return grids, coords, wt4
 
 
-def _support_extent_4d(values: np.ndarray, coords) -> list[float]:
-    mag = np.abs(values)
-    cut = _SUPPORT_CUT * float(mag.max()) if mag.size else 0.0
-    ext = []
-    for axis in range(4):
-        other = tuple(a for a in range(4) if a != axis)
-        prof = mag.max(axis=other)
-        idx = np.where(prof > cut)[0]
-        ext.append(float(np.max(np.abs(coords[axis][idx]))) if idx.size else 0.0)
-    return ext
-
-
 def _reflected_gather(values: np.ndarray, b: int, c: int) -> np.ndarray:
     """values[e, 2b - f, 2c - g, h] with zeros off the grid."""
     n0, n1, n2, n3 = values.shape
@@ -327,7 +298,7 @@ def _star_4d(w1: WignerField, w2: WignerField, params: NCParams, kind: str,
     if kind == "general" and e == 0.0:
         raise DegenerateParams("hbar^2 - bfield*vartheta = 0")
     pref = math.sqrt(abs(e)) / (math.pi * abs(hb))
-    supp = _support_extent_4d(np.maximum(np.abs(w1.values), np.abs(w2.values)), coords)
+    supp = _support_extent(np.maximum(np.abs(w1.values), np.abs(w2.values)), coords)
     ext = [float(np.max(np.abs(c))) for c in coords]
     steps = [g.step for g in grids]
     if kind == "hbar":

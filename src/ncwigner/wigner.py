@@ -91,8 +91,9 @@ from .core import (
     DegenerateParams,
     Grid1D,
     nc_to_orbit,
+    orbit_to_nc,
 )
-from .numerics import reflect_field
+from .numerics import _ALIGN_TOL, _axis_shift, reflect_field
 
 __all__ = [
     "wigner_generic",
@@ -113,7 +114,6 @@ __all__ = [
 # k2 -> 0 limit; the two sectors carry different normalisation constants.
 TAU0_TO_QM_PREFACTOR_RATIO = math.sqrt(2.0 * math.pi)
 
-_ALIGN_TOL = 1e-9
 _DEFAULT_AXIS_CAP = 32
 
 
@@ -202,34 +202,6 @@ def _package(values, domain, label):
 # ---------------------------------------------------------------------------
 # The phase-integral engine
 # ---------------------------------------------------------------------------
-
-def _axis_fourier_shift(values, delta, axis):
-    spec = np.fft.fft(values, axis=axis)
-    ph = np.exp(2j * math.pi * np.fft.fftfreq(values.shape[axis]) * delta)
-    spec *= ph[:, None] if axis == 0 else ph[None, :]
-    return np.fft.ifft(spec, axis=axis)
-
-
-def _axis_integer_shift(values, s, axis):
-    n = values.shape[axis]
-    out = np.zeros_like(values)
-    src = slice(max(s, 0), min(n + s, n))
-    dst = slice(src.start - s, src.stop - s)
-    if src.start < src.stop:
-        if axis == 0:
-            out[dst, :] = values[src, :]
-        else:
-            out[:, dst] = values[:, src]
-    return out
-
-
-def _axis_shift(values, d, step, axis):
-    delta = d / step
-    r = round(delta)
-    if abs(delta - r) <= _ALIGN_TOL:
-        return values if r == 0 else _axis_integer_shift(values, int(r), axis)
-    return _axis_fourier_shift(values, delta, axis)
-
 
 class _GroupEvaluator:
     """Evaluates the phase integral for batches of points sharing a centre."""
@@ -456,18 +428,14 @@ def _phase_integral_grid(ket, bra, w0, w1, c0, c1, omega0, omega1, method, out):
 # ---------------------------------------------------------------------------
 
 def _wave_coords(label: OrbitLabel, pts: np.ndarray):
-    """Orbit coordinates -> (w0, w1, c0, c1).
+    """Orbit coordinates -> (w0, w1, c0, c1): the frequencies are q^nc and
+    the centres p^nc / k1.
 
-    The generic-sector formulas specialise exactly to the k3 = 0 and
+    The generic-sector map specialises exactly to the k3 = 0 and
     k2 = k3 = 0 sectors because the discriminant collapses to k1^2 a^2.
     """
-    c = label.consts
-    k1, k2, k3 = label.k1, label.k2, label.k3
-    d = label.discriminant
-    k1s, k2s, k3s, k4s = pts.T
-    w0 = (k1s * k1 ** 2 * c.alpha ** 2 - k4s * k1 * k2 * c.alpha * c.beta) / d
-    c1 = (k1 * k4s * c.alpha ** 2 - k1s * k3 * c.alpha * c.gamma) / d
-    return w0, k2s, k3s / k1, c1
+    nc = orbit_to_nc(CoadjointPoint(*pts.T), label)
+    return (*nc.qnc, nc.pnc[0] / label.k1, nc.pnc[1] / label.k1)
 
 
 def orbit_from_wave_coords(label: OrbitLabel, w0, w1, c0, c1) -> CoadjointPoint:

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+import ncwigner.cli as cli
 from ncwigner.cli import main, read_field_file
 from ncwigner.core import Domain4D
 
@@ -212,3 +213,31 @@ class TestInputContract:
         assert main(["wigner", "nc", "--k1", "1", "--k2", "-1", "--k3", "1",
                      "--grid", "4", "--extent", "1", "--slice", "p1nc=0,p2nc=0",
                      "--out", str(tmp_path / "w.csv")]) == 0
+
+    @pytest.mark.parametrize("variant, label, transform", [
+        ("nc", ["--k1", "1", "--k2", "-1", "--k3", "1"], "wigner_nc"),
+        ("generic", ["--k1", "1", "--k2", "-1", "--k3", "1"], "wigner_generic"),
+        ("standard", [], "cross_wigner_standard"),
+    ])
+    def test_free_slice_fails_before_state_and_transform(self, tmp_path, capsys,
+                                                         monkeypatch, variant, label,
+                                                         transform):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("state or transform built before the --slice check")
+
+        for name in (transform, "_momentum_state_for_output", "_position_state"):
+            monkeypatch.setattr(cli, name, not_reached)
+        self.expect_exit_2(["wigner", variant, *label, "--grid", "24", "--extent", "2",
+                            "--out", str(tmp_path / "x.csv")], capsys,
+                           "pin all but two coordinates")
+
+    def test_field_file_without_magic_line(self, tmp_path, capsys):
+        good = tmp_path / "good.csv"
+        assert main(self.standard(tmp_path)[:-1] + [str(good)]) == 0
+        assert read_field_file(str(good)).values.shape == (4, 4)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(good.read_text().splitlines()[1:]) + "\n")
+        with pytest.raises(ValueError, match="ncwigner-field 1"):
+            read_field_file(str(bad))
+        self.expect_exit_2(self.standard(tmp_path, state=f"file:{bad}"), capsys,
+                           "first line")

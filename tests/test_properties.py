@@ -1,0 +1,59 @@
+"""Property tests of the coordinate maps and the scaled representations.
+
+Hypothesis runs derandomized with few examples, so these tests are
+deterministic and fast.
+"""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from ncwigner.core import (CoadjointPoint, DimensionalConstants, Grid2D, make_orbit_label,
+                           nc_to_orbit, orbit_to_nc)
+from ncwigner.numerics import momentum_representation, position_representation
+from ncwigner.oracles import random_hermite_gaussian
+
+PROPERTY = settings(derandomize=True, max_examples=30, deadline=None)
+
+magnitude = st.floats(0.5, 2.0)
+signed = st.builds(lambda m, s: s * m, magnitude, st.sampled_from([-1.0, 1.0]))
+points = arrays(np.float64, st.tuples(st.integers(1, 40), st.just(4)),
+                elements=st.floats(-5.0, 5.0))
+
+
+@st.composite
+def labels(draw):
+    """Labels from all three sectors, kept away from the degenerate surface."""
+    sector = draw(st.sampled_from(["generic", "tau0", "qm"]))
+    k1 = draw(signed)
+    k2 = 0.0 if sector == "qm" else draw(signed)
+    k3 = draw(signed) if sector == "generic" else 0.0
+    consts = DimensionalConstants(draw(signed), draw(signed), draw(signed))
+    k1a2 = (k1 * consts.alpha) ** 2
+    assume(abs(k1a2 - k2 * k3 * consts.beta * consts.gamma) >= 0.1 * k1a2)
+    return make_orbit_label(k1, k2, k3, consts)
+
+
+@PROPERTY
+@given(labels(), points)
+def test_orbit_to_nc_on_arrays_matches_per_point(label, pts):
+    nc = orbit_to_nc(CoadjointPoint(*pts.T), label)
+    per_point = np.array([orbit_to_nc(CoadjointPoint(*p), label).as_array() for p in pts])
+    assert np.array_equal(nc.as_array().T, per_point)
+
+
+@PROPERTY
+@given(labels(), points)
+def test_nc_to_orbit_inverts_orbit_to_nc_on_arrays(label, pts):
+    nc = orbit_to_nc(CoadjointPoint(*pts.T), label)
+    back = nc_to_orbit(nc, label).as_array().T
+    assert np.allclose(back, pts, rtol=1e-12, atol=1e-12)
+
+
+@PROPERTY
+@given(signed, st.integers(0, 2 ** 32 - 1))
+def test_position_representation_inverts_momentum_representation(scale, seed):
+    f = random_hermite_gaussian(np.random.default_rng(seed), Grid2D.square(64, 8.0))
+    back = position_representation(momentum_representation(f, scale), scale)
+    assert np.max(np.abs(back.values - f.values)) <= 1e-12
