@@ -525,10 +525,23 @@ class WignerField:
     label: OrbitLabel | None = None
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.complex128)
+        self._freeze(np.asarray(self.values, dtype=np.complex128).copy())
+
+    @classmethod
+    def _adopt(cls, domain: Domain4D, values: np.ndarray,
+               label: OrbitLabel | None = None) -> "WignerField":
+        """Field over domain that takes values without the constructor's
+        copy; for transforms handing over a fresh complex array that
+        nothing else holds."""
+        field = object.__new__(cls)
+        object.__setattr__(field, "domain", domain)
+        object.__setattr__(field, "label", label)
+        field._freeze(np.asarray(values, dtype=np.complex128))
+        return field
+
+    def _freeze(self, v: np.ndarray):
         if v.shape != self.domain.shape:
             raise ValueError(f"values shape {v.shape} != domain shape {self.domain.shape}")
-        v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 

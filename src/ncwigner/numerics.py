@@ -2,10 +2,12 @@
 
 This module is the one home of the per-axis grid primitives: quadrature
 weights (:func:`_axis_weights`), index and Fourier shifts
-(:func:`_axis_integer_shift`, :func:`_axis_fourier_shift` and the choice
-between them, :func:`_axis_shift`), the reflection x -> -x on a symmetric
-grid with its symmetry check (:func:`_axis_reflect`) and the alignment
-tolerance ``_ALIGN_TOL``.
+(:func:`_axis_integer_shift`, :func:`_shift_spectrum` and the choice
+between them, :func:`_axis_shifter`, which shifts one field by many
+offsets at the cost of one forward FFT, and its one-off form
+:func:`_axis_shift`), the reflection x -> -x on a symmetric grid with its
+symmetry check (:func:`_axis_reflect`) and the alignment tolerance
+``_ALIGN_TOL``.
 
 Fourier convention: unitary, kernel (2 pi)^(-1/2) exp(-i s r) per coordinate
 for the forward (sign = -1) direction.  This makes the unit Gaussian
@@ -136,12 +138,11 @@ def cont_ft_axis(f: ComplexField2D, axis: int, sign: int = -1) -> ComplexField2D
     return ComplexField2D(grid, out, rep=f.rep)
 
 
-def _axis_fourier_shift(values: np.ndarray, delta: float, axis: int) -> np.ndarray:
-    """Circular band-limited shift by delta grid steps along axis 0 or 1."""
-    spec = np.fft.fft(values, axis=axis)
-    ph = np.exp(2j * math.pi * np.fft.fftfreq(values.shape[axis]) * delta)
-    spec *= ph[:, None] if axis == 0 else ph[None, :]
-    return np.fft.ifft(spec, axis=axis)
+def _shift_spectrum(spec: np.ndarray, delta: float, axis: int) -> np.ndarray:
+    """Circular band-limited shift by delta grid steps along axis 0 or 1 of
+    the field whose forward FFT along that axis is spec."""
+    ph = np.exp(2j * math.pi * np.fft.fftfreq(spec.shape[axis]) * delta)
+    return np.fft.ifft(spec * (ph[:, None] if axis == 0 else ph[None, :]), axis=axis)
 
 
 def _axis_integer_shift(values: np.ndarray, s: int, axis: int) -> np.ndarray:
@@ -158,14 +159,30 @@ def _axis_integer_shift(values: np.ndarray, s: int, axis: int) -> np.ndarray:
     return out
 
 
+def _axis_shifter(values: np.ndarray, step: float, axis: int):
+    """d -> samples of f(x + d) along axis: index translation (none at d = 0)
+    when d is a whole number of steps, else the Fourier shift.
+
+    The forward FFT runs at most once, on the first off-lattice d, and is
+    kept for later calls; the caller must not modify values meanwhile.
+    """
+    spec = None
+
+    def shift(d: float) -> np.ndarray:
+        nonlocal spec
+        delta = d / step
+        r = round(delta)
+        if abs(delta - r) <= _ALIGN_TOL:
+            return values if r == 0 else _axis_integer_shift(values, int(r), axis)
+        if spec is None:
+            spec = np.fft.fft(values, axis=axis)
+        return _shift_spectrum(spec, delta, axis)
+    return shift
+
+
 def _axis_shift(values: np.ndarray, d: float, step: float, axis: int) -> np.ndarray:
-    """Samples of f(x + d) along axis: index translation (none at d = 0) when
-    d is a whole number of steps, else the Fourier shift."""
-    delta = d / step
-    r = round(delta)
-    if abs(delta - r) <= _ALIGN_TOL:
-        return values if r == 0 else _axis_integer_shift(values, int(r), axis)
-    return _axis_fourier_shift(values, delta, axis)
+    """Samples of f(x + d) along axis; one call of :func:`_axis_shifter`."""
+    return _axis_shifter(values, step, axis)(d)
 
 
 def fractional_shift(f: ComplexField2D, d0: float, d1: float) -> ComplexField2D:
@@ -178,7 +195,7 @@ def fractional_shift(f: ComplexField2D, d0: float, d1: float) -> ComplexField2D:
     out = f.values
     for axis, (d, g) in enumerate(((d0, f.grid.axis0), (d1, f.grid.axis1))):
         if d != 0.0:
-            out = _axis_fourier_shift(out, d / g.step, axis)
+            out = _shift_spectrum(np.fft.fft(out, axis=axis), d / g.step, axis)
     return f.with_values(out)
 
 

@@ -62,17 +62,14 @@ class VerificationReport:
     tolerance: float
     passed: bool
     details: tuple[tuple[str, str], ...] = field(default_factory=tuple)
-    runtime_s: float | None = None  # volatile; excluded from serialised output
 
 
-def format_report(r: VerificationReport, include_runtime: bool = False) -> str:
+def format_report(r: VerificationReport) -> str:
     status = "PASS" if r.passed else "FAIL"
     det = " ".join(f"{k}={v}" for k, v in r.details)
     line = f"{status} {r.name} metric={r.metric:.17g} tolerance={r.tolerance:.17g}"
     if det:
         line += f" [{det}]"
-    if include_runtime and r.runtime_s is not None:
-        line += f" ({r.runtime_s:.2f}s)"
     return line
 
 

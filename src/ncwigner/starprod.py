@@ -42,7 +42,7 @@ from .core import (
     OrbitLabel,
     WignerField,
 )
-from .numerics import _axis_reflect, _axis_shift, _axis_weights
+from .numerics import _axis_reflect, _axis_shifter, _axis_weights
 
 __all__ = [
     "MarginalField",
@@ -144,21 +144,50 @@ def _check_cell_phase(rates, what: str):
         )
 
 
-def _reflect_about(values: np.ndarray, axis: int, center: float, grid: Grid1D) -> np.ndarray:
-    """Samples of f with one argument reflected to 2*center - x.
-
-    The grids here are symmetric, so the index reversal (about x = 0) is
-    node-exact; shifting it by -2*center is an index translation when that
-    lands on the grid lattice and a Fourier shift otherwise.
-    """
-    rev = _axis_reflect(values, grid, axis)
-    return _axis_shift(rev, -2.0 * center, grid.step, axis)
-
-
 def _common_plane(f: ComplexField2D, g: ComplexField2D) -> Grid2D:
     if f.grid != g.grid:
         raise ValueError("star-product factors must share one grid")
     return f.grid
+
+
+def _star_2d(fv: np.ndarray, gv: np.ndarray, grid: Grid2D, out: Grid2D,
+             a: float, what: str) -> np.ndarray:
+    """Trapezoid sum over eta of
+
+        exp(i a (k1 - eta1)(k2 - eta2)) f(eta1, eta2) g(eta1, 2 k2 - eta2)
+
+    at every output node (k1, k2) of out, for samples fv, gv on grid (the
+    *_theta kernel; *_B is the same sum with both axes swapped).
+
+    The phase factors into exp(i a k1 k2) exp(-i a k1 eta2)
+    exp(-i a eta1 k2) exp(i a eta1 eta2): the last factor and the weights
+    are folded into f once, and the k1-eta2 factor is one
+    (n_out x N) matrix, so a column k2 costs one reflected g (one inverse
+    FFT off the lattice), one product and a matrix-vector contraction.
+    """
+    e0 = grid.axis0.coords()
+    e1 = grid.axis1.coords()
+    o0 = out.axis0.coords()
+    o1 = out.axis1.coords()
+    s0, s1 = _support_extent(np.maximum(np.abs(fv), np.abs(gv)), (e0, e1))
+    _check_cell_phase(
+        [abs(a) * (np.max(np.abs(o1)) + s1) * grid.axis0.step,
+         abs(a) * (np.max(np.abs(o0)) + s0) * grid.axis1.step],
+        what,
+    )
+    w2d = np.outer(_axis_weights(grid.axis0, "trapezoid"),
+                   _axis_weights(grid.axis1, "trapezoid"))
+    fw = fv * w2d * np.exp(1j * a * np.outer(e0, e1))
+    k1_eta2 = np.exp(-1j * a * np.outer(o0, e1))
+    # g(eta1, 2 k2 - eta2): the reversal is node-exact on the symmetric
+    # grid; the shift by 2 k2 is an index translation on the lattice and a
+    # Fourier shift off it
+    g_ref = _axis_shifter(_axis_reflect(gv, grid.axis1, 1), grid.axis1.step, 1)
+    res = np.empty((out.axis0.n, out.axis1.n), dtype=np.complex128)
+    for j, k2 in enumerate(o1):
+        inner = np.exp(-1j * a * k2 * e0) @ (fw * g_ref(-2.0 * k2))
+        res[:, j] = np.exp(1j * a * k2 * o0) * (k1_eta2 @ inner)
+    return res
 
 
 def star_vartheta(f: ComplexField2D, g: ComplexField2D, params: NCParams,
@@ -174,25 +203,7 @@ def star_vartheta(f: ComplexField2D, g: ComplexField2D, params: NCParams,
     out = out if out is not None else grid
     th = params.vartheta
     pref = math.sqrt(abs(params.det)) / (math.pi * abs(params.hbar * th))
-    e0 = grid.axis0.coords()
-    e1 = grid.axis1.coords()
-    o0 = out.axis0.coords()
-    o1 = out.axis1.coords()
-    s0, s1 = _support_extent(np.maximum(np.abs(f.values), np.abs(g.values)), (e0, e1))
-    _check_cell_phase(
-        [(2.0 / abs(th)) * (np.max(np.abs(o1)) + s1) * grid.axis0.step,
-         (2.0 / abs(th)) * (np.max(np.abs(o0)) + s0) * grid.axis1.step],
-        "star_vartheta",
-    )
-    w2d = np.outer(_axis_weights(grid.axis0, "trapezoid"),
-                   _axis_weights(grid.axis1, "trapezoid"))
-    res = np.empty((out.axis0.n, out.axis1.n), dtype=np.complex128)
-    for j, k2 in enumerate(o1):
-        g_ref = _reflect_about(g.values, axis=1, center=k2, grid=grid.axis1)
-        prod = f.values * g_ref * w2d
-        m = (2.0 / th) * (k2 - e1)                    # eta2-dependent frequency
-        inner = np.einsum("ij,ij->j", prod, np.exp(-1j * np.outer(e0, m)))
-        res[:, j] = np.exp(1j * np.outer(o0, m)) @ inner
+    res = _star_2d(f.values, g.values, grid, out, 2.0 / th, "star_vartheta")
     return ComplexField2D(out, pref * res, rep="position")
 
 
@@ -208,26 +219,12 @@ def star_B(f: ComplexField2D, g: ComplexField2D, params: NCParams,
     out = out if out is not None else grid
     bf = params.bfield
     pref = math.sqrt(abs(params.det)) / (math.pi * abs(params.hbar * bf))
-    e0 = grid.axis0.coords()
-    e1 = grid.axis1.coords()
-    o0 = out.axis0.coords()
-    o1 = out.axis1.coords()
-    s0, s1 = _support_extent(np.maximum(np.abs(f.values), np.abs(g.values)), (e0, e1))
-    _check_cell_phase(
-        [(2.0 / abs(bf)) * (np.max(np.abs(o1)) + s1) * grid.axis0.step,
-         (2.0 / abs(bf)) * (np.max(np.abs(o0)) + s0) * grid.axis1.step],
-        "star_B",
-    )
-    w2d = np.outer(_axis_weights(grid.axis0, "trapezoid"),
-                   _axis_weights(grid.axis1, "trapezoid"))
-    res = np.empty((out.axis0.n, out.axis1.n), dtype=np.complex128)
-    for i, k3 in enumerate(o0):
-        g_ref = _reflect_about(g.values, axis=0, center=k3, grid=grid.axis0)
-        prod = f.values * g_ref * w2d
-        m = -(2.0 / bf) * (e0 - k3)                   # xi1-dependent frequency
-        inner = np.einsum("ij,ij->i", prod, np.exp(1j * np.outer(m, e1)))
-        res[i, :] = np.exp(-1j * np.outer(m, o1)).T @ inner
-    return ComplexField2D(out, pref * res, rep="momentum")
+    # exp(-(2i/B)(xi1 - k3)(xi2 - k4)) g(2 k3 - xi1, xi2) is the *_theta
+    # summand with a = -2/B on the transposed plane (xi2, xi1)
+    res = _star_2d(np.ascontiguousarray(f.values.T), np.ascontiguousarray(g.values.T),
+                   Grid2D(grid.axis1, grid.axis0),
+                   Grid2D(out.axis1, out.axis0), -2.0 / bf, "star_B")
+    return ComplexField2D(out, pref * res.T, rep="momentum")
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +336,7 @@ def _star_4d(w1: WignerField, w2: WignerField, params: NCParams, kind: str,
                     "aef,aeg,efgh,dfh,dgh->ad",
                     t1[:, b], t2[:, c], m, t3[b], t4[c], optimize=True,
                 )
-    return WignerField(w1.domain, pref * out, label=w1.label)
+    return WignerField._adopt(w1.domain, pref * out, w1.label)
 
 
 def star_hbar(w1: WignerField, w2: WignerField, params: NCParams,

@@ -93,7 +93,7 @@ from .core import (
     nc_to_orbit,
     orbit_to_nc,
 )
-from .numerics import _ALIGN_TOL, _axis_shift, reflect_field
+from .numerics import _ALIGN_TOL, _axis_shift, _axis_shifter, reflect_field
 
 __all__ = [
     "wigner_generic",
@@ -196,7 +196,8 @@ def _phase_space_integral(ket, bra, pts, names, freq, omega, method,
 def _package(values, domain, label):
     if domain is None:
         return values
-    return WignerField(domain, values.reshape(domain.shape), label=label)
+    # the transforms' values are fresh arrays: hand them over uncopied
+    return WignerField._adopt(domain, values.reshape(domain.shape), label)
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +231,14 @@ class _GroupEvaluator:
         self.tail_cut = 1e-13 * float(
             np.max(np.abs(self.bra)) * np.max(np.abs(self.ket_refl))
         )
-        # centre groups arrive sorted with c0 slowest; cache its shifts
+        # centre groups arrive sorted with c0 slowest; cache its shifts as
+        # axis-1 shifters, so each c0 costs one forward FFT per field
         self._c0_key = None
         self._bra_c0 = None
         self._ket_c0 = None
+        # consecutive point groups mostly repeat their frequency set; keep
+        # the last (w0, w1, frequency step) built by eval_group
+        self._group_step = None
 
     def check_resolution(self, w0, w1):
         """Requested phase frequencies must stay inside the grid Nyquist band."""
@@ -249,12 +254,12 @@ class _GroupEvaluator:
 
     def _integrand(self, c0, c1):
         if c0 != self._c0_key or self._bra_c0 is None:
-            self._bra_c0 = _axis_shift(self.bra, c0, self.g0.step, axis=0)
-            self._ket_c0 = _axis_shift(self.ket_refl, -c0, self.g0.step, axis=0)
+            self._bra_c0 = _axis_shifter(
+                _axis_shift(self.bra, c0, self.g0.step, axis=0), self.g1.step, axis=1)
+            self._ket_c0 = _axis_shifter(
+                _axis_shift(self.ket_refl, -c0, self.g0.step, axis=0), self.g1.step, axis=1)
             self._c0_key = c0
-        b = _axis_shift(self._bra_c0, c1, self.g1.step, axis=1)
-        k = _axis_shift(self._ket_c0, -c1, self.g1.step, axis=1)
-        return np.conj(b) * k
+        return np.conj(self._bra_c0(c1)) * self._ket_c0(-c1)
 
     def frequency_step(self, w0, w1):
         """Frequency-side work for (w0, w1) pairs that share their centres.
@@ -330,8 +335,21 @@ class _GroupEvaluator:
         return frequency_step()(h)
 
     def eval_group(self, c0, c1, w0, w1):
-        """I(w; c) for all (w0, w1) pairs at one centre (c0, c1)."""
-        return self.eval_centre(c0, c1, lambda: self.frequency_step(w0, w1))
+        """I(w; c) for all (w0, w1) pairs at one centre (c0, c1).
+
+        The frequency step is reused from the last group that built one
+        when both frequency arrays are equal to that group's.
+        """
+        def step():
+            last = self._group_step
+            if last is not None and np.array_equal(last[0], w0) \
+                    and np.array_equal(last[1], w1):
+                return last[2]
+            contract = self.frequency_step(w0, w1)
+            self._group_step = (w0, w1, contract)
+            return contract
+
+        return self.eval_centre(c0, c1, step)
 
 
 def _run_groups(n_groups, run, new_evaluator):

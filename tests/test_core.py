@@ -20,7 +20,7 @@ from ncwigner import (
     orbit_to_nc,
     plancherel_density,
 )
-from ncwigner.core import Domain4D, ORBIT_COORDS, orbit_domain
+from ncwigner.core import Domain4D, ORBIT_COORDS, WignerField, orbit_domain
 
 
 class TestOrbitLabel:
@@ -199,6 +199,15 @@ class TestFieldTypes:
         f = ComplexField2D(Grid2D.square(8, 2.0), np.zeros((8, 8)))
         with pytest.raises(ValueError):
             f.values[0, 0] = 1.0
+
+    def test_wigner_field_copies_caller_array(self):
+        g = Grid1D.symmetric(4, 1.0)
+        vals = np.arange(256, dtype=complex).reshape(4, 4, 4, 4)
+        w = WignerField(orbit_domain(k1s=g, k2s=g, k3s=g, k4s=g), vals)
+        vals[0, 0, 0, 0] = -1.0
+        assert w.values[0, 0, 0, 0] == 0.0
+        with pytest.raises(ValueError):
+            w.values[0, 0, 0, 0] = 1.0
 
 
 class TestDomain:

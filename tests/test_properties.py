@@ -1,8 +1,11 @@
-"""Property tests of the coordinate maps and the scaled representations.
+"""Property tests of the coordinate maps, the scaled representations and
+the axis shifter.
 
 Hypothesis runs derandomized with few examples, so these tests are
 deterministic and fast.
 """
+
+import math
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -11,7 +14,8 @@ from hypothesis.extra.numpy import arrays
 
 from ncwigner.core import (CoadjointPoint, DimensionalConstants, Grid2D, make_orbit_label,
                            nc_to_orbit, orbit_to_nc)
-from ncwigner.numerics import momentum_representation, position_representation
+from ncwigner.numerics import (_axis_shifter, momentum_representation,
+                               position_representation)
 from ncwigner.oracles import random_hermite_gaussian
 
 PROPERTY = settings(derandomize=True, max_examples=30, deadline=None)
@@ -57,3 +61,45 @@ def test_position_representation_inverts_momentum_representation(scale, seed):
     f = random_hermite_gaussian(np.random.default_rng(seed), Grid2D.square(64, 8.0))
     back = position_representation(momentum_representation(f, scale), scale)
     assert np.max(np.abs(back.values - f.values)) <= 1e-12
+
+
+def reference_axis_shift(values, d, step, axis):
+    """f(x + d) along axis: zero-filled index translation when d is a whole
+    number of steps (within 1e-9), else one forward and one inverse FFT."""
+    delta = d / step
+    r = round(delta)
+    if abs(delta - r) <= 1e-9:
+        if r == 0:
+            return values
+        n = values.shape[axis]
+        out = np.zeros_like(values)
+        src = slice(max(r, 0), min(n + r, n))
+        dst = slice(src.start - r, src.stop - r)
+        if src.start < src.stop:
+            if axis == 0:
+                out[dst, :] = values[src, :]
+            else:
+                out[:, dst] = values[:, src]
+        return out
+    spec = np.fft.fft(values, axis=axis)
+    ph = np.exp(2j * math.pi * np.fft.fftfreq(values.shape[axis]) * delta)
+    spec *= ph[:, None] if axis == 0 else ph[None, :]
+    return np.fft.ifft(spec, axis=axis)
+
+
+# offsets in steps: whole (aligned, zero included) or fractional
+offsets = st.lists(
+    st.one_of(st.integers(-12, 12).map(float), st.floats(-12.0, 12.0)),
+    min_size=1, max_size=6,
+)
+
+
+@PROPERTY
+@given(st.integers(0, 2 ** 32 - 1), st.integers(4, 24), st.integers(4, 24),
+       st.floats(0.05, 2.0), st.sampled_from([0, 1]), offsets)
+def test_axis_shifter_repeats_the_one_off_shift_bitwise(seed, n0, n1, step, axis, ds):
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((n0, n1)) + 1j * rng.standard_normal((n0, n1))
+    shift = _axis_shifter(values, step, axis)
+    for d in [x * step for x in ds + ds[::-1]]:
+        assert shift(d).tobytes() == reference_axis_shift(values, d, step, axis).tobytes()

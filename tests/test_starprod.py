@@ -28,6 +28,7 @@ from ncwigner import (
     wigner_nc,
 )
 from ncwigner.core import nc_domain, orbit_domain
+from ncwigner.numerics import _axis_reflect, _axis_shift
 from ncwigner.oracles import direct_star_oracle
 from ncwigner.wigner import aligned_center_grid, aligned_frequency_grid
 
@@ -113,6 +114,81 @@ class TestStar2D:
                 direct[i, j] = pref * np.sum(
                     phase * np.conj(fine_gaussian.values) * gv * np.outer(w0, w1))
         assert sup_rel(direct, kernel.values) <= 1e-8
+
+    def test_star_b_change_of_variable_consistency(self, fine_gaussian, params_11):
+        # mirror of the *_theta check: g reflected to 2 k3 - xi1 by index
+        # arithmetic (an odd Hermite factor along xi1 shows the direction)
+        # and the kernel phase written out
+        gf = fine_gaussian.grid
+        out = Grid1D.symmetric(16, 3.0)
+        f = fine_gaussian.with_rep("momentum")
+        g = gaussian_state(gf, hermite=(1, 0), rep="momentum")
+        fc = f.with_values(np.conj(f.values))
+        kernel = star_B(fc, g, params_11, out=Grid2D(out, out))
+        bf = params_11.bfield
+        pref = math.sqrt(abs(params_11.det)) / (math.pi * abs(params_11.hbar * bf))
+        e0 = gf.axis0.coords()
+        e1 = gf.axis1.coords()
+        w0 = np.full(e0.size, gf.axis0.step)
+        w0[0] *= 0.5
+        w0[-1] *= 0.5
+        w1 = np.full(e1.size, gf.axis1.step)
+        w1[0] *= 0.5
+        w1[-1] *= 0.5
+        direct = np.empty((out.n, out.n), dtype=complex)
+        for i, k3 in enumerate(out.coords()):
+            tgt = 2 * k3 - e0
+            idx = np.round((tgt - gf.axis0.origin) / gf.axis0.step).astype(int)
+            ok = (idx >= 0) & (idx < gf.axis0.n)
+            gv = np.zeros_like(g.values)
+            gv[ok, :] = g.values[idx[ok], :]
+            for j, k4 in enumerate(out.coords()):
+                phase = np.exp(-(2j / bf) * np.outer(e0 - k3, e1 - k4))
+                direct[i, j] = pref * np.sum(phase * fc.values * gv * np.outer(w0, w1))
+        assert sup_rel(direct, kernel.values) <= 1e-8
+
+    @pytest.mark.parametrize("kind", ["vartheta", "B"])
+    def test_off_lattice_output_matches_per_column_formula(self, fine_gaussian,
+                                                           params_11, kind):
+        # outputs shifted by a fraction of a step, so every reflection is a
+        # Fourier shift; the reference is the per-column reflect-and-contract
+        # evaluation of the same trapezoid sum
+        gf = fine_gaussian.grid
+        rep = "position" if kind == "vartheta" else "momentum"
+        h = [gaussian_state(gf, hermite=n, rep=rep) for n in ((0, 0), (1, 0), (0, 1))]
+        f = h[0].with_values(np.conj(0.8 * h[0].values + (0.3 - 0.4j) * h[1].values))
+        g = h[0].with_values(0.6 * h[0].values + (0.2 + 0.7j) * h[2].values)
+        step = 7.0 / 8
+        o = Grid1D(8, -3.5 + 0.37 * step, step)
+        out = Grid2D(o, o)
+        e0 = gf.axis0.coords()
+        e1 = gf.axis1.coords()
+        w2d = np.outer(*(np.r_[0.5, np.ones(ax.n - 2), 0.5] * ax.step
+                         for ax in (gf.axis0, gf.axis1)))
+        ref = np.empty((o.n, o.n), dtype=complex)
+        if kind == "vartheta":
+            th = params_11.vartheta
+            pref = math.sqrt(abs(params_11.det)) / (math.pi * abs(params_11.hbar * th))
+            kernel = star_vartheta(f, g, params_11, out=out)
+            for j, k2 in enumerate(o.coords()):
+                g_ref = _axis_shift(_axis_reflect(g.values, gf.axis1, 1), -2.0 * k2,
+                                    gf.axis1.step, 1)
+                m = (2.0 / th) * (k2 - e1)
+                inner = np.einsum("ij,ij->j", f.values * g_ref * w2d,
+                                  np.exp(-1j * np.outer(e0, m)))
+                ref[:, j] = np.exp(1j * np.outer(o.coords(), m)) @ inner
+        else:
+            bf = params_11.bfield
+            pref = math.sqrt(abs(params_11.det)) / (math.pi * abs(params_11.hbar * bf))
+            kernel = star_B(f, g, params_11, out=out)
+            for i, k3 in enumerate(o.coords()):
+                g_ref = _axis_shift(_axis_reflect(g.values, gf.axis0, 0), -2.0 * k3,
+                                    gf.axis0.step, 0)
+                m = -(2.0 / bf) * (e0 - k3)
+                inner = np.einsum("ij,ij->i", f.values * g_ref * w2d,
+                                  np.exp(1j * np.outer(m, e1)))
+                ref[i, :] = np.exp(-1j * np.outer(m, o.coords())).T @ inner
+        assert sup_rel(kernel.values, pref * ref) <= 1e-12
 
     def test_bilinearity(self, fine_gaussian, params_11):
         out = Grid2D.square(8, 2.0)

@@ -2,6 +2,7 @@ import math
 import os
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -542,10 +543,85 @@ class TestCentreGrouping:
         two = wigner_nc(cloud_op, pts, generic_label)
         assert one.tobytes() == two.tobytes()
 
+    def test_equal_size_groups_with_other_frequencies_get_own_step(
+            self, generic_label, gauss_op, monkeypatch):
+        pts = np.array([[0.1, 0.2, 0.3, -0.2],
+                        [0.4, 0.1, 0.3, -0.2],
+                        [0.5, 0.6, 0.3, 0.2],
+                        [0.7, -0.8, 0.3, 0.2]])
+        calls = []
+        step = wigner._GroupEvaluator.frequency_step
+
+        def counted(self, w0, w1):
+            calls.append(1)
+            return step(self, w0, w1)
+
+        monkeypatch.setattr(wigner._GroupEvaluator, "frequency_step", counted)
+        vals = wigner_nc(gauss_op, pts, generic_label)
+        assert len(calls) == 2
+        apart = np.concatenate([wigner_nc(gauss_op, pts[:2], generic_label),
+                                wigner_nc(gauss_op, pts[2:], generic_label)])
+        assert vals.tobytes() == apart.tobytes()
+
+    def test_guard_fires_at_first_centre_above_tail(self, generic_label, gauss_op):
+        # two groups with the same out-of-band frequencies: the first (in
+        # sorted order) lies in the tail and builds no step, the second
+        # carries mass and must still hit the Nyquist guard
+        hs = gauss_op.ket.grid.axis0.step
+        big = 1.2 * math.pi / hs
+        tail = [big, 0.0, -60 * hs, 0.0]
+        assert wigner_nc(gauss_op, np.array([tail]), generic_label)[0] == 0
+        with pytest.raises(GridTooCoarse):
+            wigner_nc(gauss_op, np.array([tail, [big, 0.0, 0.0, 0.0]]), generic_label)
+
     def test_worker_count_clamped_to_cpus(self, monkeypatch):
         # reads the clamped value only; no transform runs at this setting
         monkeypatch.setenv("NCWIG_THREADS", "1000000")
         assert wigner._worker_count() == (os.cpu_count() or 1)
+
+
+def theta_cloud(params, out, kint, cint):
+    """Prop-4.2 theta-side orbit points: (k1*, k2*) on out x out, k3* on
+    kint and k4* solved so that the centre c0 runs over cint."""
+    hb, th, e = params.hbar, params.vartheta, params.det
+    k1, k2, k3, c0 = np.meshgrid(out.coords(), out.coords(), kint.coords(),
+                                 cint.coords(), indexing="ij")
+    k4 = (e * c0 - hb ** 2 * k1) / (hb * th)
+    return np.stack([k1.ravel(), k2.ravel(), k3.ravel(), k4.ravel()], axis=1)
+
+
+class TestFrequencyStepReuse:
+    def test_one_step_per_run_of_equal_frequency_sets(self, generic_label,
+                                                      gauss_position, monkeypatch):
+        params = nc_params_from_label(generic_label)
+        out = Grid1D(4, -0.6 + 0.37 * 0.3, 0.3)   # off-lattice, as in a star check
+        pts = theta_cloud(params, out, Grid1D.symmetric(4, 1.0), Grid1D(3, -0.5, 0.5))
+        monkeypatch.setattr(wigner, "_worker_count", lambda: 1)
+        groups, steps = [], []
+        eval_group = wigner._GroupEvaluator.eval_group
+        step = wigner._GroupEvaluator.frequency_step
+
+        def spy_group(self, c0, c1, w0, w1):
+            groups.append((w0.copy(), w1.copy()))
+            return eval_group(self, c0, c1, w0, w1)
+
+        def spy_step(self, w0, w1):
+            steps.append(1)
+            return step(self, w0, w1)
+
+        monkeypatch.setattr(wigner._GroupEvaluator, "eval_group", spy_group)
+        monkeypatch.setattr(wigner._GroupEvaluator, "frequency_step", spy_step)
+        vals = wigner_nc_params(gauss_position, pts, params)
+        runs = 1 + sum(not (np.array_equal(a0, b0) and np.array_equal(a1, b1))
+                       for (a0, a1), (b0, b1) in zip(groups, groups[1:]))
+        assert 1 < len(steps) == runs < len(groups)
+
+        # a step per group gives the same bits
+        def fresh_step(self, c0, c1, w0, w1):
+            return self.eval_centre(c0, c1, lambda: self.frequency_step(w0, w1))
+
+        monkeypatch.setattr(wigner._GroupEvaluator, "eval_group", fresh_step)
+        assert wigner_nc_params(gauss_position, pts, params).tobytes() == vals.tobytes()
 
 
 def grid_transforms(label, gauss_op, gauss_position):
@@ -680,6 +756,23 @@ class TestDomainGridPath:
             sys.setswitchinterval(interval)
         assert len(calls) == 1
         assert many.values.tobytes() == one.values.tobytes()
+
+    def test_result_is_not_copied(self, generic_label, gauss_op):
+        # 64^2 x 32^2 values: the transform's one result array is the
+        # field's, so the peak stays near the result size
+        axis = gauss_op.ket.grid.axis0
+        q = aligned_frequency_grid(axis, generic_label.k1 * generic_label.consts.alpha,
+                                   64, stride=2)
+        p = aligned_center_grid(axis, 32)
+        dom = nc_domain(q1nc=q, q2nc=q, p1nc=p, p2nc=p)
+        tracemalloc.start()
+        try:
+            w = wigner_nc(gauss_op, dom, generic_label, max_axis_points=64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert w.values.nbytes == 64 ** 2 * 32 ** 2 * 16
+        assert peak < 1.25 * w.values.nbytes
 
     def test_points_never_materialised(self, generic_label, gauss_op, gauss_position,
                                        monkeypatch):
