@@ -53,7 +53,8 @@ from .oracles import (
     gaussian_state_momentum,
     iter_verification_suites,
 )
-from .starprod import marginal_momentum, marginal_position, star_B, star_general, star_hbar, star_vartheta
+from .starprod import (_STAR4D_AXIS_CAP, marginal_momentum, marginal_position, star_B,
+                       star_general, star_hbar, star_vartheta)
 from .wigner import (
     cross_wigner_standard,
     qm_limit_check,
@@ -464,7 +465,9 @@ def _cmd_star(args) -> int:
     else:
         from .core import orbit_domain
 
-        n = min(args.grid, 16)
+        n = min(args.grid, _STAR4D_AXIS_CAP)
+        _log_run({"star-grid": f"n={n} per axis (--grid {args.grid}; 4D kinds are "
+                               f"capped at {_STAR4D_AXIS_CAP})"})
         g = Grid1D.symmetric(n, args.extent)
         dom = orbit_domain(k1s=g, k2s=g, k3s=g, k4s=g)
         psi = _position_state(args, state)
@@ -595,7 +598,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--vartheta", type=float, default=0.0)
     ps.add_argument("--bfield", type=float, default=0.0)
     _add_state_args(ps)
-    ps.add_argument("--grid", type=int, default=32)
+    ps.add_argument("--grid", type=int, default=32,
+                    help="output points per axis; hbar and general use at most "
+                         f"{_STAR4D_AXIS_CAP}")
     ps.add_argument("--extent", type=float, default=3.0)
     _add_output_args(ps)
     ps.set_defaults(func=_cmd_star)

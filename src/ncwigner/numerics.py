@@ -57,12 +57,6 @@ def conjugate_grid(g: Grid1D) -> Grid1D:
     return Grid1D(n=g.n, origin=-(g.n // 2) * step, step=step)
 
 
-def _require_finite(f: ComplexField2D):
-    # ComplexField2D already validates on construction; guard raw arrays too.
-    if not np.all(np.isfinite(f.values)):
-        raise ValueError("field values must be finite")
-
-
 def _axis_weights(g: Grid1D, rule: str) -> np.ndarray:
     if rule == "trapezoid":
         w = np.full(g.n, g.step)
@@ -100,7 +94,6 @@ def cont_ft_2d(f: ComplexField2D, sign: int = -1) -> ComplexField2D:
     """
     if sign not in (-1, 1):
         raise ValueError("sign must be -1 or +1")
-    _require_finite(f)
     g0, g1 = f.grid.axis0, f.grid.axis1
     if sign == -1:
         spec = np.fft.fft2(f.values)
@@ -123,7 +116,6 @@ def cont_ft_axis(f: ComplexField2D, axis: int, sign: int = -1) -> ComplexField2D
         raise ValueError("axis must be 0 or 1")
     if sign not in (-1, 1):
         raise ValueError("sign must be -1 or +1")
-    _require_finite(f)
     g = f.grid.axis0 if axis == 0 else f.grid.axis1
     if sign == -1:
         spec = np.fft.fft(f.values, axis=axis)

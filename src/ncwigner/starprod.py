@@ -12,8 +12,12 @@ The 2D kernels multiply phase-space functions on the position plane
           g(2 k3* - xi1, xi2) d xi
 
 with E = hbar^2 - B theta.  The 4D kernels act on Wigner fields over a
-common small orbit grid; their quadratic phases are recorded in
-:func:`star_hbar_phase_matrix` / :func:`star_general_phase_matrix`.
+common orbit grid; their quadratic phases are recorded in
+:func:`star_hbar_phase_matrix` / :func:`star_general_phase_matrix`.  Each
+4D product is two GEMMs and one gather (see :func:`_star_4d`): about n^6
+flops in BLAS for n points per axis, with n^4-element complex temporaries
+(the chirped factors and the products C, Q and K).  The default cap of
+16 points per axis is kept; ``max_axis_points`` overrides it.
 
 The oscillatory quadratic phases are evaluated exactly per node and the
 integration is plain trapezoid over the fields' support, protected by a
@@ -81,16 +85,19 @@ class MarginalField:
         object.__setattr__(self, "values", v)
 
 
-def _integrate_axes(w: WignerField, names: tuple[str, str]) -> np.ndarray:
+def _integrate_axes(w: WignerField, leading: bool) -> np.ndarray:
+    """Trapezoid integral over the two leading (q^nc) or the two trailing
+    (p^nc) axes: one matrix-vector product on the 2D view of the field,
+    with no copy of it."""
     if not (w.domain.names == NC_COORDS and w.domain.is_full):
         raise ValueError("marginals need a full 4D field over the nc coordinates")
-    grids = w.grids_by_name()
-    out = np.asarray(w.values)
-    # contract the higher axis first so the lower index stays valid
-    order = sorted(((w.domain.varying.index(n), n) for n in names), reverse=True)
-    for axis, name in order:
-        out = np.tensordot(out, _axis_weights(grids[name], "trapezoid"), axes=([axis], [0]))
-    return out
+    n0, n1, n2, n3 = w.domain.shape
+    pair = w.domain.grids[:2] if leading else w.domain.grids[2:]
+    weights = np.outer(*(_axis_weights(g, "trapezoid") for g in pair)).ravel()
+    vals = w.values.reshape(n0 * n1, n2 * n3)
+    if leading:
+        return (weights @ vals).reshape(n2, n3)
+    return (vals @ weights).reshape(n0, n1)
 
 
 def marginal_momentum(w: WignerField, label: OrbitLabel) -> MarginalField:
@@ -101,7 +108,7 @@ def marginal_momentum(w: WignerField, label: OrbitLabel) -> MarginalField:
     verify against an independently computed right-hand side.
     """
     grids = w.grids_by_name()
-    vals = _integrate_axes(w, ("q1nc", "q2nc"))
+    vals = _integrate_axes(w, leading=True)
     resid = float(np.max(np.abs(vals.imag))) if vals.size else 0.0
     return MarginalField(Grid2D(grids["p1nc"], grids["p2nc"]), vals.real,
                          coords="pnc", residual_imag=resid)
@@ -111,7 +118,7 @@ def marginal_position(w: WignerField, label: OrbitLabel) -> MarginalField:
     """Integrate a full (q^nc, p^nc) field over p^nc; mirror of
     :func:`marginal_momentum` with |psi(q^nc)|^2 and the same prefactor."""
     grids = w.grids_by_name()
-    vals = _integrate_axes(w, ("p1nc", "p2nc"))
+    vals = _integrate_axes(w, leading=False)
     resid = float(np.max(np.abs(vals.imag))) if vals.size else 0.0
     return MarginalField(Grid2D(grids["q1nc"], grids["q2nc"]), vals.real,
                          coords="qnc", residual_imag=resid)
@@ -272,71 +279,62 @@ def _star4d_setup(w1: WignerField, w2: WignerField, max_axis_points: int):
     return grids, coords, wt4
 
 
-def _reflected_gather(values: np.ndarray, b: int, c: int) -> np.ndarray:
-    """values[e, 2b - f, 2c - g, h] with zeros off the grid."""
-    n0, n1, n2, n3 = values.shape
-    f_idx = 2 * b - np.arange(n1)
-    g_idx = 2 * c - np.arange(n2)
-    ok_f = (f_idx >= 0) & (f_idx < n1)
-    ok_g = (g_idx >= 0) & (g_idx < n2)
-    out = np.zeros_like(values)
-    sel_dst = np.ix_(np.arange(n0), np.where(ok_f)[0], np.where(ok_g)[0], np.arange(n3))
-    sel_src = np.ix_(np.arange(n0), f_idx[ok_f], g_idx[ok_g], np.arange(n3))
-    out[sel_dst] = values[sel_src]
-    return out
+def _star_4d(w1: WignerField, w2: WignerField, params: NCParams, phase_matrix,
+             what: str, max_axis_points: int) -> WignerField:
+    """Trapezoid sum over (e, f, g, h) of
 
+        exp(i [c_B a1 a2 + c_H1 a1 b1 + c_H2 a2 b2 + c_T b1 b2])
+            f[e, f, g, h] g[e, 2b - f, 2c - g, h]
 
-def _star_4d(w1: WignerField, w2: WignerField, params: NCParams, kind: str,
-             max_axis_points: int) -> WignerField:
+    at every output node (a, b, c, d), with a1 = x_a - x_e, a2 = y_b - y_f,
+    b1 = z_c - z_g, b2 = w_d - w_h and (c_B, c_H1, c_H2, c_T) read off the
+    kernel's phase matrix.
+
+    With f' = 2b - f and g' = 2c - g, y_b = (y_f + y_f')/2 and
+    z_c = (z_g + z_g')/2 hold exactly on a uniform grid, so each phase term
+    splits into chirps exp(+-i phi) on the two factors and exp(+-2i phi) on
+    (f', g', a, d) and on the output, with
+    phi = (c_B x y + c_H1 x z + c_H2 y w + c_T z w)/2.  The sum is then
+    C = F~^T G~ over (e, h), the gather Q[b, c, f', g'] = C[2b - f', 2c - g',
+    f', g'] (zero off the grid) and R = Q K with K = exp(2i phi): two GEMMs
+    and one gather instead of a loop over (b, c).
+    """
     grids, coords, wt4 = _star4d_setup(w1, w2, max_axis_points)
-    x, y, z, w = coords
-    hb, th, bf = params.hbar, params.vartheta, params.bfield
-    e = params.det
-    if kind == "general" and e == 0.0:
-        raise DegenerateParams("hbar^2 - bfield*vartheta = 0")
-    pref = math.sqrt(abs(e)) / (math.pi * abs(hb))
+    m = phase_matrix(params)
+    pref = math.sqrt(abs(params.det)) / (math.pi * abs(params.hbar))
     supp = _support_extent(np.maximum(np.abs(w1.values), np.abs(w2.values)), coords)
     ext = [float(np.max(np.abs(c))) for c in coords]
-    steps = [g.step for g in grids]
-    if kind == "hbar":
-        coef = np.abs(star_hbar_phase_matrix(params))
-    else:
-        coef = np.abs(star_general_phase_matrix(params))
+    coef = np.abs(m)
     rates = []
     for axis in range(4):
         freq = 2.0 * sum(coef[axis, j] * (ext[j] + supp[j]) for j in range(4))
-        rates.append(freq * steps[axis])
-    _check_cell_phase(rates, f"star_{kind}")
+        rates.append(freq * grids[axis].step)
+    _check_cell_phase(rates, what)
 
-    v1w = w1.values * wt4
-    dx = x[:, None] - x[None, :]       # [a, e]
-    dy = y[:, None] - y[None, :]       # [b, f]
-    dz = z[:, None] - z[None, :]       # [c, g]
-    dw = w[:, None] - w[None, :]       # [d, h]
-    n = tuple(g.n for g in grids)
-    out = np.empty(n, dtype=np.complex128)
-    if kind == "hbar":
-        pa = np.exp((2j / hb) * dx[:, None, :, None] * dz[None, :, None, :])   # [a,c,e,g]
-        pb = np.exp(-(2j / hb) * dy[:, None, :, None] * dw[None, :, None, :])  # [b,d,f,h]
-        for b in range(n[1]):
-            for c in range(n[2]):
-                m = v1w * _reflected_gather(w2.values, b, c)
-                out[:, b, c, :] = np.einsum(
-                    "aeg,efgh,dfh->ad", pa[:, c], m, pb[b], optimize=True
-                )
-    else:
-        t1 = np.exp((2j / e) * bf * dx[:, None, :, None] * dy[None, :, None, :])   # [a,b,e,f]
-        t2 = np.exp(-(2j / e) * hb * dx[:, None, :, None] * dz[None, :, None, :])  # [a,c,e,g]
-        t3 = np.exp((2j / e) * hb * dy[:, None, :, None] * dw[None, :, None, :])   # [b,d,f,h]
-        t4 = np.exp(-(2j / e) * th * dz[:, None, :, None] * dw[None, :, None, :])  # [c,d,g,h]
-        for b in range(n[1]):
-            for c in range(n[2]):
-                m = v1w * _reflected_gather(w2.values, b, c)
-                out[:, b, c, :] = np.einsum(
-                    "aef,aeg,efgh,dfh,dgh->ad",
-                    t1[:, b], t2[:, c], m, t3[b], t4[c], optimize=True,
-                )
-    return WignerField._adopt(w1.domain, pref * out, w1.label)
+    n0, n1, n2, n3 = (g.n for g in grids)
+    x, y, z, w = coords
+    c_b, c_h1, c_h2, c_t = 2.0 * m[0, 1], 2.0 * m[0, 2], -2.0 * m[1, 3], -2.0 * m[2, 3]
+    # every 4D array below has its axes in GEMM order (f, g, e, h)
+    gemm_order = (1, 2, 0, 3)
+    xe, yf, zg = x[:, None], y[:, None, None, None], z[:, None, None]
+    phi = 0.5 * (xe * (c_b * yf + c_h1 * zg) + w * (c_h2 * yf + c_t * zg))
+    chirp = np.exp(1j * phi)
+    ft = ((w1.values * wt4).transpose(gemm_order) * chirp).reshape(n1 * n2, n0 * n3)
+    gt = (w2.values.transpose(gemm_order) * chirp.conj()).reshape(n1 * n2, n0 * n3)
+    cf = (ft @ gt.T).reshape(n1, n2, n1, n2)
+    del ft, gt, chirp
+    fi = 2 * np.arange(n1)[:, None] - np.arange(n1)       # [b, f']
+    gi = 2 * np.arange(n2)[:, None] - np.arange(n2)       # [c, g']
+    q = cf[np.clip(fi, 0, n1 - 1)[:, None, :, None], np.clip(gi, 0, n2 - 1)[None, :, None, :],
+           np.arange(n1)[:, None], np.arange(n2)]
+    q *= (((fi >= 0) & (fi < n1))[:, None, :, None]
+          & ((gi >= 0) & (gi < n2))[None, :, None, :])
+    del cf
+    k = np.exp(2j * phi).reshape(n1 * n2, n0 * n3)
+    r = q.reshape(n1 * n2, n1 * n2) @ k
+    r *= pref * k.conj()
+    out = np.ascontiguousarray(r.reshape(n1, n2, n0, n3).transpose(2, 0, 1, 3))
+    return WignerField._adopt(w1.domain, out, w1.label)
 
 
 def star_hbar(w1: WignerField, w2: WignerField, params: NCParams,
@@ -347,7 +345,8 @@ def star_hbar(w1: WignerField, w2: WignerField, params: NCParams,
     prefactor sqrt|hbar^2 - B theta| / (pi |hbar|), second factor sampled at
     (eta1, 2 k2* - eta2, 2 k3* - xi1, xi2).
     """
-    return _star_4d(w1, w2, params, "hbar", max_axis_points)
+    return _star_4d(w1, w2, params, star_hbar_phase_matrix, "star_hbar",
+                    max_axis_points)
 
 
 def star_general(w1: WignerField, w2: WignerField, params: NCParams,
@@ -359,4 +358,5 @@ def star_general(w1: WignerField, w2: WignerField, params: NCParams,
     E = hbar^2 - B theta; at theta = B = 0 the phase matrix reduces to
     minus the hbar kernel's (the two quadratic forms are conjugate there).
     """
-    return _star_4d(w1, w2, params, "general", max_axis_points)
+    return _star_4d(w1, w2, params, star_general_phase_matrix, "star_general",
+                    max_axis_points)

@@ -118,6 +118,15 @@ class TestStarAndMarginalCommands:
                      "--grid", "8", "--extent", "1.5",
                      "--out", str(tmp_path / "sh.csv")]) == 0
 
+    def test_star_4d_reports_capped_grid(self, tmp_path, capsys):
+        assert main(["star", "general", "--hbar", "2", "--vartheta", "0.5",
+                     "--bfield", "0.25", "--state", "gaussian:0,0",
+                     "--state-grid", "64", "--state-extent", "8",
+                     "--grid", "32", "--extent", "1.5",
+                     "--out", str(tmp_path / "sg.csv")]) == 0
+        err = capsys.readouterr().err
+        assert "[ncwig] star-grid: n=16 per axis (--grid 32;" in err
+
     def test_marginal_momentum(self, tmp_path):
         out = tmp_path / "m.csv"
         assert main(["marginal", "momentum", "--k1", "1", "--k2", "-1", "--k3", "1",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -302,6 +303,75 @@ class TestStar4D:
         with pytest.raises(DegenerateParams):
             star_general(w1, w2, NCParams(hbar=1.0, vartheta=2.0, bfield=0.5))
 
+    def test_unequal_grids_against_nested_oracle(self):
+        # a different n on every axis and a non-symmetric origin on axis 1,
+        # so the reflected index 2b - f' leaves the grid at both ends
+        grids = (Grid1D.symmetric(6, 1.2), Grid1D(n=7, origin=-1.0, step=0.4),
+                 Grid1D.symmetric(8, 1.5), Grid1D.symmetric(9, 1.5))
+        dom = orbit_domain(k1s=grids[0], k2s=grids[1], k3s=grids[2], k4s=grids[3])
+        xx, yy, zz, ww = np.meshgrid(*(g.coords() for g in grids), indexing="ij")
+        env = np.exp(-(xx ** 2 + yy ** 2 + zz ** 2 + ww ** 2) / 2.0)
+        rng = np.random.default_rng(5)
+        w1 = _rand4d(rng, dom, env, xx, yy, zz, ww)
+        w2 = _rand4d(rng, dom, env, xx, yy, zz, ww)
+        p = self.params
+        for kind, fn in (("hbar", star_hbar), ("general", star_general)):
+            ref = direct_star_oracle(w1.values, w2.values, grids,
+                                     p.hbar, p.vartheta, p.bfield, kind)
+            assert sup_rel(fn(w1, w2, p).values, ref) <= 1e-6
+
+    def test_general_is_conjugate_hbar_without_theta_and_b(self, star4d_setup):
+        # at vartheta = bfield = 0 the two phase forms are conjugate, so
+        # star_general(f, g) = conj(star_hbar(conj f, conj g))
+        dom, w1, w2 = star4d_setup
+        p0 = NCParams(hbar=2.0)
+        gen = star_general(w1, w2, p0).values
+        hb = star_hbar(WignerField(dom, np.conj(w1.values)),
+                       WignerField(dom, np.conj(w2.values)), p0).values
+        assert sup_rel(gen, np.conj(hb)) <= 1e-12
+
+    def test_coarse_grid_rejected(self):
+        g = Grid1D.symmetric(8, 6.0)
+        dom = orbit_domain(k1s=g, k2s=g, k3s=g, k4s=g)
+        x = g.coords()
+        xx, yy, zz, ww = np.meshgrid(x, x, x, x, indexing="ij")
+        env = np.exp(-(xx ** 2 + yy ** 2 + zz ** 2 + ww ** 2) / 2.0)
+        w = _rand4d(np.random.default_rng(3), dom, env, xx, yy, zz, ww)
+        for fn in (star_hbar, star_general):
+            with pytest.raises(GridTooCoarse):
+                fn(w, w, self.params)
+
+    def test_raised_cap_against_pointwise_quadrature(self):
+        n = 24
+        g = Grid1D.symmetric(n, 1.5)
+        dom = orbit_domain(k1s=g, k2s=g, k3s=g, k4s=g)
+        x = g.coords()
+        xx, yy, zz, ww = np.meshgrid(x, x, x, x, indexing="ij")
+        env = np.exp(-(xx ** 2 + yy ** 2 + zz ** 2 + ww ** 2) / 2.0)
+        rng = np.random.default_rng(24)
+        w1 = _rand4d(rng, dom, env, xx, yy, zz, ww)
+        w2 = _rand4d(rng, dom, env, xx, yy, zz, ww)
+        got = star_general(w1, w2, self.params, max_axis_points=n).values
+        hb, th, bf = self.params.hbar, self.params.vartheta, self.params.bfield
+        e = self.params.det
+        wt = np.full(n, g.step)
+        wt[0] = wt[-1] = 0.5 * g.step
+        weights = np.einsum("e,f,g,h->efgh", wt, wt, wt, wt)
+        idx = rng.integers(0, n, size=(16, 4))
+        ref = []
+        for a, b, c, d in idx:
+            # second factor at (eta1, 2 k2* - eta2, 2 k3* - xi1, xi2), zero off the grid
+            second = np.zeros_like(w2.values)
+            for f in range(n):
+                for gg in range(n):
+                    if 0 <= 2 * b - f < n and 0 <= 2 * c - gg < n:
+                        second[:, f, gg, :] = w2.values[:, 2 * b - f, 2 * c - gg, :]
+            a1, a2, b1, b2 = x[a] - xx, x[b] - yy, x[c] - zz, x[d] - ww
+            phase = (2.0 / e) * (bf * a1 * a2 - hb * a1 * b1 + hb * a2 * b2 - th * b1 * b2)
+            ref.append(np.sum(np.exp(1j * phase) * w1.values * second * weights))
+        ref = math.sqrt(abs(e)) / (math.pi * abs(hb)) * np.array(ref)
+        assert sup_rel(got[tuple(idx.T)], ref) <= 1e-6
+
 
 class TestMarginals:
     def test_nonnegative_and_prefactor(self, gauss_position):
@@ -335,6 +405,31 @@ class TestMarginals:
         idx = np.round((qout.coords() - gpos.axis0.origin) / gpos.axis0.step).astype(int)
         dens = np.abs(gauss_position.values[np.ix_(idx, idx)]) ** 2
         assert sup_rel(marg.values, dens) <= 1e-6
+
+    def test_marginals_are_trapezoid_sums_without_a_field_copy(self):
+        g = Grid1D.symmetric(16, 2.0)
+        h = Grid1D(n=32, origin=-3.0, step=0.2)
+        dom = nc_domain(q1nc=g, q2nc=h, p1nc=h, p2nc=g)
+        rng = np.random.default_rng(8)
+        vals = rng.standard_normal(dom.shape) + 1j * rng.standard_normal(dom.shape)
+        w = WignerField(dom, vals)
+        label = make_orbit_label(1.0, -1.0, 1.0)
+        wg, wh = (np.full(ax.n, ax.step) for ax in (g, h))
+        wg[0] = wg[-1] = 0.5 * g.step
+        wh[0] = wh[-1] = 0.5 * h.step
+        ref_p = sum(wg[i] * wh[j] * vals[i, j] for i in range(g.n) for j in range(h.n))
+        ref_q = sum(wh[i] * wg[j] * vals[:, :, i, j] for i in range(h.n) for j in range(g.n))
+        for fn, ref in ((marginal_momentum, ref_p), (marginal_position, ref_q)):
+            tracemalloc.start()
+            try:
+                marg = fn(w, label)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert sup_rel(marg.values, ref.real) <= 1e-13
+            assert abs(marg.residual_imag - np.max(np.abs(ref.imag))) \
+                <= 1e-13 * np.max(np.abs(ref))
+            assert peak < 0.25 * vals.nbytes
 
     def test_requires_full_nc_field(self, gauss_position):
         label = make_orbit_label(1.0, -1.0, 1.0)
