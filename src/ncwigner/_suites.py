@@ -14,7 +14,6 @@ import numpy as np
 
 from .core import (
     CoadjointPoint,
-    ComplexField2D,
     DimensionalConstants,
     Grid1D,
     Grid2D,
@@ -27,9 +26,11 @@ from .core import (
     orbit_domain,
 )
 from .group import group_inverse, group_multiply, identity_element, uir_apply
-from .numerics import _axis_weights, default_state_grid, momentum_representation
+from .numerics import (_axis_weights, conjugate_grid, default_state_grid,
+                       momentum_representation)
 from .oracles import (
     VerificationReport,
+    _hermite_combo,
     direct_star_oracle,
     direct_wigner_oracle,
     expected_isometry_constant,
@@ -145,7 +146,7 @@ def _aligned_probe_points(rng, label, field, count):
     """Random orbit points whose frequency/centre images sit on the lattices."""
     g0 = field.grid.axis0
     a = label.k1 * label.consts.alpha
-    dk = 2.0 * math.pi / (g0.n * g0.step)
+    dk = conjugate_grid(g0).step
     pts = []
     for _ in range(count):
         m0, m1 = rng.integers(-20, 21, size=2)
@@ -320,18 +321,6 @@ def suite_star_marginals(rng) -> list[VerificationReport]:
             star_reality=f"{star_imag:.3g}",
         ))
     return reports
-
-
-def _hermite_combo(coeffs: np.ndarray, grid: Grid2D, rep: str) -> ComplexField2D:
-    """Unit-norm Hermite-Gaussian combination with fixed coefficients, so the
-    same analytic state can be sampled on any grid."""
-    vals = np.zeros(grid.shape, dtype=np.complex128)
-    for n0 in range(coeffs.shape[0]):
-        for n1 in range(coeffs.shape[1]):
-            vals += coeffs[n0, n1] * gaussian_state(grid, hermite=(n0, n1)).values
-    h = grid.axis0.step * grid.axis1.step
-    nrm = math.sqrt(h * float(np.sum(np.abs(vals) ** 2)))
-    return ComplexField2D(grid, vals / nrm, rep=rep)
 
 
 def suite_isometry(rng) -> list[VerificationReport]:

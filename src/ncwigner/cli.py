@@ -41,7 +41,6 @@ from .core import (
     RankOneOperator,
     SectorMismatch,
     ShiftOffGrid,
-    WignerField,
     make_orbit_label,
     nc_params_from_label,
     orbit_to_nc,
@@ -82,31 +81,8 @@ def write_field_file(path: str, grids: tuple[Grid1D, Grid1D], values: np.ndarray
     """Write a 2D complex field: '#'-prefixed metadata, then row-major
     samples with axis0 varying fastest."""
     g0, g1 = grids
-    x0 = g0.coords()
-    x1 = g1.coords()
     v = np.asarray(values, dtype=np.complex128)
-    lines = [_FIELD_MAGIC]
-    for key, val in meta.items():
-        lines.append(f"# {key}: {val}")
-    for name, g in (("axis0", g0), ("axis1", g1)):
-        lines.append(f"# {name}: n={g.n} origin={_fnum(g.origin)} step={_fnum(g.step)}")
-    lines.append("# layout: axis0-fastest")
-    if fmt == "csv":
-        lines.append("# columns: x0,x1,re,im")
-        for j1 in range(g1.n):
-            for j0 in range(g0.n):
-                z = v[j0, j1]
-                lines.append(",".join((_fnum(x0[j0]), _fnum(x1[j1]),
-                                       _fnum(z.real), _fnum(z.imag))))
-    elif fmt == "gnuplot":
-        lines.append("# columns: x0 x1 re im (blank line between x0 blocks)")
-        for j0 in range(g0.n):
-            for j1 in range(g1.n):
-                z = v[j0, j1]
-                lines.append(" ".join((_fnum(x0[j0]), _fnum(x1[j1]),
-                                       _fnum(z.real), _fnum(z.imag))))
-            lines.append("")
-    elif fmt == "json":
+    if fmt == "json":
         doc = {
             "format": "ncwigner-field",
             "version": 1,
@@ -115,15 +91,36 @@ def write_field_file(path: str, grids: tuple[Grid1D, Grid1D], values: np.ndarray
                 {"n": g.n, "origin": g.origin, "step": g.step} for g in (g0, g1)
             ],
             "layout": "axis0-fastest",
-            "re": [float(z.real) for z in v.ravel(order="F")],
-            "im": [float(z.imag) for z in v.ravel(order="F")],
+            "re": v.real.ravel(order="F").tolist(),
+            "im": v.imag.ravel(order="F").tolist(),
         }
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=1, sort_keys=True)
             fh.write("\n")
         return
-    else:
+    if fmt not in ("csv", "gnuplot"):
         raise ValueError(f"unknown format {fmt!r}")
+    lines = [_FIELD_MAGIC]
+    for key, val in meta.items():
+        lines.append(f"# {key}: {val}")
+    for name, g in (("axis0", g0), ("axis1", g1)):
+        lines.append(f"# {name}: n={g.n} origin={_fnum(g.origin)} step={_fnum(g.step)}")
+    lines.append("# layout: axis0-fastest")
+    # each coordinate is formatted once; samples come out as Python floats
+    xs0 = [_fnum(x) for x in g0.coords()]
+    xs1 = [_fnum(x) for x in g1.coords()]
+    re, im = v.real.tolist(), v.imag.tolist()
+    if fmt == "csv":
+        lines.append("# columns: x0,x1,re,im")
+        for j1 in range(g1.n):
+            for j0 in range(g0.n):
+                lines.append(f"{xs0[j0]},{xs1[j1]},{_FMT % re[j0][j1]},{_FMT % im[j0][j1]}")
+    else:
+        lines.append("# columns: x0 x1 re im (blank line between x0 blocks)")
+        for j0 in range(g0.n):
+            for j1 in range(g1.n):
+                lines.append(f"{xs0[j0]} {xs1[j1]} {_FMT % re[j0][j1]} {_FMT % im[j0][j1]}")
+            lines.append("")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -185,13 +182,17 @@ class _CliFailure(Exception):
         self.code = code
 
 
-def _read_state_file(path: str) -> ComplexField2D:
-    """read_field_file for --state file:<path>; a missing or malformed file
-    is an argument error."""
+def _state_file(path: str, rep: str) -> ComplexField2D:
+    """read_field_file for --state file:<path>; a missing or malformed file,
+    or one not tagged ``rep``, is an argument error."""
     try:
-        return read_field_file(path)
+        f = read_field_file(path)
     except (OSError, ValueError) as exc:
         raise _CliFailure(2, f"--state file: {exc}") from None
+    if f.rep != rep:
+        raise _CliFailure(2, f"--state file must carry representation: {rep} "
+                             "for this transform")
+    return f
 
 
 def _parse_state_spec(spec: str):
@@ -284,11 +285,7 @@ def _momentum_state_for_output(args, label: OrbitLabel, domain: Domain4D,
     """Build the momentum-side field; gaussian sources go on a grid fine
     enough to resolve every requested output phase."""
     if state[0] == "file":
-        f = _read_state_file(state[1])
-        if f.rep != "momentum":
-            raise _CliFailure(2, "--state file must carry representation: momentum "
-                                 "for this transform")
-        return f
+        return _state_file(state[1], "momentum")
     _, hermite, center = state
     a = label.k1 * label.consts.alpha
     # frequency bound for the requested points
@@ -319,11 +316,7 @@ def _momentum_state_for_output(args, label: OrbitLabel, domain: Domain4D,
 
 def _position_state(args, state) -> ComplexField2D:
     if state[0] == "file":
-        f = _read_state_file(state[1])
-        if f.rep != "position":
-            raise _CliFailure(2, "--state file must carry representation: position "
-                                 "for this transform")
-        return f
+        return _state_file(state[1], "position")
     _, hermite, center = state
     grid = Grid2D.square(args.state_grid, args.state_extent)
     return gaussian_state(grid, center=center, hermite=hermite)
@@ -333,60 +326,47 @@ def _position_state(args, state) -> ComplexField2D:
 # subcommands
 # ---------------------------------------------------------------------------
 
+# ncwig wigner <variant> -> (transform, output coordinates)
+_WIGNER_VARIANTS = {
+    "generic": (wigner_generic, ORBIT_COORDS),
+    "nc": (wigner_nc, NC_COORDS),
+    "tau0": (wigner_tau0, ORBIT_COORDS),
+    "qm": (wigner_qm_orbit, ORBIT_COORDS),
+    "standard": (cross_wigner_standard, PHASE_COORDS),
+}
+
+
 def _cmd_wigner(args) -> int:
     state = _parse_state_spec(args.state)
-    variant = args.variant
-    if variant == "standard":
-        fixed = _parse_slice(args.slice, PHASE_COORDS)
-        domain = _build_domain(PHASE_COORDS, fixed, args.grid, args.extent)
-        psi = _position_state(args, state)
-        h = args.planck_h
-        meta = _meta_lines(None, None, {
-            "transform": "standard", "planck_h": _fnum(h),
-            "state": args.state,
-            "axes": ",".join(domain.varying),
-            "fixed": " ".join(f"{k}={_fnum(v)}" for k, v in domain.fixed),
-        })
-        _log_run(meta, args.method)
-        field = cross_wigner_standard(psi, psi, domain, h, method=args.method)
-        return _write_wigner(args, field, meta)
-
-    label = _label_from_args(args)
-    params = nc_params_from_label(label)
-    names = NC_COORDS if variant == "nc" else ORBIT_COORDS
-    fixed = _parse_slice(args.slice, names)
-    domain = _build_domain(names, fixed, args.grid, args.extent)
-    meta = _meta_lines(label, params, {
-        "transform": variant,
+    transform, names = _WIGNER_VARIANTS[args.variant]
+    label = params = None
+    extra = {"transform": args.variant}
+    if args.variant == "standard":
+        extra["planck_h"] = _fnum(args.planck_h)
+    else:
+        label = _label_from_args(args)
+        params = nc_params_from_label(label)
+    domain = _build_domain(names, _parse_slice(args.slice, names), args.grid, args.extent)
+    meta = _meta_lines(label, params, extra | {
         "state": args.state,
         "axes": ",".join(domain.varying),
         "fixed": " ".join(f"{k}={_fnum(v)}" for k, v in domain.fixed),
     })
     _log_run(meta, args.method)
-    fhat = _momentum_state_for_output(args, label, domain, state, method=args.method)
-    g0 = fhat.grid.axis0
-    print(f"[ncwig] state-grid: n={g0.n} origin={_fnum(g0.origin)} "
-          f"step={_fnum(g0.step)} rep={fhat.rep}", file=sys.stderr)
-    for name, g in zip(domain.varying, domain.grids):
-        print(f"[ncwig] output-grid {name}: n={g.n} origin={_fnum(g.origin)} "
-              f"step={_fnum(g.step)}", file=sys.stderr)
-    op = RankOneOperator(ket=fhat, bra=fhat)
-    if variant == "generic":
-        field = wigner_generic(op, domain, label, method=args.method)
-    elif variant == "nc":
-        field = wigner_nc(op, domain, label, method=args.method)
-    elif variant == "tau0":
-        field = wigner_tau0(op, domain, label, method=args.method)
-    elif variant == "qm":
-        field = wigner_qm_orbit(op, domain, label, method=args.method)
+    if label is None:
+        psi = _position_state(args, state)
+        field = transform(psi, psi, domain, args.planck_h, method=args.method)
     else:
-        raise _CliFailure(2, f"unknown wigner variant {variant!r}")
-    return _write_wigner(args, field, meta)
-
-
-def _write_wigner(args, field: WignerField, meta: dict[str, str]) -> int:
-    grids = tuple(field.domain.grids)
-    write_field_file(args.out, (grids[0], grids[1]), field.values, meta, fmt=args.format)
+        fhat = _momentum_state_for_output(args, label, domain, state, method=args.method)
+        g0 = fhat.grid.axis0
+        print(f"[ncwig] state-grid: n={g0.n} origin={_fnum(g0.origin)} "
+              f"step={_fnum(g0.step)} rep={fhat.rep}", file=sys.stderr)
+        for name, g in zip(domain.varying, domain.grids):
+            print(f"[ncwig] output-grid {name}: n={g.n} origin={_fnum(g.origin)} "
+                  f"step={_fnum(g.step)}", file=sys.stderr)
+        field = transform(RankOneOperator(ket=fhat, bra=fhat), domain, label,
+                          method=args.method)
+    write_field_file(args.out, tuple(domain.grids), field.values, meta, fmt=args.format)
     print(f"[ncwig] wrote {args.out}", file=sys.stderr)
     return 0
 
@@ -437,15 +417,15 @@ def _cmd_star(args) -> int:
     meta = _meta_lines(label, params, {"transform": f"star-{kind}", "state": args.state})
     _log_run(meta)
     if kind in ("vartheta", "b"):
+        need_mom = kind == "b"
         if state[0] == "file":
-            f = _read_state_file(state[1])
+            f = _state_file(state[1], "momentum" if need_mom else "position")
         else:
             _, hermite, center = state
-            need_mom = kind == "b"
             scale = 1.0 if label is None else label.k1 * label.consts.alpha
             # sample finely enough for the chirp guard
-            kernel_scale = 2.0 / abs(params.vartheta if kind == "vartheta" else params.bfield) \
-                if (params.vartheta if kind == "vartheta" else params.bfield) != 0.0 else math.inf
+            coupling = params.bfield if need_mom else params.vartheta
+            kernel_scale = 2.0 / abs(coupling) if coupling != 0.0 else math.inf
             supp = max(abs(center[0]), abs(center[1])) + 8.0
             if math.isfinite(kernel_scale):
                 h_needed = 0.45 * math.pi / (kernel_scale * (args.extent + supp))
@@ -565,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     pw = sub.add_parser("wigner", help="compute a Wigner transform slice")
-    pw.add_argument("variant", choices=("generic", "nc", "tau0", "qm", "standard"))
+    pw.add_argument("variant", choices=tuple(_WIGNER_VARIANTS))
     _add_label_args(pw, required=False)
     pw.add_argument("--planck-h", type=float, default=2.0 * math.pi,
                     help="Planck constant for the standard transform")

@@ -146,15 +146,23 @@ def random_hermite_gaussian(rng: np.random.Generator, grid: Grid2D,
     Band-limitedness and tail bounds are inherited from the basis, which
     keeps truncation error analyzable.
     """
-    vals = np.zeros(grid.shape, dtype=np.complex128)
+    coeffs = np.empty((max_order + 1, max_order + 1), dtype=np.complex128)
     for n0 in range(max_order + 1):
         for n1 in range(max_order + 1):
-            c = rng.standard_normal() + 1j * rng.standard_normal()
-            vals += c * gaussian_state(grid, hermite=(n0, n1)).values
-    f = ComplexField2D(grid, vals, rep=rep)
+            coeffs[n0, n1] = rng.standard_normal() + 1j * rng.standard_normal()
+    return _hermite_combo(coeffs, grid, rep)
+
+
+def _hermite_combo(coeffs: np.ndarray, grid: Grid2D, rep: str) -> ComplexField2D:
+    """Unit-norm Hermite-Gaussian combination with fixed coefficients, so the
+    same analytic state can be sampled on any grid."""
+    vals = np.zeros(grid.shape, dtype=np.complex128)
+    for n0 in range(coeffs.shape[0]):
+        for n1 in range(coeffs.shape[1]):
+            vals += coeffs[n0, n1] * gaussian_state(grid, hermite=(n0, n1)).values
     h = grid.axis0.step * grid.axis1.step
     nrm = math.sqrt(h * float(np.sum(np.abs(vals) ** 2)))
-    return f.with_values(vals / nrm)
+    return ComplexField2D(grid, vals / nrm, rep=rep)
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +193,9 @@ def _bilinear(field: ComplexField2D, x0: np.ndarray, x1: np.ndarray) -> np.ndarr
 
 
 def _sector_prefactor(label: OrbitLabel) -> float:
+    # written out per sector on purpose: the transforms derive theirs from
+    # the Duflo-Moore constant and the Plancherel density, so oracle_wigner
+    # cross-checks the two
     if label.sector is Sector.GENERIC:
         return abs(label.consts.alpha) / (2.0 * math.pi * math.sqrt(label.abs_discriminant))
     if label.sector is Sector.TAU_ZERO:

@@ -23,16 +23,22 @@ the axes), are grouped by a stable sort on the centres.  Both ways share
 the per-centre step and one contract: groups run with c0 slowest, then c1,
 each group's points in input order, so per point they give the same bits.
 
-Coordinate dictionary (k1, k2, k3 label the sector; a, b, g are the
-dimensional constants; D = k1^2 a^2 - k2 k3 b g):
+Each transform below is one call of the runner ``_transform`` with its
+entry of this coordinate dictionary (k1, k2, k3 label the sector; a, b, g
+are the dimensional constants; D = k1^2 a^2 - k2 k3 b g):
 
   generic orbit transform      w0 = (k1* k1^2 a^2 - k4* k1 k2 a b)/D
   (momentum-space fields)      w1 = k2*,  om = a
                                c  = (k3*/k1, (k1 k4* a^2 - k1* k3 a g)/D)
-                               pref = |a| / (2 pi sqrt|D|)
+                               pref = d / ((2 pi)^(7/2) sqrt(rho))
 
-  k3 = 0 sector                same maps with k3 = 0; pref = (2 pi)^(-3/2)/|k1|
-  k2 = k3 = 0 sector           same maps; pref = (2 pi)^(-2)/|k1|
+  k3 = 0 sector                same maps with k3 = 0, same pref
+  k2 = k3 = 0 sector           same maps, same pref
+
+    The sector prefactor reads d, the Duflo-Moore constant, and rho, the
+    Plancherel density, off core.duflo_moore_constant and
+    core.plancherel_density.  On the three sectors it is |a|/(2 pi sqrt|D|),
+    (2 pi)^(-3/2)/|k1| and (2 pi)^(-2)/|k1|.
 
   nc-coordinate form           w = q^nc, om = -k1 a, c = p^nc,
   (momentum-space fields)      pref = |k1 a|^3 / ((2 pi)^2 sqrt|D|)
@@ -90,10 +96,12 @@ from .core import (
     WignerField,
     DegenerateParams,
     Grid1D,
+    duflo_moore_constant,
     nc_to_orbit,
     orbit_to_nc,
+    plancherel_density,
 )
-from .numerics import _ALIGN_TOL, _axis_shift, _axis_shifter, reflect_field
+from .numerics import _ALIGN_TOL, _axis_shift, _axis_shifter, conjugate_grid, reflect_field
 
 __all__ = [
     "wigner_generic",
@@ -147,57 +155,20 @@ def _checked_domain(domain: Domain4D, names, max_axis_points) -> Domain4D:
     return domain
 
 
-def _as_points(pts, names, max_axis_points):
-    """Normalise pts to an (M, 4) array; keep the domain when one is given."""
-    if isinstance(pts, Domain4D):
-        return _checked_domain(pts, names, max_axis_points).points(), pts
+def _as_points(pts) -> np.ndarray:
+    """Normalise a point array or a sequence of points to an (M, 4) array."""
     if isinstance(pts, np.ndarray):
         arr = np.atleast_2d(np.asarray(pts, dtype=float))
         if arr.shape[1] != 4:
             raise ValueError("point arrays must have shape (M, 4)")
-        return arr, None
+        return arr
     rows = []
     for p in pts:
         if isinstance(p, (CoadjointPoint, NCCoords)):
             rows.append(p.as_array())
         else:
             rows.append(np.asarray(p, dtype=float))
-    arr = np.asarray(rows, dtype=float).reshape(-1, 4)
-    return arr, None
-
-
-def _phase_space_integral(ket, bra, pts, names, freq, omega, method,
-                          max_axis_points):
-    """I(w; c) for the transforms whose frequencies are the coordinates
-    ``freq`` of ``names`` (a pair of indices) and whose centres are the
-    other two, at the same omega on both axes.
-
-    A Domain4D is evaluated on its product grid, read from its axes; other
-    inputs go through the grouping pass.  Returns (values, domain or None),
-    the values in the domain's shape.
-    """
-    centre = tuple(i for i in range(4) if i not in freq)
-    if isinstance(pts, Domain4D):
-        domain = _checked_domain(pts, names, max_axis_points)
-        axes = domain.axes()
-        out = np.empty([a.size for a in axes], dtype=np.complex128)
-        # a view of out with axes (c0, c1, w0, w1), so each centre writes
-        # its frequency block in place
-        _phase_integral_grid(ket, bra, *(axes[i] for i in freq + centre),
-                             omega, omega, method,
-                             out.transpose(centre + freq))
-        return out.reshape(domain.shape), domain
-    arr, _ = _as_points(pts, names, max_axis_points)
-    cols = arr.T
-    return _phase_integral(ket, bra, *(cols[i] for i in freq + centre),
-                           omega, omega, method), None
-
-
-def _package(values, domain, label):
-    if domain is None:
-        return values
-    # the transforms' values are fresh arrays: hand them over uncopied
-    return WignerField._adopt(domain, values.reshape(domain.shape), label)
+    return np.asarray(rows, dtype=float).reshape(-1, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +194,8 @@ class _GroupEvaluator:
         self.bra = bra.values
         self.ket_refl = reflect_field(ket).values
         self.cell = self.g0.step * self.g1.step
-        self.dk0 = 2.0 * math.pi / (self.g0.n * self.g0.step)
-        self.dk1 = 2.0 * math.pi / (self.g1.n * self.g1.step)
+        self.dk0 = conjugate_grid(self.g0).step
+        self.dk1 = conjugate_grid(self.g1).step
         # integrand magnitudes below this carry no quadrature information;
         # such centre groups integrate to (numerical) zero and are exempt
         # from the resolution guard
@@ -445,17 +416,6 @@ def _phase_integral_grid(ket, bra, w0, w1, c0, c1, omega0, omega1, method, out):
 # Coordinate maps
 # ---------------------------------------------------------------------------
 
-def _wave_coords(label: OrbitLabel, pts: np.ndarray):
-    """Orbit coordinates -> (w0, w1, c0, c1): the frequencies are q^nc and
-    the centres p^nc / k1.
-
-    The generic-sector map specialises exactly to the k3 = 0 and
-    k2 = k3 = 0 sectors because the discriminant collapses to k1^2 a^2.
-    """
-    nc = orbit_to_nc(CoadjointPoint(*pts.T), label)
-    return (*nc.qnc, nc.pnc[0] / label.k1, nc.pnc[1] / label.k1)
-
-
 def orbit_from_wave_coords(label: OrbitLabel, w0, w1, c0, c1) -> CoadjointPoint:
     """Inverse of the orbit -> (frequency, centre) map; handy for building
     FFT-aligned probe points."""
@@ -467,8 +427,7 @@ def orbit_from_wave_coords(label: OrbitLabel, w0, w1, c0, c1) -> CoadjointPoint:
 def aligned_frequency_grid(state_axis: Grid1D, omega: float, n: int,
                            stride: int = 1) -> Grid1D:
     """Output grid whose phases 2*omega*w land on the conjugate lattice."""
-    dk = 2.0 * math.pi / (state_axis.n * state_axis.step)
-    step = stride * dk / (2.0 * abs(omega))
+    step = stride * conjugate_grid(state_axis).step / (2.0 * abs(omega))
     return Grid1D(n=n, origin=-(n // 2) * step, step=step)
 
 
@@ -482,26 +441,67 @@ def aligned_center_grid(state_axis: Grid1D, n: int, stride: int = 1) -> Grid1D:
 # Transforms
 # ---------------------------------------------------------------------------
 
-def _require_rep(f: ComplexField2D, rep: str, what: str):
-    if f.rep != rep:
-        raise ValueError(f"{what} must be tagged rep={rep!r}, got {f.rep!r}")
+def _transform(ket, bra, rep, pts, names, waves, omegas, pref, label, sector,
+               method, max_axis_points):
+    """The runner behind every transform: pref * I(w; c) at pts.
 
-
-def _require_sector(label: OrbitLabel, sector: Sector, op_name: str):
-    if label.sector is not sector:
+    ket and bra must be tagged ``rep``, and ``label`` must come from
+    ``sector`` unless that is None.  ``waves`` is the pair of ``names`` axes
+    holding the frequencies (the other two are the centres), or a map from
+    an (M, 4) point array to (w0, w1, c0, c1); ``omegas`` is (om0, om1).
+    A Domain4D comes back as a WignerField carrying ``label``, computed on
+    its product grid when ``waves`` names axes; other inputs return values.
+    """
+    if sector is not None and label.sector is not sector:
         raise SectorMismatch(
-            f"{op_name} needs a {sector.value} label, got {label.sector.value}"
+            f"this transform needs a {sector.value} label, got {label.sector.value}"
         )
+    for what, f in (("ket", ket), ("bra", bra)):
+        if f.rep != rep:
+            raise ValueError(f"{what} must be tagged rep={rep!r}, got {f.rep!r}")
+    domain = (_checked_domain(pts, names, max_axis_points)
+              if isinstance(pts, Domain4D) else None)
+    if callable(waves):
+        arr = _as_points(pts) if domain is None else domain.points()
+        vals = _phase_integral(ket, bra, *waves(arr), *omegas, method)
+    else:
+        order = waves + tuple(i for i in range(4) if i not in waves)  # w0, w1, c0, c1
+        if domain is None:
+            cols = _as_points(pts).T
+            vals = _phase_integral(ket, bra, *(cols[i] for i in order), *omegas, method)
+        else:
+            axes = domain.axes()
+            vals = np.empty([a.size for a in axes], dtype=np.complex128)
+            # a view of vals with axes (c0, c1, w0, w1), so each centre
+            # writes its frequency block in place
+            _phase_integral_grid(ket, bra, *(axes[i] for i in order), *omegas,
+                                 method, vals.transpose(order[2:] + waves))
+    np.multiply(pref, vals, out=vals)  # in place: grids reach 4M values
+    if domain is None:
+        return vals
+    # the values are a fresh array: hand it over uncopied
+    return WignerField._adopt(domain, vals.reshape(domain.shape), label)
 
 
-def _orbit_sector_transform(op, pts, label, pref, method, max_axis_points):
-    _require_rep(op.ket, "momentum", "ket")
-    _require_rep(op.bra, "momentum", "bra")
-    arr, domain = _as_points(pts, ORBIT_COORDS, max_axis_points)
-    w0, w1, c0, c1 = _wave_coords(label, arr)
-    vals = pref * _phase_integral(op.ket, op.bra, w0, w1, c0, c1,
-                                  label.consts.alpha, label.consts.alpha, method)
-    return _package(vals, domain, label)
+def _sector_prefactor(label: OrbitLabel) -> float:
+    """The orbit transforms' prefactor d / ((2 pi)^(7/2) sqrt(rho)), with d
+    the Duflo-Moore constant and rho the Plancherel density of the label's
+    sector."""
+    return duflo_moore_constant(label) / (
+        (2.0 * math.pi) ** 3.5 * math.sqrt(plancherel_density(label)))
+
+
+def _orbit_waves(label: OrbitLabel):
+    """The orbit transforms' map: orbit coordinates -> (w0, w1, c0, c1),
+    the frequencies q^nc and the centres p^nc / k1.
+
+    The generic-sector map specialises exactly to the k3 = 0 and
+    k2 = k3 = 0 sectors because the discriminant collapses to k1^2 a^2.
+    """
+    def waves(arr):
+        nc = orbit_to_nc(CoadjointPoint(*arr.T), label)
+        return (*nc.qnc, nc.pnc[0] / label.k1, nc.pnc[1] / label.k1)
+    return waves
 
 
 def wigner_generic(op: RankOneOperator, pts, label: OrbitLabel,
@@ -513,9 +513,9 @@ def wigner_generic(op: RankOneOperator, pts, label: OrbitLabel,
     sequence of CoadjointPoint / an (M, 4) array (returns complex values).
     Both fields must be momentum-space samples.
     """
-    _require_sector(label, Sector.GENERIC, "wigner_generic")
-    pref = abs(label.consts.alpha) / (2.0 * math.pi * math.sqrt(label.abs_discriminant))
-    return _orbit_sector_transform(op, pts, label, pref, method, max_axis_points)
+    return _transform(op.ket, op.bra, "momentum", pts, ORBIT_COORDS, _orbit_waves(label),
+                      (label.consts.alpha,) * 2, _sector_prefactor(label), label,
+                      Sector.GENERIC, method, max_axis_points)
 
 
 def wigner_tau0(op: RankOneOperator, pts, label: OrbitLabel,
@@ -527,9 +527,9 @@ def wigner_tau0(op: RankOneOperator, pts, label: OrbitLabel,
     normalisation 1/((2 pi)^(3/2) |k1|); in the k2 -> 0 limit it therefore
     exceeds :func:`wigner_qm_orbit` by TAU0_TO_QM_PREFACTOR_RATIO.
     """
-    _require_sector(label, Sector.TAU_ZERO, "wigner_tau0")
-    pref = (2.0 * math.pi) ** -1.5 / abs(label.k1)
-    return _orbit_sector_transform(op, pts, label, pref, method, max_axis_points)
+    return _transform(op.ket, op.bra, "momentum", pts, ORBIT_COORDS, _orbit_waves(label),
+                      (label.consts.alpha,) * 2, _sector_prefactor(label), label,
+                      Sector.TAU_ZERO, method, max_axis_points)
 
 
 def wigner_qm_orbit(op: RankOneOperator, pts, label: OrbitLabel,
@@ -540,9 +540,9 @@ def wigner_qm_orbit(op: RankOneOperator, pts, label: OrbitLabel,
     Coincides with the textbook cross-Wigner transform under the convention
     map documented in the module docstring.
     """
-    _require_sector(label, Sector.SIGMA_TAU_ZERO, "wigner_qm_orbit")
-    pref = (2.0 * math.pi) ** -2 / abs(label.k1)
-    return _orbit_sector_transform(op, pts, label, pref, method, max_axis_points)
+    return _transform(op.ket, op.bra, "momentum", pts, ORBIT_COORDS, _orbit_waves(label),
+                      (label.consts.alpha,) * 2, _sector_prefactor(label), label,
+                      Sector.SIGMA_TAU_ZERO, method, max_axis_points)
 
 
 def _nc_pref(label: OrbitLabel) -> float:
@@ -559,14 +559,9 @@ def wigner_nc(op: RankOneOperator, pts, label: OrbitLabel,
     centres p^nc), not by resampling :func:`wigner_generic`; the two routes
     agree through the coordinate maps, which the tests exercise.
     """
-    _require_sector(label, Sector.GENERIC, "wigner_nc")
-    _require_rep(op.ket, "momentum", "ket")
-    _require_rep(op.bra, "momentum", "bra")
     om = -label.k1 * label.consts.alpha
-    vals, domain = _phase_space_integral(op.ket, op.bra, pts, NC_COORDS, (0, 1),
-                                         om, method, max_axis_points)
-    np.multiply(_nc_pref(label), vals, out=vals)  # in place: grids reach 4M values
-    return _package(vals, domain, label)
+    return _transform(op.ket, op.bra, "momentum", pts, NC_COORDS, (0, 1), (om, om),
+                      _nc_pref(label), label, Sector.GENERIC, method, max_axis_points)
 
 
 def wigner_nc_position(psi: ComplexField2D, phi: ComplexField2D, pts,
@@ -579,14 +574,9 @@ def wigner_nc_position(psi: ComplexField2D, phi: ComplexField2D, pts,
     the transform of |phi><psi|.  For phi = psi it equals :func:`wigner_nc`
     applied to the (k1 a)-scaled momentum representation of psi.
     """
-    _require_sector(label, Sector.GENERIC, "wigner_nc_position")
-    _require_rep(psi, "position", "psi")
-    _require_rep(phi, "position", "phi")
     om = label.k1 * label.consts.alpha
-    vals, domain = _phase_space_integral(phi, psi, pts, NC_COORDS, (2, 3),
-                                         om, method, max_axis_points)
-    np.multiply(_nc_pref(label), vals, out=vals)  # in place: grids reach 4M values
-    return _package(vals, domain, label)
+    return _transform(phi, psi, "position", pts, NC_COORDS, (2, 3), (om, om),
+                      _nc_pref(label), label, Sector.GENERIC, method, max_axis_points)
 
 
 def wigner_nc_params(psi: ComplexField2D, pts, params: NCParams,
@@ -603,19 +593,18 @@ def wigner_nc_params(psi: ComplexField2D, pts, params: NCParams,
     At vartheta = bfield = 0 this is the standard hbar-convention Wigner
     transform over (k1*, k2*; k3*, k4*).
     """
-    _require_rep(psi, "position", "psi")
     e = params.det
     if e == 0.0:
         raise DegenerateParams("hbar^2 - bfield*vartheta = 0: degenerate parameters")
-    arr, domain = _as_points(pts, ORBIT_COORDS, max_axis_points)
-    k1s, k2s, k3s, k4s = arr.T
     hb, th, bf = params.hbar, params.vartheta, params.bfield
-    w1 = (hb * k4s + bf * k1s) / e
-    c0 = (hb ** 2 * k1s + hb * th * k4s) / e
+
+    def waves(arr):
+        k1s, k2s, k3s, k4s = arr.T
+        return k3s, (hb * k4s + bf * k1s) / e, (hb ** 2 * k1s + hb * th * k4s) / e, k2s
+
     pref = 1.0 / (4.0 * math.pi ** 2 * abs(hb) * math.sqrt(abs(e)))
-    vals = pref * _phase_integral(psi, psi, k3s, w1, c0, k2s,
-                                  1.0 / hb, 1.0, method)
-    return _package(vals, domain, None)
+    return _transform(psi, psi, "position", pts, ORBIT_COORDS, waves, (1.0 / hb, 1.0),
+                      pref, None, None, method, max_axis_points)
 
 
 def cross_wigner_standard(phi: ComplexField2D, psi: ComplexField2D, pts,
@@ -629,13 +618,9 @@ def cross_wigner_standard(phi: ComplexField2D, psi: ComplexField2D, pts,
     """
     if h == 0.0 or not math.isfinite(h):
         raise ValueError("h must be finite and nonzero")
-    _require_rep(phi, "position", "phi")
-    _require_rep(psi, "position", "psi")
     om = 2.0 * math.pi / h
-    vals, domain = _phase_space_integral(phi, psi, pts, PHASE_COORDS, (2, 3),
-                                         om, method, max_axis_points)
-    np.divide(vals, h ** 2, out=vals)
-    return _package(vals, domain, None)
+    return _transform(phi, psi, "position", pts, PHASE_COORDS, (2, 3), (om, om),
+                      1.0 / h ** 2, None, None, method, max_axis_points)
 
 
 def qm_limit_check(psi: ComplexField2D, labels, pts,
@@ -644,8 +629,9 @@ def qm_limit_check(psi: ComplexField2D, labels, pts,
 
     ``labels`` is a sequence of generic labels sharing k1 and the constants,
     with k2, k3 shrinking towards zero.  The reference is the textbook
-    transform at h = 2 pi/(k1 a), evaluated at the probe (q, p) points, to
-    which the sequence converges.  Returns one distance per label.
+    transform at h = 2 pi/(k1 a), evaluated at the probe (q, p) points
+    ``pts`` (an (M, 4) array or a sequence of points), to which the
+    sequence converges.  Returns one distance per label.
     """
     labels = list(labels)
     if not labels:
@@ -657,7 +643,7 @@ def qm_limit_check(psi: ComplexField2D, labels, pts,
             raise ValueError("all labels must share k1 and the dimensional constants")
     from .numerics import momentum_representation
 
-    arr, _ = _as_points(pts, NC_COORDS, _DEFAULT_AXIS_CAP)
+    arr = _as_points(pts)
     scale = k1 * consts.alpha
     psihat = momentum_representation(psi, scale)
     op = RankOneOperator(ket=psihat, bra=psihat)

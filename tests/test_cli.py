@@ -98,6 +98,45 @@ class TestWignerCommand:
         assert "--grid" in capsys.readouterr().err
 
 
+def old_field_rows(grids, values, fmt):
+    """The writer's sample rows as the per-sample loop formatted them."""
+    x0, x1 = (g.coords() for g in grids)
+    v = np.asarray(values, dtype=np.complex128)
+    f = cli._fnum
+    rows = []
+    if fmt == "csv":
+        for j1 in range(grids[1].n):
+            for j0 in range(grids[0].n):
+                z = v[j0, j1]
+                rows.append(",".join((f(x0[j0]), f(x1[j1]), f(z.real), f(z.imag))))
+    else:
+        for j0 in range(grids[0].n):
+            for j1 in range(grids[1].n):
+                z = v[j0, j1]
+                rows.append(" ".join((f(x0[j0]), f(x1[j1]), f(z.real), f(z.imag))))
+            rows.append("")
+    return rows
+
+
+class TestFieldFileWriter:
+    @pytest.mark.parametrize("fmt", ["csv", "gnuplot"])
+    def test_rows_match_per_sample_formatting(self, tmp_path, fmt):
+        from ncwigner.core import Grid1D
+
+        grids = (Grid1D(5, -0.5, 0.25), Grid1D(3, -1.0 / 3.0, 0.1))
+        rng = np.random.default_rng(3)
+        v = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+        v[0, 0] = complex(-0.0, 5e-324)
+        v[2, 1] = complex(1e300, -1e300)
+        v[4, 2] = complex(-5e-324, -0.0)
+        out = tmp_path / "f.txt"
+        cli.write_field_file(str(out), grids, v, {"k": "v"}, fmt=fmt)
+        lines = out.read_text().split("\n")
+        body = [ln for ln in lines[:-1] if not ln.startswith("#")]
+        assert body == old_field_rows(grids, v, fmt)
+        assert lines[-1] == ""
+
+
 class TestStarAndMarginalCommands:
     def test_singular_vartheta_exit_3(self, tmp_path, capsys):
         code = main(["star", "vartheta", "--hbar", "1", "--vartheta", "0",
@@ -239,6 +278,19 @@ class TestInputContract:
         self.expect_exit_2(["wigner", variant, *label, "--grid", "24", "--extent", "2",
                             "--out", str(tmp_path / "x.csv")], capsys,
                            "pin all but two coordinates")
+
+    @pytest.mark.parametrize("kind, wrong", [("b", "position"), ("vartheta", "momentum")])
+    def test_star_2d_state_file_wrong_rep(self, tmp_path, capsys, kind, wrong):
+        from ncwigner.core import Grid1D
+
+        g = Grid1D.symmetric(8, 2.0)
+        path = tmp_path / "s.csv"
+        cli.write_field_file(str(path), (g, g), np.ones((8, 8)), {"representation": wrong})
+        self.expect_exit_2(["star", kind, "--hbar", "1", "--bfield", "0.5",
+                            "--vartheta", "0.5", "--state", f"file:{path}",
+                            "--grid", "8", "--extent", "1",
+                            "--out", str(tmp_path / "x.csv")], capsys,
+                           "representation")
 
     def test_field_file_without_magic_line(self, tmp_path, capsys):
         good = tmp_path / "good.csv"

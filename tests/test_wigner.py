@@ -790,3 +790,48 @@ class TestDomainGridPath:
         w = cross_wigner_standard(gauss_position, gauss_position,
                                   phase_space_domain(q1=0.0, q2=0.0, p1=g, p2=g), h=1.0)
         assert w.values.shape == (4, 4)
+
+
+class TestTransformContract:
+    """Checks every transform shares through its one runner: the sector,
+    the field representation, and the sector prefactor off unit constants."""
+
+    @pytest.mark.parametrize("trip", [(1.0, 1.0, 0.0), (1.0, 0.0, 0.0)])
+    def test_nc_forms_need_a_generic_label(self, gauss_op, gauss_position, trip):
+        label = make_orbit_label(*trip)
+        pts = [NCCoords((0, 0), (0, 0))]
+        with pytest.raises(SectorMismatch):
+            wigner_nc(gauss_op, pts, label)
+        with pytest.raises(SectorMismatch):
+            wigner_nc_position(gauss_position, gauss_position, pts, label)
+
+    def test_position_forms_reject_momentum_fields(self, generic_label, gauss_position,
+                                                   gauss_momentum):
+        params = nc_params_from_label(generic_label)
+        pts = [(0.0, 0.0, 0.0, 0.0)]
+        for f, g in ((gauss_momentum, gauss_position), (gauss_position, gauss_momentum)):
+            with pytest.raises(ValueError):
+                wigner_nc_position(f, g, pts, generic_label)
+            with pytest.raises(ValueError):
+                cross_wigner_standard(f, g, pts, h=2 * math.pi)
+        with pytest.raises(ValueError):
+            wigner_nc_params(gauss_momentum, pts, params)
+
+    @pytest.mark.parametrize("trip, transform", [
+        ((1.0, 1.0, 1.0), wigner_generic),
+        ((1.0, 1.0, 0.0), wigner_tau0),
+        ((1.0, 0.0, 0.0), wigner_qm_orbit),
+    ])
+    def test_orbit_transforms_match_oracle_off_unit_constants(self, state_grid, trip,
+                                                              transform):
+        from ncwigner.core import DimensionalConstants
+
+        label = make_orbit_label(*trip, DimensionalConstants(0.7, 1.3, -0.4))
+        rng = np.random.default_rng(21)
+        chi = random_hermite_gaussian(rng, state_grid, rep="momentum")
+        lam = random_hermite_gaussian(rng, state_grid, rep="momentum")
+        op = RankOneOperator(ket=chi, bra=lam)
+        pts = aligned_points(rng, label, chi, 24)
+        fast = transform(op, pts, label)
+        slow = np.array([direct_wigner_oracle(op, CoadjointPoint(*p), label) for p in pts])
+        assert sup_rel(fast, slow) <= 1e-8
