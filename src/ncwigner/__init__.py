@@ -46,15 +46,14 @@ from .numerics import (
 )
 from .oracles import (
     VerificationReport,
-    VerifyConfig,
     direct_star_oracle,
     direct_wigner_oracle,
     expected_isometry_constant,
     gaussian_state,
     isometry_ratio,
     random_hermite_gaussian,
-    run_verification_suite,
 )
+from ._suites import VerifyConfig, run_verification_suite
 from .starprod import (
     MarginalField,
     marginal_momentum,

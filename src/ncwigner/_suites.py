@@ -1,14 +1,19 @@
-"""Implementations of the verification suites behind
-:func:`ncwigner.oracles.run_verification_suite`.
+"""The verification suites and the functions that run them.
 
 Each suite function takes a seeded generator and returns a list of
-:class:`VerificationReport`.  Everything is deterministic for a fixed seed;
-grids are fixed here so reruns are bitwise-reproducible.
+:class:`~ncwigner.oracles.VerificationReport`; :data:`SUITES` names them
+and :func:`iter_verification_suites` / :func:`run_verification_suite` run
+a selection of them, each with a fresh generator from the seed.
+Everything is deterministic for a fixed seed; grids are fixed here so
+reruns are bitwise-reproducible.
 """
 
 from __future__ import annotations
 
 import math
+import time
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,10 +27,11 @@ from .core import (
     RankOneOperator,
     WignerField,
     make_orbit_label,
+    nc_domain,
     nc_params_from_label,
     orbit_domain,
 )
-from .group import group_inverse, group_multiply, identity_element, uir_apply
+from .group import group_inverse, group_multiply, identity_element, uir_apply, uir_apply_ft
 from .numerics import (_axis_weights, conjugate_grid, default_state_grid,
                        momentum_representation)
 from .oracles import (
@@ -38,7 +44,8 @@ from .oracles import (
     isometry_ratio,
     random_hermite_gaussian,
 )
-from .starprod import star_B, star_general, star_hbar, star_vartheta
+from .starprod import (marginal_momentum, marginal_position, star_B, star_general, star_hbar,
+                       star_vartheta)
 from .wigner import (
     aligned_center_grid,
     aligned_frequency_grid,
@@ -119,8 +126,6 @@ def suite_uir_properties(rng) -> list[VerificationReport]:
         cont = rng.standard_normal(3)
         return GroupElement(cont[0], cont[1], cont[2],
                             (ints[0] * h, ints[1] * h), (ints[2] * h, ints[3] * h))
-
-    from .group import uir_apply_ft
 
     uni = homo = invr = 0.0
     for apply_, field in ((uir_apply, f), (uir_apply_ft, fhat)):
@@ -211,9 +216,6 @@ def suite_qm_equivalence(rng) -> list[VerificationReport]:
 
 
 def suite_marginals(rng) -> list[VerificationReport]:
-    from .core import nc_domain
-    from .starprod import marginal_momentum, marginal_position
-
     reports = []
     grid = default_state_grid(128, 10.0)
     psi = gaussian_state(grid)
@@ -357,16 +359,22 @@ def suite_isometry(rng) -> list[VerificationReport]:
     return reports
 
 
+def qm_limit_study(psi, labels, method: str) -> tuple[np.ndarray, bool]:
+    """The commutative-limit study behind the qm_limit suite and
+    ``ncwig limit``: :func:`qm_limit_check` at 144 (q, p) probe points on a
+    4 x 4 x 3 x 3 grid, and whether the distances strictly decrease."""
+    qv = np.linspace(-1.5, 1.5, 4)
+    pv = np.linspace(-1.0, 1.0, 3)
+    pts = np.stack(np.meshgrid(qv, qv, pv, pv, indexing="ij"), axis=-1).reshape(-1, 4)
+    dists = qm_limit_check(psi, labels, pts, method)
+    return dists, bool(np.all(np.diff(dists) < 0))
+
+
 def suite_qm_limit(rng) -> list[VerificationReport]:
     consts = DimensionalConstants(1.0, 1.0, -1.0)
     labels = [make_orbit_label(1.0, 4.0 ** -m, 4.0 ** -m, consts) for m in range(5)]
     psi = gaussian_state(default_state_grid(128, 10.0))
-    qv = np.linspace(-1.5, 1.5, 4)
-    pv = np.linspace(-1.0, 1.0, 3)
-    pts = np.array([[q1, q2, p1, p2] for q1 in qv for q2 in qv
-                    for p1 in pv for p2 in pv])
-    dists = qm_limit_check(psi, labels, pts)
-    decreasing = bool(np.all(np.diff(dists) < 0))
+    dists, decreasing = qm_limit_study(psi, labels, "auto")
     metric = float(dists[-1]) if decreasing else math.inf
     return [_rep("qm_limit", metric, 1e-3,
                  decreasing=decreasing,
@@ -405,8 +413,6 @@ def suite_oracle_star(rng) -> list[VerificationReport]:
         return WignerField(dom, env * (c[0] + c[1] * xx + c[2] * yy * zz
                                        + c[3] * ww + c[4] * xx * ww))
 
-    from .core import NCParams
-
     w1, w2 = rand_field(), rand_field()
     params = NCParams(hbar=2.0, vartheta=0.5, bfield=0.25)
     reports = []
@@ -431,3 +437,41 @@ SUITES = {
     "oracle_wigner": suite_oracle_wigner,
     "oracle_star": suite_oracle_star,
 }
+SUITE_NAMES = tuple(SUITES)
+
+
+@dataclass(frozen=True)
+class VerifyConfig:
+    """Suite selection and determinism seed. suites=None runs everything."""
+
+    suites: tuple[str, ...] | None = None
+    seed: int = 7
+
+
+def iter_verification_suites(
+        config: VerifyConfig | None = None,
+) -> Iterator[tuple[str, list[VerificationReport], float]]:
+    """Run the named verification suites with default grids, one at a time.
+
+    Yields (suite name, its reports, its wall seconds) as each suite ends;
+    the seconds cover that suite's work only.  Unknown names are rejected
+    before any suite runs.
+    """
+    config = config if config is not None else VerifyConfig()
+    names = SUITE_NAMES if config.suites is None else tuple(config.suites)
+    unknown = set(names) - set(SUITE_NAMES)
+    if unknown:
+        raise ValueError(f"unknown suites {sorted(unknown)}; available: {SUITE_NAMES}")
+    for name in names:
+        t0 = time.perf_counter()
+        reports = list(SUITES[name](np.random.default_rng(config.seed)))
+        yield name, reports, time.perf_counter() - t0
+
+
+def run_verification_suite(config: VerifyConfig | None = None) -> list[VerificationReport]:
+    """Run the named verification suites with default grids.
+
+    Deterministic for a fixed seed: reports (metrics included) are
+    bitwise-reproducible.  Failures are reported, not raised.
+    """
+    return [r for _, reports, _ in iter_verification_suites(config) for r in reports]

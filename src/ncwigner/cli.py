@@ -42,21 +42,17 @@ from .core import (
     SectorMismatch,
     ShiftOffGrid,
     make_orbit_label,
+    nc_domain,
     nc_params_from_label,
+    orbit_domain,
     orbit_to_nc,
 )
-from .oracles import (
-    VerifyConfig,
-    format_report,
-    gaussian_state,
-    gaussian_state_momentum,
-    iter_verification_suites,
-)
+from ._suites import VerifyConfig, iter_verification_suites, qm_limit_study
+from .oracles import format_report, gaussian_state, gaussian_state_momentum
 from .starprod import (_STAR4D_AXIS_CAP, marginal_momentum, marginal_position, star_B,
                        star_general, star_hbar, star_vartheta)
 from .wigner import (
     cross_wigner_standard,
-    qm_limit_check,
     wigner_generic,
     wigner_nc,
     wigner_nc_params,
@@ -372,25 +368,20 @@ def _cmd_wigner(args) -> int:
 
 
 def _cmd_marginal(args) -> int:
-    from .core import nc_domain
-
     label = _label_from_args(args)
     params = nc_params_from_label(label)
     state = _parse_state_spec(args.state)
     out = Grid1D.symmetric(args.grid, args.extent)
     integ = Grid1D.symmetric(args.int_grid, args.int_extent)
-    if args.which == "momentum":
-        dom = nc_domain(q1nc=integ, q2nc=integ, p1nc=out, p2nc=out)
-    else:
-        dom = nc_domain(q1nc=out, q2nc=out, p1nc=integ, p2nc=integ)
+    # the integrated pair takes the int-grid, the other pair the output grid
+    q, p, marginal = ((integ, out, marginal_momentum) if args.which == "momentum"
+                      else (out, integ, marginal_position))
+    dom = nc_domain(q1nc=q, q2nc=q, p1nc=p, p2nc=p)
     fhat = _momentum_state_for_output(args, label, dom, state)
     op = RankOneOperator(ket=fhat, bra=fhat)
     w4 = wigner_nc(op, dom, label, method=args.method,
                    max_axis_points=max(args.int_grid, args.grid))
-    if args.which == "momentum":
-        marg = marginal_momentum(w4, label)
-    else:
-        marg = marginal_position(w4, label)
+    marg = marginal(w4, label)
     meta = _meta_lines(label, params, {
         "transform": f"marginal-{args.which}",
         "state": args.state,
@@ -443,8 +434,6 @@ def _cmd_star(args) -> int:
         res = fn(fc, f, params, out=Grid2D(out1d, out1d))
         write_field_file(args.out, (out1d, out1d), res.values, meta, fmt=args.format)
     else:
-        from .core import orbit_domain
-
         n = min(args.grid, _STAR4D_AXIS_CAP)
         _log_run({"star-grid": f"n={n} per axis (--grid {args.grid}; 4D kinds are "
                                f"capped at {_STAR4D_AXIS_CAP})"})
@@ -494,18 +483,13 @@ def _cmd_limit(args) -> int:
               for m in range(args.halvings + 1)]
     state = _parse_state_spec(args.state)
     psi = _position_state(args, state)
-    qv = np.linspace(-1.5, 1.5, 4)
-    pv = np.linspace(-1.0, 1.0, 3)
-    pts = np.array([[q1, q2, p1, p2] for q1 in qv for q2 in qv
-                    for p1 in pv for p2 in pv])
     meta = _meta_lines(labels[0], nc_params_from_label(labels[0]), {
         "transform": "limit", "halvings": str(args.halvings), "c": _fnum(args.c),
     })
     _log_run(meta, args.method)
-    dists = qm_limit_check(psi, labels, pts, method=args.method)
+    dists, decreasing = qm_limit_study(psi, labels, args.method)
     for d in dists:
         print(_fnum(d))
-    decreasing = bool(np.all(np.diff(dists) < 0))
     ok = decreasing and dists[-1] < args.tolerance
     if not ok:
         print(f"[ncwig] limit study failed: decreasing={decreasing} "

@@ -497,6 +497,14 @@ class Domain4D:
         return np.stack([m.ravel() for m in mesh], axis=1)
 
 
+def _require_axis_cap(domain: Domain4D, cap: int, what: str):
+    """Raise GridTooLarge when an axis of domain has more than cap points."""
+    for g in domain.grids:
+        if g.n > cap:
+            raise GridTooLarge(f"{what} are capped at {cap} points per axis "
+                               f"(got {g.n}); pass max_axis_points to override")
+
+
 def orbit_domain(**coords) -> Domain4D:
     """Domain over the orbit coordinates (k1s, k2s, k3s, k4s)."""
     return Domain4D.build(ORBIT_COORDS, **coords)
@@ -544,6 +552,3 @@ class WignerField:
             raise ValueError(f"values shape {v.shape} != domain shape {self.domain.shape}")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
-
-    def grids_by_name(self) -> dict[str, Grid1D]:
-        return dict(zip(self.domain.varying, self.domain.grids))

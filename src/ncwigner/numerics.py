@@ -7,7 +7,11 @@ between them, :func:`_axis_shifter`, which shifts one field by many
 offsets at the cost of one forward FFT, and its one-off form
 :func:`_axis_shift`), the reflection x -> -x on a symmetric grid with its
 symmetry check (:func:`_axis_reflect`) and the alignment tolerance
-``_ALIGN_TOL``.
+``_ALIGN_TOL``.  It is also the one home of the continuous Fourier
+transform: :func:`_cont_ft` over one axis or both is the body of
+:func:`cont_ft_2d` and :func:`cont_ft_axis`, and its scaled form
+:func:`_scaled_ft` the body of :func:`momentum_representation` and
+:func:`position_representation`.
 
 Fourier convention: unitary, kernel (2 pi)^(-1/2) exp(-i s r) per coordinate
 for the forward (sign = -1) direction.  This makes the unit Gaussian
@@ -85,6 +89,32 @@ def integrate_2d(f: ComplexField2D, rule: str = "trapezoid") -> complex:
     return complex(w0 @ f.values @ w1)
 
 
+def _cont_ft(f: ComplexField2D, axes: tuple[int, ...], sign: int,
+             rep: str) -> ComplexField2D:
+    """Continuous Fourier transform of f over ``axes`` (one axis or both),
+    tagged ``rep``; the other axis passes through.
+
+    One DFT over the axes, fftshift, one origin phase exp(sign i k x0) per
+    axis in axis order, and the scaling prod(steps) / (2 pi)^(len(axes)/2).
+    """
+    if sign not in (-1, 1):
+        raise ValueError("sign must be -1 or +1")
+    grids = [f.grid.axis0, f.grid.axis1]
+    if sign == -1:
+        spec = np.fft.fftn(f.values, axes=axes)
+    else:
+        spec = np.fft.ifftn(f.values, axes=axes) * math.prod(grids[a].n for a in axes)
+    scale = math.prod(grids[a].step for a in axes) / (2.0 * math.pi) ** (len(axes) / 2)
+    out = np.fft.fftshift(spec, axes=axes)
+    for a in axes:
+        g = grids[a]
+        grids[a] = conjugate_grid(g)
+        phase = np.exp(sign * 1j * grids[a].coords() * g.origin)
+        out = out * (phase[:, None] if a == 0 else phase[None, :])
+    out *= scale
+    return ComplexField2D(Grid2D(*grids), out, rep=rep)
+
+
 def cont_ft_2d(f: ComplexField2D, sign: int = -1) -> ComplexField2D:
     """Continuous 2D Fourier transform on the conjugate grid.
 
@@ -92,42 +122,14 @@ def cont_ft_2d(f: ComplexField2D, sign: int = -1) -> ComplexField2D:
     origin-offset phase and the step^2 scaling, so the output approximates
     the continuous transform rather than the bare DFT.
     """
-    if sign not in (-1, 1):
-        raise ValueError("sign must be -1 or +1")
-    g0, g1 = f.grid.axis0, f.grid.axis1
-    if sign == -1:
-        spec = np.fft.fft2(f.values)
-    else:
-        spec = np.fft.ifft2(f.values) * (g0.n * g1.n)
-    spec = np.fft.fftshift(spec)
-    k0 = conjugate_grid(g0)
-    k1 = conjugate_grid(g1)
-    phase0 = np.exp(sign * 1j * k0.coords() * g0.origin)
-    phase1 = np.exp(sign * 1j * k1.coords() * g1.origin)
-    out = spec * phase0[:, None] * phase1[None, :]
-    out *= g0.step * g1.step / (2.0 * math.pi)
-    other = "momentum" if f.rep == "position" else "position"
-    return ComplexField2D(Grid2D(k0, k1), out, rep=other)
+    return _cont_ft(f, (0, 1), sign, "momentum" if f.rep == "position" else "position")
 
 
 def cont_ft_axis(f: ComplexField2D, axis: int, sign: int = -1) -> ComplexField2D:
     """1D analogue of :func:`cont_ft_2d` along one axis; the other passes through."""
     if axis not in (0, 1):
         raise ValueError("axis must be 0 or 1")
-    if sign not in (-1, 1):
-        raise ValueError("sign must be -1 or +1")
-    g = f.grid.axis0 if axis == 0 else f.grid.axis1
-    if sign == -1:
-        spec = np.fft.fft(f.values, axis=axis)
-    else:
-        spec = np.fft.ifft(f.values, axis=axis) * g.n
-    spec = np.fft.fftshift(spec, axes=axis)
-    k = conjugate_grid(g)
-    phase = np.exp(sign * 1j * k.coords() * g.origin)
-    out = spec * (phase[:, None] if axis == 0 else phase[None, :])
-    out *= g.step / math.sqrt(2.0 * math.pi)
-    grid = Grid2D(k, f.grid.axis1) if axis == 0 else Grid2D(f.grid.axis0, k)
-    return ComplexField2D(grid, out, rep=f.rep)
+    return _cont_ft(f, (axis,), sign, f.rep)
 
 
 def _shift_spectrum(spec: np.ndarray, delta: float, axis: int) -> np.ndarray:
@@ -234,6 +236,17 @@ def reflect_field(f: ComplexField2D) -> ComplexField2D:
     return f.with_values(_axis_reflect(out, f.grid.axis1, 1))
 
 
+def _scaled_ft(f: ComplexField2D, scale: float, sign: int, rep: str) -> ComplexField2D:
+    """|a| times the continuous FT of f with sign ``sign`` (its opposite for
+    a negative scale), on the conjugate grid divided by a = |scale|."""
+    if scale == 0.0 or not math.isfinite(scale):
+        raise ValueError("scale must be finite and nonzero")
+    a = abs(scale)
+    F = _cont_ft(f, (0, 1), sign if scale > 0 else -sign, rep)
+    s0, s1 = (Grid1D(g.n, g.origin / a, g.step / a) for g in (F.grid.axis0, F.grid.axis1))
+    return ComplexField2D(Grid2D(s0, s1), a * F.values, rep=rep)
+
+
 def momentum_representation(f: ComplexField2D, scale: float) -> ComplexField2D:
     """Scaled momentum-space samples of a position-space field.
 
@@ -241,23 +254,9 @@ def momentum_representation(f: ComplexField2D, scale: float) -> ComplexField2D:
     the transform is unitary for any nonzero a.  With a = 1/hbar this is
     the conventional hbar-scaled momentum representation.
     """
-    if scale == 0.0 or not math.isfinite(scale):
-        raise ValueError("scale must be finite and nonzero")
-    a = abs(scale)
-    F = cont_ft_2d(f, -1 if scale > 0 else +1)
-    g0, g1 = F.grid.axis0, F.grid.axis1
-    s0 = Grid1D(g0.n, g0.origin / a, g0.step / a)
-    s1 = Grid1D(g1.n, g1.origin / a, g1.step / a)
-    return ComplexField2D(Grid2D(s0, s1), a * F.values, rep="momentum")
+    return _scaled_ft(f, scale, -1, "momentum")
 
 
 def position_representation(fhat: ComplexField2D, scale: float) -> ComplexField2D:
     """Inverse of :func:`momentum_representation` on the matching grid."""
-    if scale == 0.0 or not math.isfinite(scale):
-        raise ValueError("scale must be finite and nonzero")
-    a = abs(scale)
-    F = cont_ft_2d(fhat, +1 if scale > 0 else -1)
-    g0, g1 = F.grid.axis0, F.grid.axis1
-    r0 = Grid1D(g0.n, g0.origin / a, g0.step / a)
-    r1 = Grid1D(g1.n, g1.origin / a, g1.step / a)
-    return ComplexField2D(Grid2D(r0, r1), a * F.values, rep="position")
+    return _scaled_ft(fhat, scale, +1, "position")

@@ -1,4 +1,4 @@
-"""Independent reference computations and the verification suite.
+"""Independent reference computations, test states and verification reports.
 
 :func:`direct_wigner_oracle` re-derives single Wigner values by plain
 trapezoid quadrature over the original integration variable with
@@ -8,15 +8,13 @@ evidence rather than tautology.  :func:`isometry_ratio` likewise reduces
 the squared-norm integral over a 4D orbit with its own roll-based
 arithmetic.
 
-:func:`run_verification_suite` drives every acceptance-style check with
-default grids; it is deterministic for a fixed seed.
+The verification suites that check the fast paths against these oracles,
+and the functions that run them, live in :mod:`ncwigner._suites`.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,16 +33,12 @@ from .core import (
 
 __all__ = [
     "VerificationReport",
-    "VerifyConfig",
-    "SUITE_NAMES",
     "gaussian_state",
     "random_hermite_gaussian",
     "direct_wigner_oracle",
     "direct_star_oracle",
     "isometry_ratio",
     "expected_isometry_constant",
-    "run_verification_suite",
-    "iter_verification_suites",
     "format_report",
 ]
 
@@ -405,60 +399,3 @@ def isometry_ratio(ops, label: OrbitLabel, tolerance: float = 1e-4,
         passed=spread <= tolerance,
         details=det,
     )
-
-
-# ---------------------------------------------------------------------------
-# Verification suite
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class VerifyConfig:
-    """Suite selection and determinism seed. suites=None runs everything."""
-
-    suites: tuple[str, ...] | None = None
-    seed: int = 7
-
-
-def iter_verification_suites(
-        config: VerifyConfig | None = None,
-) -> Iterator[tuple[str, list[VerificationReport], float]]:
-    """Run the named verification suites with default grids, one at a time.
-
-    Yields (suite name, its reports, its wall seconds) as each suite ends;
-    the seconds cover that suite's work only.  Unknown names are rejected
-    before any suite runs.
-    """
-    from . import _suites  # deferred: the suites drive the fast transforms
-
-    config = config if config is not None else VerifyConfig()
-    names = SUITE_NAMES if config.suites is None else tuple(config.suites)
-    unknown = set(names) - set(SUITE_NAMES)
-    if unknown:
-        raise ValueError(f"unknown suites {sorted(unknown)}; available: {SUITE_NAMES}")
-    for name in names:
-        t0 = time.perf_counter()
-        reports = list(_suites.SUITES[name](np.random.default_rng(config.seed)))
-        yield name, reports, time.perf_counter() - t0
-
-
-def run_verification_suite(config: VerifyConfig | None = None) -> list[VerificationReport]:
-    """Run the named verification suites with default grids.
-
-    Deterministic for a fixed seed: reports (metrics included) are
-    bitwise-reproducible.  Failures are reported, not raised.
-    """
-    return [r for _, reports, _ in iter_verification_suites(config) for r in reports]
-
-
-SUITE_NAMES = (
-    "group_associativity",
-    "uir_properties",
-    "wigner_symmetries",
-    "qm_equivalence",
-    "marginals",
-    "star_marginals",
-    "isometry",
-    "qm_limit",
-    "oracle_wigner",
-    "oracle_star",
-)

@@ -39,12 +39,12 @@ from .core import (
     Grid1D,
     Grid2D,
     GridTooCoarse,
-    GridTooLarge,
     NCParams,
     NC_COORDS,
     ORBIT_COORDS,
     OrbitLabel,
     WignerField,
+    _require_axis_cap,
 )
 from .numerics import _axis_reflect, _axis_shifter, _axis_weights
 
@@ -85,19 +85,24 @@ class MarginalField:
         object.__setattr__(self, "values", v)
 
 
-def _integrate_axes(w: WignerField, leading: bool) -> np.ndarray:
+def _marginal(w: WignerField, leading: bool) -> MarginalField:
     """Trapezoid integral over the two leading (q^nc) or the two trailing
-    (p^nc) axes: one matrix-vector product on the 2D view of the field,
-    with no copy of it."""
+    (p^nc) axes, on the grid of the other pair: one matrix-vector product
+    on the 2D view of the field, with no copy of it."""
     if not (w.domain.names == NC_COORDS and w.domain.is_full):
         raise ValueError("marginals need a full 4D field over the nc coordinates")
     n0, n1, n2, n3 = w.domain.shape
-    pair = w.domain.grids[:2] if leading else w.domain.grids[2:]
+    grids = w.domain.grids
+    pair, rest = (grids[:2], grids[2:]) if leading else (grids[2:], grids[:2])
     weights = np.outer(*(_axis_weights(g, "trapezoid") for g in pair)).ravel()
     vals = w.values.reshape(n0 * n1, n2 * n3)
     if leading:
-        return (weights @ vals).reshape(n2, n3)
-    return (vals @ weights).reshape(n0, n1)
+        vals = (weights @ vals).reshape(n2, n3)
+    else:
+        vals = (vals @ weights).reshape(n0, n1)
+    resid = float(np.max(np.abs(vals.imag))) if vals.size else 0.0
+    return MarginalField(Grid2D(*rest), vals.real, coords="pnc" if leading else "qnc",
+                         residual_imag=resid)
 
 
 def marginal_momentum(w: WignerField, label: OrbitLabel) -> MarginalField:
@@ -107,21 +112,13 @@ def marginal_momentum(w: WignerField, label: OrbitLabel) -> MarginalField:
     |k1 a| / sqrt|k1^2 a^2 - k2 k3 b g| * |psihat(p^nc)|^2, which the tests
     verify against an independently computed right-hand side.
     """
-    grids = w.grids_by_name()
-    vals = _integrate_axes(w, leading=True)
-    resid = float(np.max(np.abs(vals.imag))) if vals.size else 0.0
-    return MarginalField(Grid2D(grids["p1nc"], grids["p2nc"]), vals.real,
-                         coords="pnc", residual_imag=resid)
+    return _marginal(w, leading=True)
 
 
 def marginal_position(w: WignerField, label: OrbitLabel) -> MarginalField:
     """Integrate a full (q^nc, p^nc) field over p^nc; mirror of
     :func:`marginal_momentum` with |psi(q^nc)|^2 and the same prefactor."""
-    grids = w.grids_by_name()
-    vals = _integrate_axes(w, leading=False)
-    resid = float(np.max(np.abs(vals.imag))) if vals.size else 0.0
-    return MarginalField(Grid2D(grids["q1nc"], grids["q2nc"]), vals.real,
-                         coords="qnc", residual_imag=resid)
+    return _marginal(w, leading=False)
 
 
 # ---------------------------------------------------------------------------
@@ -265,12 +262,7 @@ def _star4d_setup(w1: WignerField, w2: WignerField, max_axis_points: int):
         raise ValueError("4D star-product factors must share one domain")
     if not (w1.domain.names == ORBIT_COORDS and w1.domain.is_full):
         raise ValueError("4D star products act on full orbit-coordinate fields")
-    for g in w1.domain.grids:
-        if g.n > max_axis_points:
-            raise GridTooLarge(
-                f"4D star products are capped at {max_axis_points} points per "
-                f"axis (got {g.n}); pass max_axis_points to override"
-            )
+    _require_axis_cap(w1.domain, max_axis_points, "4D star products")
     grids = w1.domain.grids
     coords = [g.coords() for g in grids]
     wt = [_axis_weights(g, "trapezoid") for g in grids]

@@ -82,7 +82,6 @@ from .core import (
     CoadjointPoint,
     Domain4D,
     GridTooCoarse,
-    GridTooLarge,
     NCCoords,
     NCParams,
     NC_COORDS,
@@ -94,6 +93,7 @@ from .core import (
     SectorMismatch,
     ShiftOffGrid,
     WignerField,
+    _require_axis_cap,
     DegenerateParams,
     Grid1D,
     duflo_moore_constant,
@@ -146,12 +146,7 @@ def _checked_domain(domain: Domain4D, names, max_axis_points) -> Domain4D:
     if domain.names != names:
         raise ValueError(f"domain over {domain.names} passed where {names} expected")
     if domain.is_full:
-        for g in domain.grids:
-            if g.n > max_axis_points:
-                raise GridTooLarge(
-                    f"full 4D grids are capped at {max_axis_points} points "
-                    f"per axis (got {g.n}); pass max_axis_points to override"
-                )
+        _require_axis_cap(domain, max_axis_points, "full 4D grids")
     return domain
 
 

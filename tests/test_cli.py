@@ -175,6 +175,21 @@ class TestStarAndMarginalCommands:
         vals = load_csv(out).real
         assert vals.min() >= -1e-8 * vals.max()
 
+    def test_marginal_position(self, tmp_path):
+        out = tmp_path / "m.csv"
+        assert main(["marginal", "position", "--k1", "1", "--k2", "-1", "--k3", "1",
+                     "--state", "gaussian:0,0", "--grid", "16", "--extent", "4",
+                     "--int-grid", "48", "--int-extent", "5",
+                     "--out", str(out)]) == 0
+        f = read_field_file(str(out))
+        assert f.values.shape == (16, 16)
+        header = out.read_text().splitlines()
+        assert "# transform: marginal-position" in header and "# coords: qnc" in header
+        vals = f.values.real
+        # |psi(q^nc)|^2 of the centred Gaussian peaks at the origin
+        assert np.unravel_index(np.argmax(vals), vals.shape) == (8, 8)
+        assert vals.min() >= -1e-8 * vals.max()
+
 
 class TestVerifyAndLimit:
     def test_verify_empty_suite(self, tmp_path, capsys):
@@ -189,6 +204,19 @@ class TestVerifyAndLimit:
         assert main(argv + ["--out", str(a)]) == 0
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_verify_json_records(self, tmp_path):
+        import json
+
+        out = tmp_path / "v.json"
+        assert main(["verify", "--suite", "group_associativity,qm_limit",
+                     "--seed", "7", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert [r["name"] for r in doc] == ["group_associativity", "qm_limit"]
+        for r in doc:
+            assert set(r) == {"name", "metric", "tolerance", "passed", "details"}
+            assert r["passed"] is True and r["metric"] <= r["tolerance"]
+            assert isinstance(r["details"], dict) and r["details"]
 
     def test_verify_times_each_suite_once(self, capsys):
         # wigner_symmetries yields three reports; each suite gets one
@@ -213,23 +241,23 @@ class TestVerifyAndLimit:
 
 
 class TestInputContract:
-    """Bad input ends in exit 2 with one 'ncwig: error:' line, not a traceback."""
+    """Bad input ends in its exit code (2 for arguments, 4 for grid guards)
+    with one 'ncwig: error:' line, not a traceback."""
 
     def standard(self, tmp_path, state="gaussian:0,0", slice_="q2=0,p2=0"):
         return ["wigner", "standard", "--state", state, "--state-grid", "32",
                 "--state-extent", "6", "--grid", "4", "--extent", "1",
                 "--slice", slice_, "--out", str(tmp_path / "w.csv")]
 
-    def expect_exit_2(self, argv, capsys, fragment):
-        code = main(argv)
+    def expect_exit(self, argv, capsys, fragment, code=2):
+        assert main(argv) == code
         err = capsys.readouterr().err.splitlines()
         errors = [ln for ln in err if ln.startswith("ncwig: error:")]
-        assert code == 2
         assert len(errors) == 1 and fragment in errors[0]
 
     def test_missing_state_file(self, tmp_path, capsys):
         missing = tmp_path / "missing.csv"
-        self.expect_exit_2(self.standard(tmp_path, state=f"file:{missing}"), capsys,
+        self.expect_exit(self.standard(tmp_path, state=f"file:{missing}"), capsys,
                            "No such file")
 
     def test_malformed_state_file(self, tmp_path, capsys):
@@ -239,15 +267,15 @@ class TestInputContract:
         lines[-1] = "0.5,0.5,abc,0"
         bad = tmp_path / "bad.csv"
         bad.write_text("\n".join(lines) + "\n")
-        self.expect_exit_2(self.standard(tmp_path, state=f"file:{bad}"), capsys,
+        self.expect_exit(self.standard(tmp_path, state=f"file:{bad}"), capsys,
                            f"line {len(lines)}")
 
     def test_non_numeric_slice_value(self, tmp_path, capsys):
-        self.expect_exit_2(self.standard(tmp_path, slice_="q1=abc,q2=0"), capsys,
+        self.expect_exit(self.standard(tmp_path, slice_="q1=abc,q2=0"), capsys,
                            "q1='abc'")
 
     def test_slice_pinning_one_coordinate(self, tmp_path, capsys):
-        self.expect_exit_2(self.standard(tmp_path, slice_="q1=0"), capsys,
+        self.expect_exit(self.standard(tmp_path, slice_="q1=0"), capsys,
                            "two or four coordinates")
 
     def test_nc_commands_do_not_materialise_points(self, tmp_path, monkeypatch):
@@ -275,7 +303,7 @@ class TestInputContract:
 
         for name in (transform, "_momentum_state_for_output", "_position_state"):
             monkeypatch.setattr(cli, name, not_reached)
-        self.expect_exit_2(["wigner", variant, *label, "--grid", "24", "--extent", "2",
+        self.expect_exit(["wigner", variant, *label, "--grid", "24", "--extent", "2",
                             "--out", str(tmp_path / "x.csv")], capsys,
                            "pin all but two coordinates")
 
@@ -286,11 +314,24 @@ class TestInputContract:
         g = Grid1D.symmetric(8, 2.0)
         path = tmp_path / "s.csv"
         cli.write_field_file(str(path), (g, g), np.ones((8, 8)), {"representation": wrong})
-        self.expect_exit_2(["star", kind, "--hbar", "1", "--bfield", "0.5",
+        self.expect_exit(["star", kind, "--hbar", "1", "--bfield", "0.5",
                             "--vartheta", "0.5", "--state", f"file:{path}",
                             "--grid", "8", "--extent", "1",
                             "--out", str(tmp_path / "x.csv")], capsys,
                            "representation")
+
+    def test_grid_too_coarse_exit_4(self, tmp_path, capsys):
+        # a 20-wide output slice asks for frequencies beyond a 16^2 state's band
+        self.expect_exit(["wigner", "standard", "--state-grid", "16", "--state-extent", "6",
+                          "--grid", "8", "--extent", "20", "--slice", "q2=0,p2=0",
+                          "--out", str(tmp_path / "w.csv")], capsys, "Nyquist", code=4)
+
+    def test_off_grid_shift_exit_4(self, tmp_path, capsys):
+        # method fft with a 5-point output grid off the conjugate lattice
+        self.expect_exit(["wigner", "standard", "--state-grid", "32", "--state-extent", "6",
+                          "--grid", "5", "--extent", "1", "--slice", "q2=0,p2=0",
+                          "--method", "fft", "--out", str(tmp_path / "w.csv")], capsys,
+                         "conjugate lattice", code=4)
 
     def test_field_file_without_magic_line(self, tmp_path, capsys):
         good = tmp_path / "good.csv"
@@ -300,5 +341,5 @@ class TestInputContract:
         bad.write_text("\n".join(good.read_text().splitlines()[1:]) + "\n")
         with pytest.raises(ValueError, match="ncwigner-field 1"):
             read_field_file(str(bad))
-        self.expect_exit_2(self.standard(tmp_path, state=f"file:{bad}"), capsys,
+        self.expect_exit(self.standard(tmp_path, state=f"file:{bad}"), capsys,
                            "first line")

@@ -295,7 +295,8 @@ class TestStar4D:
         g = Grid1D.symmetric(24, 1.5)
         dom = orbit_domain(k1s=g, k2s=g, k3s=g, k4s=g)
         z = WignerField(dom, np.zeros(dom.shape))
-        with pytest.raises(GridTooLarge):
+        with pytest.raises(GridTooLarge, match=r"^4D star products are capped at 16 points "
+                           r"per axis \(got 24\); pass max_axis_points to override$"):
             star_hbar(z, z, self.params)
 
     def test_degenerate_general_rejected(self, star4d_setup):

@@ -122,7 +122,8 @@ class TestWignerGeneric:
     def test_full4d_cap(self, generic_label, gauss_op):
         g = Grid1D.symmetric(64, 2.0)
         dom = orbit_domain(k1s=g, k2s=g, k3s=g, k4s=g)
-        with pytest.raises(GridTooLarge):
+        with pytest.raises(GridTooLarge, match=r"^full 4D grids are capped at 32 points "
+                           r"per axis \(got 64\); pass max_axis_points to override$"):
             wigner_generic(gauss_op, dom, generic_label)
 
 
