@@ -3,8 +3,11 @@
 Subcommands compute Wigner transforms, marginals and star products for
 built-in Gaussian states or field files, run the verification suites, and
 run the commutative-limit study.  Output files are plain text (csv,
-gnuplot blocks or json) with 17-significant-digit floats, reproducible
-byte for byte for identical flags and seed.
+gnuplot blocks or json) with 17-significant-digit (csv, gnuplot) or
+shortest round-trip (json) floats, reproducible byte for byte for
+identical flags and seed.  Non-finite values are refused on writing.
+:func:`read_field_file` reads all three formats, bit for bit with signed
+zeros, and ends every malformed file in one ValueError line.
 
 Exit codes: 0 success; 2 argument errors; 3 invalid labels, sector
 mismatches and singular parameters; 4 grid guards (too coarse, too large,
@@ -18,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
 
 import numpy as np
@@ -62,6 +66,8 @@ from .wigner import (
 
 _FMT = "%.17g"
 _FIELD_MAGIC = "# ncwigner-field 1"
+_CSV_COLUMNS = "x0,x1,re,im"
+_GNUPLOT_COLUMNS = "x0 x1 re im (blank line between x0 blocks)"
 
 
 def _fnum(x: float) -> str:
@@ -75,11 +81,21 @@ def _fnum(x: float) -> str:
 def write_field_file(path: str, grids: tuple[Grid1D, Grid1D], values: np.ndarray,
                      meta: dict[str, str], fmt: str = "csv"):
     """Write a 2D complex field: '#'-prefixed metadata, then row-major
-    samples with axis0 varying fastest."""
+    samples with axis0 varying fastest (csv, json) or axis1 varying fastest
+    in blank-line separated axis0 blocks (gnuplot).  Non-finite values, or
+    values whose shape is not the grids', raise ValueError before the file
+    is opened."""
     g0, g1 = grids
     v = np.asarray(values, dtype=np.complex128)
+    if fmt not in ("csv", "gnuplot", "json"):
+        raise ValueError(f"unknown format {fmt!r}")
+    if v.shape != (g0.n, g1.n):
+        raise ValueError(f"field file {path}: values shape {v.shape} != grid shape "
+                         f"{(g0.n, g1.n)}")
+    if not np.isfinite(v).all():
+        raise ValueError(f"field file {path}: values must be finite")
     if fmt == "json":
-        doc = {
+        text = json.dumps({
             "format": "ncwigner-field",
             "version": 1,
             "meta": meta,
@@ -87,85 +103,162 @@ def write_field_file(path: str, grids: tuple[Grid1D, Grid1D], values: np.ndarray
                 {"n": g.n, "origin": g.origin, "step": g.step} for g in (g0, g1)
             ],
             "layout": "axis0-fastest",
-            "re": v.real.ravel(order="F").tolist(),
-            "im": v.imag.ravel(order="F").tolist(),
-        }
+            "re": [],
+            "im": [],
+        }, indent=1, sort_keys=True)
+        # json.dump(indent=1) runs the pure-Python encoder sample by sample;
+        # splicing float.__repr__ lists in gives the same bytes for finite values
+        for key, part in (("re", v.real), ("im", v.imag)):
+            items = ",\n  ".join(map(float.__repr__, part.ravel(order="F").tolist()))
+            text = text.replace(f'\n "{key}": []', f'\n "{key}": [\n  {items}\n ]', 1)
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+            fh.write(text + "\n")
         return
-    if fmt not in ("csv", "gnuplot"):
-        raise ValueError(f"unknown format {fmt!r}")
     lines = [_FIELD_MAGIC]
     for key, val in meta.items():
         lines.append(f"# {key}: {val}")
     for name, g in (("axis0", g0), ("axis1", g1)):
         lines.append(f"# {name}: n={g.n} origin={_fnum(g.origin)} step={_fnum(g.step)}")
     lines.append("# layout: axis0-fastest")
-    # each coordinate is formatted once; samples come out as Python floats
+    # each coordinate is formatted once into a row template that one %
+    # fills with the samples, re and im interleaved in row order
     xs0 = [_fnum(x) for x in g0.coords()]
     xs1 = [_fnum(x) for x in g1.coords()]
-    re, im = v.real.tolist(), v.imag.tolist()
     if fmt == "csv":
-        lines.append("# columns: x0,x1,re,im")
-        for j1 in range(g1.n):
-            for j0 in range(g0.n):
-                lines.append(f"{xs0[j0]},{xs1[j1]},{_FMT % re[j0][j1]},{_FMT % im[j0][j1]}")
+        lines.append(f"# columns: {_CSV_COLUMNS}")
+        order = "F"
+        rows = "".join(tail.join(xs0) + tail
+                       for tail in (f",{b},{_FMT},{_FMT}\n" for b in xs1))
     else:
-        lines.append("# columns: x0 x1 re im (blank line between x0 blocks)")
-        for j0 in range(g0.n):
-            for j1 in range(g1.n):
-                lines.append(f"{xs0[j0]} {xs1[j1]} {_FMT % re[j0][j1]} {_FMT % im[j0][j1]}")
-            lines.append("")
+        lines.append(f"# columns: {_GNUPLOT_COLUMNS}")
+        order = "C"
+        rows = "".join(f"{a} " + f" {_FMT} {_FMT}\n{a} ".join(xs1) + f" {_FMT} {_FMT}\n\n"
+                       for a in xs0)
+    samples = v.ravel(order=order).view(np.float64).tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(lines) + "\n" + rows % tuple(samples))
 
 
 def read_field_file(path: str) -> ComplexField2D:
-    """Read a csv field file written by :func:`write_field_file`; a
-    malformed file or a missing magic first line raises ValueError with a
-    one-line message."""
-    meta: dict[str, str] = {}
-    rows = []
+    """Read a field file in any of the formats :func:`write_field_file`
+    writes (csv, gnuplot or json); the values round-trip bit for bit,
+    signed zeros included.  A malformed file (no magic first line, a bad
+    axis header, a bad row, a wrong row or column count, a non-finite
+    sample or no samples at all) raises ValueError with a one-line
+    message."""
     with open(path, encoding="utf-8") as fh:
-        if fh.readline().strip() != _FIELD_MAGIC:
-            raise ValueError(f"field file {path}: first line is not {_FIELD_MAGIC!r}")
-        for lineno, line in enumerate(fh, 2):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if ":" in body:
-                    key, _, val = body.partition(":")
-                    meta[key.strip()] = val.strip()
-                continue
-            try:
-                row = [float(t) for t in line.split(",")]
-            except ValueError:
-                row = []
-            if len(row) != 4:
-                raise ValueError(f"field file {path}, line {lineno}: expected four "
-                                 f"comma-separated numbers x0,x1,re,im")
-            rows.append(row)
+        text = fh.read()
+    if text.startswith("{"):
+        grids, re, im, order, meta = _parse_json_field(path, text)
+    else:
+        grids, re, im, order, meta = _parse_text_field(path, text)
+    shape = (grids[0].n, grids[1].n)
+    values = np.empty(shape, dtype=np.complex128)
+    # filled part by part: re + 1j*im would turn a -0.0 real part into +0.0
+    values.real = re.reshape(shape, order=order)
+    values.imag = im.reshape(shape, order=order)
+    return ComplexField2D(Grid2D(*grids), values, rep=meta.get("representation", "position"))
+
+
+def _axis_grid(path: str, name: str, header, fields: dict) -> Grid1D:
+    """The Grid1D of an axis header with fields n (a whole number or its
+    decimal string), origin and step (finite)."""
+    n = fields.get("n")
+    try:
+        g = Grid1D(n=int(n) if isinstance(n, str) else operator.index(n),
+                   origin=float(fields.get("origin")), step=float(fields.get("step")))
+    except (TypeError, ValueError):
+        g = None
+    if g is None or not (math.isfinite(g.origin) and math.isfinite(g.step)):
+        raise ValueError(f"field file {path}: malformed {name} header {header!r}")
+    return g
+
+
+def _parse_text_field(path: str, text: str):
+    """csv and gnuplot files: the '#' block after the magic line is the
+    metadata, every later line that is not blank or a comment is a sample
+    row x0,x1,re,im."""
+    lines = text.split("\n")
+    if lines[0].strip() != _FIELD_MAGIC:
+        raise ValueError(f"field file {path}: first line is not {_FIELD_MAGIC!r}")
+    first = 1
+    while first < len(lines) and (not lines[first].strip()
+                                  or lines[first].lstrip().startswith("#")):
+        first += 1
+    meta: dict[str, str] = {}
+    for line in lines[1:first]:
+        key, sep, val = line.strip()[1:].partition(":")
+        if sep:
+            meta[key.strip()] = val.strip()
     grids = []
     for name in ("axis0", "axis1"):
         if name not in meta:
             raise ValueError(f"field file {path} lacks the {name} header")
+        grids.append(_axis_grid(path, name, meta[name],
+                                dict(tok.partition("=")[::2] for tok in meta[name].split())))
+    expected = grids[0].n * grids[1].n
+    if first == len(lines):
+        raise ValueError(f"field file {path}: no sample rows (expected {expected})")
+    gnuplot = meta.get("columns") == _GNUPLOT_COLUMNS
+    delim, what = (None, "whitespace") if gnuplot else (",", "comma")
+    body = lines[first:]
+    try:
+        data = np.loadtxt(body, delimiter=delim, comments="#", ndmin=2)
+        error = None
+    except ValueError as exc:
+        data, error = None, str(exc).partition("\n")[0]
+    if data is None or data.shape[1] != 4 or not np.isfinite(data).all():
+        bad = _first_bad_row(body, delim)
+        if bad is None:
+            raise ValueError(f"field file {path}: {error}")
+        raise ValueError(f"field file {path}, line {first + bad + 1}: expected four "
+                         f"{what}-separated finite numbers x0,x1,re,im")
+    if data.shape[0] != expected:
+        raise ValueError(f"field file {path}: expected {expected} rows, got {data.shape[0]}")
+    return grids, data[:, 2], data[:, 3], "C" if gnuplot else "F", meta
+
+
+def _first_bad_row(body: list[str], delim: str | None) -> int | None:
+    """Index in body of the first sample row that is not four finite
+    numbers; only run once the vectorised parse has failed, to name it.
+    Rows are skipped where np.loadtxt skips them: empty once the comment
+    is cut, and for whitespace-separated rows also when only whitespace
+    is left."""
+    for i, line in enumerate(body):
+        line = line.partition("#")[0]
+        if not (line.strip() if delim is None else line):
+            continue
         try:
-            kv = dict(tok.split("=") for tok in meta[name].split())
-            grids.append(Grid1D(n=int(kv["n"]), origin=float(kv["origin"]),
-                                step=float(kv["step"])))
-        except (KeyError, ValueError):
-            raise ValueError(f"field file {path}: malformed {name} header "
-                             f"{meta[name]!r}") from None
-    g0, g1 = grids
-    data = np.asarray(rows, dtype=float)
-    if data.shape[0] != g0.n * g1.n:
-        raise ValueError(f"field file {path}: expected {g0.n * g1.n} rows, got {data.shape[0]}")
-    flat = data[:, 2] + 1j * data[:, 3]
-    rep = meta.get("representation", "position")
-    return ComplexField2D.from_flat(Grid2D(g0, g1), flat, rep=rep)
+            row = [float(t) for t in line.split(delim)]
+        except ValueError:
+            return i
+        if len(row) != 4 or not all(map(math.isfinite, row)):
+            return i
+    return None
+
+
+def _parse_json_field(path: str, text: str):
+    """json files: the document write_field_file writes, axis0 fastest."""
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise ValueError(f"field file {path}: not valid json ({exc})") from None
+    if not (isinstance(doc, dict) and doc.get("format") == "ncwigner-field"
+            and doc.get("version") == 1 and doc.get("layout") == "axis0-fastest"
+            and isinstance(doc.get("meta", {}), dict)
+            and isinstance(doc.get("axes"), list) and len(doc["axes"]) == 2
+            and all(isinstance(ax, dict) for ax in doc["axes"])):
+        raise ValueError(f"field file {path}: not an ncwigner-field version 1 json "
+                         "document with two axes, axis0 fastest")
+    grids = [_axis_grid(path, f"axis{i}", ax, ax) for i, ax in enumerate(doc["axes"])]
+    expected = grids[0].n * grids[1].n
+    re, im = np.asarray(doc.get("re")), np.asarray(doc.get("im"))
+    if (re.shape != (expected,) or im.shape != (expected,)
+            or re.dtype.kind not in "if" or im.dtype.kind not in "if"
+            or not (np.isfinite(re).all() and np.isfinite(im).all())):
+        raise ValueError(f"field file {path}: expected {expected} finite numbers "
+                         "in each of re and im")
+    return grids, re, im, "F", doc.get("meta", {})
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -135,6 +137,63 @@ class TestFieldFileWriter:
         body = [ln for ln in lines[:-1] if not ln.startswith("#")]
         assert body == old_field_rows(grids, v, fmt)
         assert lines[-1] == ""
+
+    def test_json_matches_json_dump(self, tmp_path):
+        import json
+
+        from ncwigner.core import Grid1D
+
+        grids = (Grid1D(128, -0.5, 0.25), Grid1D(64, -1.0 / 3.0, 0.1))
+        rng = np.random.default_rng(4)
+        v = rng.standard_normal((128, 64)) + 1j * rng.standard_normal((128, 64))
+        v[0, 0] = complex(-0.0, 5e-324)
+        v[1, 0] = complex(1e-05, 1e300)
+        v[0, 1] = complex(1.0, -0.0)
+        v[127, 63] = complex(-5e-324, 3.0)
+        meta = {"re": "[1.0]", "im": "x", "representation": "momentum"}
+        out = tmp_path / "f.json"
+        cli.write_field_file(str(out), grids, v, meta, fmt="json")
+        doc = {
+            "format": "ncwigner-field",
+            "version": 1,
+            "meta": meta,
+            "axes": [{"n": g.n, "origin": g.origin, "step": g.step} for g in grids],
+            "layout": "axis0-fastest",
+            "re": v.real.ravel(order="F").tolist(),
+            "im": v.imag.ravel(order="F").tolist(),
+        }
+        ref = tmp_path / "ref.json"
+        with open(ref, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        assert out.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "gnuplot", "json"])
+    @pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.inf),
+                                     complex(-np.inf, 1.0)])
+    def test_non_finite_values_are_refused(self, tmp_path, fmt, bad):
+        from ncwigner.core import Grid1D
+
+        g = Grid1D.symmetric(4, 1.0)
+        v = np.ones((4, 4), dtype=complex)
+        v[2, 1] = bad
+        out = tmp_path / "f.txt"
+        with pytest.raises(ValueError, match="values must be finite") as exc:
+            cli.write_field_file(str(out), (g, g), v, {}, fmt=fmt)
+        assert "\n" not in str(exc.value)
+        assert not out.exists()
+
+    def test_csv_round_trip_keeps_signed_zeros_bitwise(self, tmp_path):
+        from ncwigner.core import Grid1D
+
+        g = Grid1D.symmetric(4, 1.0)
+        parts = np.array([-0.0, 0.0, 5e-324, -5e-324, 1.5, -0.0, -5e-324, 0.0])
+        v = np.empty((4, 4), dtype=complex)
+        v.real = np.resize(parts, (4, 4))
+        v.imag = np.resize(parts[::-1], (4, 4))
+        out = tmp_path / "f.csv"
+        cli.write_field_file(str(out), (g, g), v, {}, fmt="csv")
+        assert read_field_file(str(out)).values.tobytes() == v.tobytes()
 
 
 class TestStarAndMarginalCommands:
@@ -332,6 +391,103 @@ class TestInputContract:
                           "--grid", "5", "--extent", "1", "--slice", "q2=0,p2=0",
                           "--method", "fft", "--out", str(tmp_path / "w.csv")], capsys,
                          "conjugate lattice", code=4)
+
+    @pytest.mark.parametrize("fmt", ["csv", "gnuplot"])
+    @pytest.mark.parametrize("case, fragment", [
+        ("bad row", "line 9: expected four"),
+        ("three columns", "line 9: expected four"),
+        ("five columns", "line 7: expected four"),
+        ("non-finite sample", "line 9: expected four"),
+        ("overflowing sample", "line 9: expected four"),
+        ("bad axis header", "malformed axis1 header"),
+        ("missing axis header", "lacks the axis1 header"),
+        ("missing row", "expected 16 rows, got 15"),
+        ("header only", "no sample rows"),
+    ])
+    def test_malformed_text_field_file(self, tmp_path, capsys, fmt, case, fragment):
+        from ncwigner.core import Grid1D
+
+        g = Grid1D.symmetric(4, 1.0)
+        good = tmp_path / "good.txt"
+        cli.write_field_file(str(good), (g, g), np.ones((4, 4)), {"representation": "position"},
+                             fmt=fmt)
+        lines = good.read_text().split("\n")
+        assert lines[5].startswith("# columns") and lines[6][0] != "#"   # line 7: first row
+        sep = "," if fmt == "csv" else " "
+        if case == "bad row":
+            lines[8] = sep.join(["0", "0", "abc", "0"])
+        elif case == "three columns":
+            lines[8] = sep.join(["0", "0", "1"])
+        elif case == "five columns":
+            lines = [ln if ln.startswith("#") or not ln else ln + sep + "1" for ln in lines]
+        elif case == "non-finite sample":
+            lines[8] = sep.join(["0", "0", "1", "nan"])
+        elif case == "overflowing sample":
+            lines[8] = sep.join(["0", "0", "1e999", "0"])
+        elif case == "bad axis header":
+            lines[3] = "# axis1: n=4 origin=inf step=0.5"
+        elif case == "missing axis header":
+            del lines[3]
+        elif case == "missing row":
+            del lines[8]
+        else:
+            lines = [ln for ln in lines if ln.startswith("#")]
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(fragment)) as exc:
+                read_field_file(str(bad))
+        assert "\n" not in str(exc.value)
+        self.expect_exit(self.standard(tmp_path, state=f"file:{bad}"), capsys, fragment)
+
+    @pytest.mark.parametrize("case, fragment", [
+        ("truncated", "not valid json"),
+        ("wrong format tag", "not an ncwigner-field version 1 json document"),
+        ("one axis", "not an ncwigner-field version 1 json document"),
+        ("float axis length", "malformed axis0 header"),
+        ("short re", "expected 16 finite numbers"),
+        ("non-finite im", "expected 16 finite numbers"),
+        ("string sample", "expected 16 finite numbers"),
+    ])
+    def test_malformed_json_field_file(self, tmp_path, capsys, case, fragment):
+        import json
+
+        from ncwigner.core import Grid1D
+
+        g = Grid1D.symmetric(4, 1.0)
+        good = tmp_path / "good.json"
+        cli.write_field_file(str(good), (g, g), np.ones((4, 4)), {"representation": "position"},
+                             fmt="json")
+        doc = json.loads(good.read_text())
+        if case == "wrong format tag":
+            doc["format"] = "other"
+        elif case == "one axis":
+            del doc["axes"][1]
+        elif case == "float axis length":
+            doc["axes"][0]["n"] = 4.0
+        elif case == "short re":
+            del doc["re"][3]
+        elif case == "non-finite im":
+            doc["im"][5] = math.inf
+        elif case == "string sample":
+            doc["re"][5] = "1.0"
+        text = good.read_text()[:-20] if case == "truncated" else json.dumps(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(fragment)) as exc:
+            read_field_file(str(bad))
+        assert "\n" not in str(exc.value)
+        self.expect_exit(self.standard(tmp_path, state=f"file:{bad}"), capsys, fragment)
+
+    def test_star_4d_memory_guard_exit_4(self, tmp_path, capsys, monkeypatch):
+        import ncwigner.starprod as starprod
+
+        monkeypatch.setattr(starprod, "_STAR4D_MAX_BYTES", 5 * 16 * 8 ** 4 - 1)
+        self.expect_exit(["star", "hbar", "--hbar", "2", "--vartheta", "0.5",
+                          "--bfield", "0.25", "--state-grid", "64", "--state-extent", "8",
+                          "--grid", "8", "--extent", "1.5", "--out", str(tmp_path / "s.csv")],
+                         capsys, "need about 327680 bytes", code=4)
 
     def test_field_file_without_magic_line(self, tmp_path, capsys):
         good = tmp_path / "good.csv"

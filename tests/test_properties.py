@@ -1,5 +1,5 @@
-"""Property tests of the coordinate maps, the scaled representations and
-the axis shifter.
+"""Property tests of the coordinate maps, the scaled representations, the
+axis shifter and the field-file round trip.
 
 Hypothesis runs derandomized with few examples, so these tests are
 deterministic and fast.
@@ -8,12 +8,14 @@ deterministic and fast.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ncwigner.core import (CoadjointPoint, DimensionalConstants, Grid2D, make_orbit_label,
-                           nc_to_orbit, orbit_to_nc)
+from ncwigner.cli import read_field_file, write_field_file
+from ncwigner.core import (CoadjointPoint, DimensionalConstants, Grid1D, Grid2D,
+                           make_orbit_label, nc_to_orbit, orbit_to_nc)
 from ncwigner.numerics import (_axis_shifter, momentum_representation,
                                position_representation)
 from ncwigner.oracles import random_hermite_gaussian
@@ -103,3 +105,27 @@ def test_axis_shifter_repeats_the_one_off_shift_bitwise(seed, n0, n1, step, axis
     shift = _axis_shifter(values, step, axis)
     for d in [x * step for x in ds + ds[::-1]]:
         assert shift(d).tobytes() == reference_axis_shift(values, d, step, axis).tobytes()
+
+
+# any finite double, with signed zeros and subnormals drawn often
+samples = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-05, 1.0]),
+)
+axes = st.builds(Grid1D, st.integers(2, 9), st.floats(-1e6, 1e6),
+                 st.floats(1e-6, 1e6, exclude_min=True))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "gnuplot", "json"])
+@PROPERTY
+@given(axes, axes, st.data())
+def test_field_file_round_trip_is_bitwise(tmp_path_factory, fmt, g0, g1, data):
+    shape = (g0.n, g1.n)
+    parts = data.draw(arrays(np.float64, (2, *shape), elements=samples))
+    values = np.empty(shape, dtype=np.complex128)
+    values.real, values.imag = parts
+    path = tmp_path_factory.mktemp("field") / f"f.{fmt}"
+    write_field_file(str(path), (g0, g1), values, {"representation": "momentum"}, fmt=fmt)
+    back = read_field_file(str(path))
+    assert back.values.tobytes() == values.tobytes()
+    assert (back.grid.axis0, back.grid.axis1, back.rep) == (g0, g1, "momentum")

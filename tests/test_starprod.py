@@ -28,6 +28,7 @@ from ncwigner import (
     star_vartheta,
     wigner_nc,
 )
+import ncwigner.starprod as starprod
 from ncwigner.core import nc_domain, orbit_domain
 from ncwigner.numerics import _axis_reflect, _axis_shift
 from ncwigner.oracles import direct_star_oracle
@@ -298,6 +299,39 @@ class TestStar4D:
         with pytest.raises(GridTooLarge, match=r"^4D star products are capped at 16 points "
                            r"per axis \(got 24\); pass max_axis_points to override$"):
             star_hbar(z, z, self.params)
+
+    def test_memory_guard_runs_before_any_4d_temporary(self, star4d_setup, monkeypatch):
+        dom, w1, w2 = star4d_setup
+        need = 5 * 16 * 8 ** 4
+
+        def not_reached(*args, **kwargs):
+            raise AssertionError("a 4D temporary was allocated before the memory guard")
+
+        monkeypatch.setattr(starprod, "_STAR4D_MAX_BYTES", need - 1)
+        monkeypatch.setattr(starprod, "_axis_weights", not_reached)
+        for fn in (star_hbar, star_general):
+            with pytest.raises(GridTooLarge, match=rf"^4D star products on a 8x8x8x8 grid need "
+                               rf"about {need} bytes, above the limit of {need - 1} bytes$"):
+                fn(w1, w2, self.params)
+
+    def test_memory_estimate_matches_the_measured_peak(self):
+        # the guard's estimate of five n^4 complex arrays against tracemalloc
+        # at 16^4; the default limit admits the 32^4 grids max_axis_points=32 allows
+        g = Grid1D.symmetric(16, 1.5)
+        dom = orbit_domain(k1s=g, k2s=g, k3s=g, k4s=g)
+        xx, yy, zz, ww = np.meshgrid(*(g.coords(),) * 4, indexing="ij")
+        env = np.exp(-(xx ** 2 + yy ** 2 + zz ** 2 + ww ** 2) / 2.0)
+        w = _rand4d(np.random.default_rng(16), dom, env, xx, yy, zz, ww)
+        need = 5 * 16 * 16 ** 4
+        for fn in (star_hbar, star_general):
+            tracemalloc.start()
+            try:
+                fn(w, w, self.params)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert 0.95 * need <= peak <= 1.05 * need
+        assert 5 * 16 * 32 ** 4 < starprod._STAR4D_MAX_BYTES
 
     def test_degenerate_general_rejected(self, star4d_setup):
         dom, w1, w2 = star4d_setup
