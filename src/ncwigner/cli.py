@@ -19,6 +19,7 @@ standard error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import operator
@@ -119,18 +120,17 @@ def write_field_file(path: str, grids: tuple[Grid1D, Grid1D], values: np.ndarray
         lines.append(f"# {key}: {val}")
     for name, g in (("axis0", g0), ("axis1", g1)):
         lines.append(f"# {name}: n={g.n} origin={_fnum(g.origin)} step={_fnum(g.step)}")
-    lines.append("# layout: axis0-fastest")
     # each coordinate is formatted once into a row template that one %
     # fills with the samples, re and im interleaved in row order
     xs0 = [_fnum(x) for x in g0.coords()]
     xs1 = [_fnum(x) for x in g1.coords()]
     if fmt == "csv":
-        lines.append(f"# columns: {_CSV_COLUMNS}")
+        lines += ["# layout: axis0-fastest", f"# columns: {_CSV_COLUMNS}"]
         order = "F"
         rows = "".join(tail.join(xs0) + tail
                        for tail in (f",{b},{_FMT},{_FMT}\n" for b in xs1))
     else:
-        lines.append(f"# columns: {_GNUPLOT_COLUMNS}")
+        lines += ["# layout: axis1-fastest", f"# columns: {_GNUPLOT_COLUMNS}"]
         order = "C"
         rows = "".join(f"{a} " + f" {_FMT} {_FMT}\n{a} ".join(xs1) + f" {_FMT} {_FMT}\n\n"
                        for a in xs0)
@@ -144,8 +144,8 @@ def read_field_file(path: str) -> ComplexField2D:
     writes (csv, gnuplot or json); the values round-trip bit for bit,
     signed zeros included.  A malformed file (no magic first line, a bad
     axis header, a bad row, a wrong row or column count, a non-finite
-    sample or no samples at all) raises ValueError with a one-line
-    message."""
+    sample, x0/x1 columns off the header grids in the file's row order,
+    or no samples at all) raises ValueError with a one-line message."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     if text.startswith("{"):
@@ -215,19 +215,37 @@ def _parse_text_field(path: str, text: str):
                          f"{what}-separated finite numbers x0,x1,re,im")
     if data.shape[0] != expected:
         raise ValueError(f"field file {path}: expected {expected} rows, got {data.shape[0]}")
-    return grids, data[:, 2], data[:, 3], "C" if gnuplot else "F", meta
+    order = "C" if gnuplot else "F"
+    # row r must sit at its grid point in the file's layout; within 1e-9 of
+    # a step, which the writer's 17 significant digits meet exactly
+    want = [x.ravel(order=order) for x in np.meshgrid(*(g.coords() for g in grids),
+                                                      indexing="ij")]
+    off = np.zeros(expected, dtype=bool)
+    for axis, g in enumerate(grids):
+        off |= np.abs(data[:, axis] - want[axis]) > 1e-9 * g.step
+    if off.any():
+        k = int(np.argmax(off))
+        line = next(itertools.islice(_sample_rows(body, delim), k, None))[0]
+        raise ValueError(f"field file {path}, line {first + line + 1}: x0,x1 should be "
+                         f"{_fnum(want[0][k])},{_fnum(want[1][k])} in this row")
+    return grids, data[:, 2], data[:, 3], order, meta
+
+
+def _sample_rows(body: list[str], delim: str | None):
+    """(index in body, text before any comment) of each sample row.  Rows
+    are skipped where np.loadtxt skips them: empty once the comment is
+    cut, and for whitespace-separated rows also when only whitespace is
+    left."""
+    for i, line in enumerate(body):
+        line = line.partition("#")[0]
+        if line.strip() if delim is None else line:
+            yield i, line
 
 
 def _first_bad_row(body: list[str], delim: str | None) -> int | None:
     """Index in body of the first sample row that is not four finite
-    numbers; only run once the vectorised parse has failed, to name it.
-    Rows are skipped where np.loadtxt skips them: empty once the comment
-    is cut, and for whitespace-separated rows also when only whitespace
-    is left."""
-    for i, line in enumerate(body):
-        line = line.partition("#")[0]
-        if not (line.strip() if delim is None else line):
-            continue
+    numbers; only run once the vectorised parse has failed, to name it."""
+    for i, line in _sample_rows(body, delim):
         try:
             row = [float(t) for t in line.split(delim)]
         except ValueError:

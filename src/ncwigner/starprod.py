@@ -92,12 +92,15 @@ class MarginalField:
         object.__setattr__(self, "values", v)
 
 
-def _marginal(w: WignerField, leading: bool) -> MarginalField:
+def _marginal(w: WignerField, label: OrbitLabel, leading: bool) -> MarginalField:
     """Trapezoid integral over the two leading (q^nc) or the two trailing
     (p^nc) axes, on the grid of the other pair: one matrix-vector product
-    on the 2D view of the field, with no copy of it."""
+    on the 2D view of the field, with no copy of it.  A field that carries
+    a label must carry ``label``."""
     if not (w.domain.names == NC_COORDS and w.domain.is_full):
         raise ValueError("marginals need a full 4D field over the nc coordinates")
+    if w.label is not None and w.label != label:
+        raise ValueError(f"the field carries {w.label!r}, not the {label!r} passed")
     n0, n1, n2, n3 = w.domain.shape
     grids = w.domain.grids
     pair, rest = (grids[:2], grids[2:]) if leading else (grids[2:], grids[:2])
@@ -119,13 +122,13 @@ def marginal_momentum(w: WignerField, label: OrbitLabel) -> MarginalField:
     |k1 a| / sqrt|k1^2 a^2 - k2 k3 b g| * |psihat(p^nc)|^2, which the tests
     verify against an independently computed right-hand side.
     """
-    return _marginal(w, leading=True)
+    return _marginal(w, label, leading=True)
 
 
 def marginal_position(w: WignerField, label: OrbitLabel) -> MarginalField:
     """Integrate a full (q^nc, p^nc) field over p^nc; mirror of
     :func:`marginal_momentum` with |psi(q^nc)|^2 and the same prefactor."""
-    return _marginal(w, leading=False)
+    return _marginal(w, label, leading=False)
 
 
 # ---------------------------------------------------------------------------

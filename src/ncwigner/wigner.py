@@ -70,6 +70,8 @@ over the orbit to ||ket||^2 ||bra||^2): 1/a^2 on the generic sector,
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import os
 import threading
@@ -318,15 +320,43 @@ class _GroupEvaluator:
         return self.eval_centre(c0, c1, step)
 
 
+@functools.cache
+def _blas_local_threads_setter():
+    """OpenBLAS's per-thread ``openblas_set_num_threads_local(n)`` from the
+    OpenBLAS this process has loaded (found in /proc/self/maps), or None
+    where there is no such library or symbol.  Looked up once, at the first
+    threaded engine call."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for sym in ("openblas_set_num_threads_local", "scipy_openblas_set_num_threads_local64_",
+                    "openblas_set_num_threads_local64_"):
+            fn = getattr(lib, sym, None)
+            if fn is not None:
+                fn.argtypes = [ctypes.c_int]
+                fn.restype = ctypes.c_int
+                return fn
+    return None
+
+
 def _run_groups(n_groups, run, new_evaluator):
     """run(lo, hi, evaluator) over groups 0..n_groups-1, threaded when there
     are enough groups.  Threads take contiguous chunks, so each chunk's
     evaluator (one per chunk: each holds a reflected ket) keeps its c0
-    cache warm."""
+    cache warm.  Pool workers run BLAS on one thread each, so the pool
+    alone sets the parallelism; the calling thread keeps its BLAS threads."""
     workers = _worker_count()
     if workers > 1 and n_groups >= 64:
         chunk = -(-n_groups // workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=workers, initializer=_blas_local_threads_setter(),
+                                initargs=(1,)) as pool:
             futures = [
                 pool.submit(run, lo, min(lo + chunk, n_groups), new_evaluator())
                 for lo in range(0, n_groups, chunk)

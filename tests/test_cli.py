@@ -441,6 +441,71 @@ class TestInputContract:
         assert "\n" not in str(exc.value)
         self.expect_exit(self.standard(tmp_path, state=f"file:{bad}"), capsys, fragment)
 
+    def test_swapped_rows_are_refused(self, tmp_path, capsys):
+        from ncwigner.core import Grid1D
+
+        g = Grid1D.symmetric(4, 1.0)
+        v = 4.0 * np.arange(4)[:, None] + np.arange(4)[None, :]   # values[1, 0] = 4
+        good = tmp_path / "good.csv"
+        cli.write_field_file(str(good), (g, g), v, {"representation": "position"})
+        assert read_field_file(str(good)).values[1, 0] == 4
+        lines = good.read_text().split("\n")
+        assert lines[6:9] == ["-1,-1,0,0", "-0.5,-1,4,0", "0,-1,8,0"]
+        lines[7], lines[8] = lines[8], lines[7]
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines))
+        fragment = "line 8: x0,x1 should be -0.5,-1 in this row"
+        with pytest.raises(ValueError, match=re.escape(fragment)) as exc:
+            read_field_file(str(bad))
+        assert "\n" not in str(exc.value)
+        self.expect_exit(self.standard(tmp_path, state=f"file:{bad}"), capsys, fragment)
+
+    @pytest.mark.parametrize("fmt", ["csv", "gnuplot"])
+    @pytest.mark.parametrize("axis, shift, ok", [(0, 1e-3, False), (1, -1e-3, False),
+                                                 (0, 1e-12, True), (1, -1e-12, True)])
+    def test_edited_coordinate(self, tmp_path, fmt, axis, shift, ok):
+        # off the header grid by more than 1e-9 of a step is refused; the
+        # comment line in between must not shift the reported line number
+        from ncwigner.core import Grid1D
+
+        g0, g1 = Grid1D(4, -1.0, 0.5), Grid1D(3, 0.25, 0.75)
+        good = tmp_path / "good.txt"
+        cli.write_field_file(str(good), (g0, g1), np.ones((4, 3)),
+                             {"representation": "position"}, fmt=fmt)
+        lines = good.read_text().split("\n")
+        sep = "," if fmt == "csv" else " "
+        row = lines[10].split(sep)
+        row[axis] = repr(float(row[axis]) + shift)
+        lines[10] = sep.join(row)
+        lines.insert(9, "# a comment")
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines))
+        if ok:
+            assert read_field_file(str(bad)).values.shape == (4, 3)
+        else:
+            with pytest.raises(ValueError, match="line 12: x0,x1 should be "):
+                read_field_file(str(bad))
+
+    def test_gnuplot_layout_header(self, tmp_path):
+        from ncwigner.core import Grid1D
+
+        g = Grid1D.symmetric(4, 1.0)
+        v = np.arange(16.0).reshape(4, 4)
+        headers = {}
+        for fmt in ("csv", "gnuplot"):
+            out = tmp_path / f"f.{fmt}"
+            cli.write_field_file(str(out), (g, g), v, {}, fmt=fmt)
+            headers[fmt] = [ln for ln in out.read_text().split("\n")
+                            if ln.startswith("# layout:")]
+        assert headers == {"csv": ["# layout: axis0-fastest"],
+                           "gnuplot": ["# layout: axis1-fastest"]}
+        # files from the writer that labelled gnuplot rows axis0-fastest still read
+        old = tmp_path / "old.dat"
+        old.write_text((tmp_path / "f.gnuplot").read_text().replace(
+            "# layout: axis1-fastest", "# layout: axis0-fastest"))
+        assert read_field_file(str(old)).values.tobytes() \
+            == v.astype(np.complex128).tobytes()
+
     @pytest.mark.parametrize("case, fragment", [
         ("truncated", "not valid json"),
         ("wrong format tag", "not an ncwigner-field version 1 json document"),

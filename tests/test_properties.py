@@ -1,5 +1,6 @@
 """Property tests of the coordinate maps, the scaled representations, the
-axis shifter and the field-file round trip.
+axis shifter, the field-file round trip and the engine's sesquilinearity
+and hermiticity on the point and grid paths.
 
 Hypothesis runs derandomized with few examples, so these tests are
 deterministic and fast.
@@ -13,12 +14,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ncwigner import RankOneOperator, wigner_nc
 from ncwigner.cli import read_field_file, write_field_file
 from ncwigner.core import (CoadjointPoint, DimensionalConstants, Grid1D, Grid2D,
-                           make_orbit_label, nc_to_orbit, orbit_to_nc)
+                           make_orbit_label, nc_domain, nc_to_orbit, orbit_to_nc)
 from ncwigner.numerics import (_axis_shifter, momentum_representation,
                                position_representation)
 from ncwigner.oracles import random_hermite_gaussian
+from ncwigner.wigner import aligned_frequency_grid
 
 PROPERTY = settings(derandomize=True, max_examples=30, deadline=None)
 
@@ -29,9 +32,9 @@ points = arrays(np.float64, st.tuples(st.integers(1, 40), st.just(4)),
 
 
 @st.composite
-def labels(draw):
-    """Labels from all three sectors, kept away from the degenerate surface."""
-    sector = draw(st.sampled_from(["generic", "tau0", "qm"]))
+def labels(draw, sectors=("generic", "tau0", "qm")):
+    """Labels from the given sectors, kept away from the degenerate surface."""
+    sector = draw(st.sampled_from(sectors))
     k1 = draw(signed)
     k2 = 0.0 if sector == "qm" else draw(signed)
     k3 = draw(signed) if sector == "generic" else 0.0
@@ -129,3 +132,82 @@ def test_field_file_round_trip_is_bitwise(tmp_path_factory, fmt, g0, g1, data):
     back = read_field_file(str(path))
     assert back.values.tobytes() == values.tobytes()
     assert (back.grid.axis0, back.grid.axis1, back.rep) == (g0, g1, "momentum")
+
+
+# engine: ket, bra and a third field on a 64^2 momentum grid of extent 8
+# (on 32^2 of extent 6 the swapped transform misses the conjugate by up to
+# 3e-9 relative, a sampling error), nc frequencies within [-1, 1] (inside
+# the band for |k1 a| <= 4) and centres within [-1.5, 1.5], where the
+# integrand carries mass
+ENGINE_GRID = Grid2D.square(64, 8.0)
+scalars = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)).filter(
+    lambda z: abs(z) >= 0.1)
+
+
+def engine_fields(seed):
+    rng = np.random.default_rng(seed)
+    return [random_hermite_gaussian(rng, ENGINE_GRID, rep="momentum") for _ in range(3)]
+
+
+@st.composite
+def nc_points(draw):
+    """Up to 30 nc points over 1-4 shared centres, so groups hold several."""
+    centres = draw(arrays(np.float64, st.tuples(st.integers(1, 4), st.just(2)),
+                          elements=st.floats(-1.5, 1.5)))
+    n = draw(st.integers(1, 30))
+    freqs = draw(arrays(np.float64, (n, 2), elements=st.floats(-1.0, 1.0)))
+    which = draw(arrays(np.intp, n, elements=st.integers(0, len(centres) - 1)))
+    return np.column_stack([freqs, centres[which]])
+
+
+@st.composite
+def nc_grid_domains(draw, label):
+    """Full nc domains: frequency axes on the FFT lattice (4 x 4 of them
+    take the FFT) or anywhere, and centre axes anywhere."""
+    if draw(st.booleans()):
+        omega = label.k1 * label.consts.alpha
+        freq = [aligned_frequency_grid(ENGINE_GRID.axis0, omega, draw(st.integers(2, 4)))
+                for _ in range(2)]
+    else:
+        freq = [Grid1D(draw(st.integers(2, 5)), draw(st.floats(-1.0, 0.0)),
+                       draw(st.floats(0.05, 0.25))) for _ in range(2)]
+    cent = [Grid1D(draw(st.integers(2, 4)), draw(st.floats(-1.5, 0.0)),
+                   draw(st.floats(0.05, 0.5))) for _ in range(2)]
+    return nc_domain(q1nc=freq[0], q2nc=freq[1], p1nc=cent[0], p2nc=cent[1])
+
+
+def engine_values(ket, bra, pts, label):
+    w = wigner_nc(RankOneOperator(ket=ket, bra=bra), pts, label)
+    return getattr(w, "values", w)   # a WignerField for a Domain4D
+
+
+@st.composite
+def engine_inputs(draw, grid_path):
+    label = draw(labels(sectors=("generic",)))
+    pts = draw(nc_grid_domains(label)) if grid_path else draw(nc_points())
+    return label, pts
+
+
+@pytest.mark.parametrize("grid_path", [False, True])
+@PROPERTY
+@given(st.data(), st.integers(0, 2 ** 32 - 1), scalars, scalars)
+def test_engine_is_sesquilinear(grid_path, data, seed, a, b):
+    label, pts = data.draw(engine_inputs(grid_path))
+    chi, chi2, lam = engine_fields(seed)
+    w1 = engine_values(chi, lam, pts, label)
+    w2 = engine_values(chi2, lam, pts, label)
+    mixed = chi.with_values(a * chi.values + chi2.values)
+    w = engine_values(mixed, lam.with_values(b * lam.values), pts, label)
+    scale = abs(b) * (abs(a) * np.max(np.abs(w1)) + np.max(np.abs(w2)))
+    assert np.max(np.abs(w - np.conj(b) * (a * w1 + w2))) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("grid_path", [False, True])
+@PROPERTY
+@given(st.data(), st.integers(0, 2 ** 32 - 1))
+def test_engine_is_hermitian(grid_path, data, seed):
+    label, pts = data.draw(engine_inputs(grid_path))
+    chi, lam, _ = engine_fields(seed)
+    w = engine_values(chi, lam, pts, label)
+    swapped = engine_values(lam, chi, pts, label)
+    assert np.max(np.abs(swapped - np.conj(w))) <= 1e-12 * np.max(np.abs(w))

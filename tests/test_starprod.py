@@ -466,6 +466,19 @@ class TestMarginals:
                 <= 1e-13 * np.max(np.abs(ref))
             assert peak < 0.25 * vals.nbytes
 
+    def test_label_must_match_the_field(self):
+        g = Grid1D.symmetric(4, 2.0)
+        dom = nc_domain(q1nc=g, q2nc=g, p1nc=g, p2nc=g)
+        vals = np.ones(dom.shape)
+        label = make_orbit_label(1.0, -1.0, 1.0)
+        other = make_orbit_label(1.0, -1.0, 0.5)
+        for fn in (marginal_momentum, marginal_position):
+            assert fn(WignerField(dom, vals, label), label).values.shape == (4, 4)
+            assert fn(WignerField(dom, vals), other).values.shape == (4, 4)
+            with pytest.raises(ValueError, match="the field carries") as exc:
+                fn(WignerField(dom, vals, label), other)
+            assert "\n" not in str(exc.value)
+
     def test_requires_full_nc_field(self, gauss_position):
         label = make_orbit_label(1.0, -1.0, 1.0)
         phat = momentum_representation(gauss_position, 1.0)

@@ -1,6 +1,7 @@
 import math
 import os
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -579,6 +580,78 @@ class TestCentreGrouping:
         # reads the clamped value only; no transform runs at this setting
         monkeypatch.setenv("NCWIG_THREADS", "1000000")
         assert wigner._worker_count() == (os.cpu_count() or 1)
+
+
+@pytest.fixture(scope="module")
+def gemm_cloud():
+    """64 centres on a 96^2 state grid, each with a 32 x 4 product of
+    off-lattice frequencies: every group takes the separable contraction,
+    whose first product (32x96)(96x96) is large enough for a threaded BLAS
+    to split it."""
+    rng = np.random.default_rng(25)
+    grid = default_state_grid(96, 10.0)
+    op = RankOneOperator(random_hermite_gaussian(rng, grid, rep="momentum"),
+                         random_hermite_gaussian(rng, grid, rep="momentum"))
+    half_dk = math.pi / (grid.axis0.n * grid.axis0.step)
+    q1 = (np.arange(32) - 16 + 0.37) * half_dk
+    q2 = (np.arange(4) - 2 + 0.61) * half_dk
+    freqs = np.stack(np.meshgrid(q1, q2, indexing="ij"), axis=-1).reshape(-1, 2)
+    pts = np.concatenate([np.column_stack([freqs, np.broadcast_to(c, freqs.shape)])
+                          for c in rng.uniform(-2.0, 2.0, size=(64, 2))])
+    return op, pts
+
+
+class TestBlasThreads:
+    """Engine pool workers run BLAS on one thread; the caller keeps its own."""
+
+    def test_setter_runs_once_in_each_pool_worker(self, generic_label, cloud_op,
+                                                  monkeypatch):
+        calls, workers = [], set()
+        eval_group = wigner._GroupEvaluator.eval_group
+
+        def spy(self, c0, c1, w0, w1):
+            workers.add(threading.get_ident())
+            return eval_group(self, c0, c1, w0, w1)
+
+        monkeypatch.setattr(wigner._GroupEvaluator, "eval_group", spy)
+        monkeypatch.setattr(wigner, "_blas_local_threads_setter",
+                            lambda: lambda n: calls.append((threading.get_ident(), n)))
+        monkeypatch.setattr(wigner, "_worker_count", lambda: 2)
+        pts = centre_cloud(np.random.default_rng(24), cloud_op.ket, 96, scattered=False)
+        wigner_nc(cloud_op, pts, generic_label)
+        idents = [ident for ident, _ in calls]
+        assert [n for _, n in calls] == [1] * len(calls)
+        assert len(set(idents)) == len(idents) == len(workers)
+        assert set(idents) == workers
+        assert threading.get_ident() not in idents
+        # the single-chunk path stays on the calling thread and sets nothing
+        calls.clear()
+        monkeypatch.setattr(wigner, "_worker_count", lambda: 1)
+        wigner_nc(cloud_op, pts, generic_label)
+        assert calls == []
+
+    def test_missing_symbol_leaves_the_engine_as_it_is(self, generic_label, cloud_op,
+                                                       monkeypatch):
+        pts = centre_cloud(np.random.default_rng(24), cloud_op.ket, 96, scattered=False)
+        monkeypatch.setattr(wigner, "_worker_count", lambda: 2)
+        ref = wigner_nc(cloud_op, pts, generic_label)
+        monkeypatch.setattr(wigner, "_blas_local_threads_setter", lambda: None)
+        assert wigner_nc(cloud_op, pts, generic_label).tobytes() == ref.tobytes()
+
+    def test_lookup_finds_a_setter_or_none(self):
+        setter = wigner._blas_local_threads_setter()
+        assert setter is None or callable(setter)
+        assert wigner._blas_local_threads_setter() is setter
+
+    def test_thread_count_invariance_on_separable_contraction(self, generic_label,
+                                                              gemm_cloud, monkeypatch):
+        op, pts = gemm_cloud
+        assert len(np.unique(pts[:, 2:], axis=0)) >= 64  # threaded branch
+        monkeypatch.setenv("NCWIG_THREADS", "1")
+        one = wigner_nc(op, pts, generic_label)
+        monkeypatch.setenv("NCWIG_THREADS", "2")
+        two = wigner_nc(op, pts, generic_label)
+        assert one.tobytes() == two.tobytes()
 
 
 def theta_cloud(params, out, kint, cint):
