@@ -274,16 +274,14 @@ def _prop42_lhs(psi, params, out0, out1, which, cint, kint):
         jac = abs(e / (hb * th))
         pts = np.stack([k1v.ravel(), k2v.ravel(), k3v.ravel(), k4v.ravel()], axis=1)
         vals = wigner_nc_params(psi, pts, params).reshape(k1v.shape)
-        return jac * np.einsum("abkc,k,c->ab", vals, _axis_weights(kint, "trapezoid"),
-                               _axis_weights(cint, "trapezoid"))
+        return jac * np.einsum("abkc,k,c->ab", vals, _axis_weights(kint), _axis_weights(cint))
     c0v, k2v, k3v, k4v = np.meshgrid(cint.coords(), kint.coords(),
                                      out0.coords(), out1.coords(), indexing="ij")
     k1v = (e * c0v - hb * th * k4v) / hb ** 2
     jac = abs(e / hb ** 2)
     pts = np.stack([k1v.ravel(), k2v.ravel(), k3v.ravel(), k4v.ravel()], axis=1)
     vals = wigner_nc_params(psi, pts, params).reshape(c0v.shape)
-    return jac * np.einsum("ckab,c,k->ab", vals, _axis_weights(cint, "trapezoid"),
-                           _axis_weights(kint, "trapezoid"))
+    return jac * np.einsum("ckab,c,k->ab", vals, _axis_weights(cint), _axis_weights(kint))
 
 
 def _prop42_errors(label, coarse_state, fine_pos, fine_mom, out):

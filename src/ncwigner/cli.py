@@ -53,6 +53,7 @@ from .core import (
     orbit_to_nc,
 )
 from ._suites import VerifyConfig, iter_verification_suites, qm_limit_study
+from .numerics import _ALIGN_TOL
 from .oracles import format_report, gaussian_state, gaussian_state_momentum
 from .starprod import (_STAR4D_AXIS_CAP, marginal_momentum, marginal_position, star_B,
                        star_general, star_hbar, star_vartheta)
@@ -69,6 +70,8 @@ _FMT = "%.17g"
 _FIELD_MAGIC = "# ncwigner-field 1"
 _CSV_COLUMNS = "x0,x1,re,im"
 _GNUPLOT_COLUMNS = "x0 x1 re im (blank line between x0 blocks)"
+# points per axis up to which the CLI grows a built-in state's grid
+_STATE_GRID_CAP = 4096
 
 
 def _fnum(x: float) -> str:
@@ -314,12 +317,15 @@ def _parse_state_spec(spec: str):
     parts = [p for p in rest.split(",") if p != ""]
     if len(parts) not in (2, 4, 6):
         raise _CliFailure(2, "--state gaussian: needs n0,n1[,q01,p01|,q01,q02,p01,p02]")
-    n0, n1 = int(parts[0]), int(parts[1])
-    center = [0.0, 0.0, 0.0, 0.0]
-    if len(parts) == 4:
-        center = [float(parts[2]), 0.0, float(parts[3]), 0.0]
-    elif len(parts) == 6:
-        center = [float(p) for p in parts[2:]]
+    try:
+        n0, n1, *xs = int(parts[0]), int(parts[1]), *map(float, parts[2:])
+        ok = min(n0, n1) >= 0 and all(map(math.isfinite, xs))
+    except ValueError:
+        ok = False
+    if not ok:
+        raise _CliFailure(2, f"--state gaussian: {rest!r} needs whole n0,n1 >= 0 and "
+                             "finite centre coordinates")
+    center = [xs[0], 0.0, xs[1], 0.0] if len(xs) == 2 else xs or [0.0] * 4
     return ("gaussian", (n0, n1), tuple(center))
 
 
@@ -414,8 +420,12 @@ def _momentum_state_for_output(args, label: OrbitLabel, domain: Domain4D,
         unit = math.pi / dkap
         extent = max(1, math.ceil(extent / unit)) * unit
     n = args.state_grid
-    while math.pi * n / (2.0 * extent) <= 1.05 * kmax and n < 4096:
+    while math.pi * n / (2.0 * extent) <= 1.05 * kmax and n < _STATE_GRID_CAP:
         n *= 2
+    if kmax * extent / math.pi > n / 2 + _ALIGN_TOL:
+        # the transform's Nyquist guard, checked before the state is built
+        raise GridTooCoarse(f"the output frequencies need more than {n} state points "
+                            "per axis; shrink the output extent")
     grid = Grid1D.symmetric(n, extent)
     return gaussian_state_momentum(Grid2D(grid, grid), a, center=center,
                                    hermite=hermite)
@@ -531,7 +541,13 @@ def _cmd_star(args) -> int:
             supp = max(abs(center[0]), abs(center[1])) + 8.0
             if math.isfinite(kernel_scale):
                 h_needed = 0.45 * math.pi / (kernel_scale * (args.extent + supp))
-                n = max(args.state_grid, int(math.ceil(2 * (supp + 2) / h_needed)))
+                need = math.ceil(2 * (supp + 2) / h_needed)
+                if need > _STATE_GRID_CAP:
+                    raise GridTooLarge(
+                        f"star {kind}: the kernel chirp needs {need} state points per "
+                        f"axis, above the cap of {_STATE_GRID_CAP}; raise "
+                        f"|{'bfield' if need_mom else 'vartheta'}| or shrink --extent")
+                n = max(args.state_grid, need)
                 n += n % 2
             else:
                 n = args.state_grid
@@ -612,6 +628,25 @@ def _cmd_limit(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _checked(convert, ok, what):
+    """argparse type= that converts a value and refuses it unless ok(value)."""
+    def parse(text):
+        try:
+            v = convert(text)
+            if ok(v):
+                return v
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+    return parse
+
+
+_POINTS = _checked(int, lambda v: v >= 2, "a whole number >= 2")
+_EXTENT = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
+_NONZERO = _checked(float, lambda v: math.isfinite(v) and v != 0, "a finite nonzero number")
+_COUNT = _checked(int, lambda v: v >= 0, "a whole number >= 0")
+
+
 def _add_label_args(p, required=True):
     p.add_argument("--k1", type=float, required=required, default=None)
     p.add_argument("--k2", type=float, default=0.0)
@@ -624,8 +659,8 @@ def _add_label_args(p, required=True):
 def _add_state_args(p):
     p.add_argument("--state", default="gaussian:0,0",
                    help="gaussian:n0,n1[,q01,q02,p01,p02] or file:<path>")
-    p.add_argument("--state-grid", type=int, default=128)
-    p.add_argument("--state-extent", type=float, default=10.0)
+    p.add_argument("--state-grid", type=_POINTS, default=128)
+    p.add_argument("--state-extent", type=_EXTENT, default=10.0)
 
 
 def _add_output_args(p):
@@ -642,11 +677,11 @@ def build_parser() -> argparse.ArgumentParser:
     pw = sub.add_parser("wigner", help="compute a Wigner transform slice")
     pw.add_argument("variant", choices=tuple(_WIGNER_VARIANTS))
     _add_label_args(pw, required=False)
-    pw.add_argument("--planck-h", type=float, default=2.0 * math.pi,
+    pw.add_argument("--planck-h", type=_NONZERO, default=2.0 * math.pi,
                     help="Planck constant for the standard transform")
     _add_state_args(pw)
-    pw.add_argument("--grid", type=int, default=128, help="output points per axis")
-    pw.add_argument("--extent", type=float, default=10.0, help="output half-extent")
+    pw.add_argument("--grid", type=_POINTS, default=128, help="output points per axis")
+    pw.add_argument("--extent", type=_EXTENT, default=10.0, help="output half-extent")
     pw.add_argument("--slice", default=None,
                     help="fixed coordinates, e.g. k3s=0,k4s=0")
     pw.add_argument("--method", choices=("auto", "fft", "direct"), default="auto")
@@ -657,11 +692,11 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("which", choices=("momentum", "position"))
     _add_label_args(pm)
     _add_state_args(pm)
-    pm.add_argument("--grid", type=int, default=32)
-    pm.add_argument("--extent", type=float, default=5.0)
-    pm.add_argument("--int-grid", type=int, default=64,
+    pm.add_argument("--grid", type=_POINTS, default=32)
+    pm.add_argument("--extent", type=_EXTENT, default=5.0)
+    pm.add_argument("--int-grid", type=_POINTS, default=64,
                     help="points per axis for the integrated pair")
-    pm.add_argument("--int-extent", type=float, default=5.0)
+    pm.add_argument("--int-extent", type=_EXTENT, default=5.0)
     pm.add_argument("--method", choices=("auto", "fft", "direct"), default="auto")
     _add_output_args(pm)
     pm.set_defaults(func=_cmd_marginal)
@@ -673,10 +708,10 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--vartheta", type=float, default=0.0)
     ps.add_argument("--bfield", type=float, default=0.0)
     _add_state_args(ps)
-    ps.add_argument("--grid", type=int, default=32,
+    ps.add_argument("--grid", type=_POINTS, default=32,
                     help="output points per axis; hbar and general use at most "
                          f"{_STAR4D_AXIS_CAP}")
-    ps.add_argument("--extent", type=float, default=3.0)
+    ps.add_argument("--extent", type=_EXTENT, default=3.0)
     _add_output_args(ps)
     ps.set_defaults(func=_cmd_star)
 
@@ -690,7 +725,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl = sub.add_parser("limit", help="commutative-limit study")
     _add_label_args(pl, required=True)
     pl.add_argument("--c", type=float, default=0.25, help="k2 = k3 = c * 2^-m")
-    pl.add_argument("--halvings", type=int, default=4)
+    pl.add_argument("--halvings", type=_COUNT, default=4)
     pl.add_argument("--tolerance", type=float, default=1e-3)
     pl.add_argument("--method", choices=("auto", "fft", "direct"), default="auto")
     _add_state_args(pl)

@@ -409,15 +409,6 @@ class ComplexField2D:
         h = self.grid.axis0.step * self.grid.axis1.step
         return float(np.sqrt(h * np.sum(np.abs(self.values) ** 2)))
 
-    def flat_values(self) -> np.ndarray:
-        """Flat copy with axis0 index varying fastest."""
-        return self.values.ravel(order="F").copy()
-
-    @classmethod
-    def from_flat(cls, grid: Grid2D, flat: np.ndarray, rep: str = "position") -> "ComplexField2D":
-        v = np.asarray(flat, dtype=np.complex128).reshape(grid.shape, order="F")
-        return cls(grid, v, rep)
-
 
 @dataclass(frozen=True)
 class RankOneOperator:

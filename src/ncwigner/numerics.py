@@ -61,32 +61,17 @@ def conjugate_grid(g: Grid1D) -> Grid1D:
     return Grid1D(n=g.n, origin=-(g.n // 2) * step, step=step)
 
 
-def _axis_weights(g: Grid1D, rule: str) -> np.ndarray:
-    if rule == "trapezoid":
-        w = np.full(g.n, g.step)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return w
-    if rule == "simpson":
-        w = np.zeros(g.n)
-        m = g.n if g.n % 2 == 1 else g.n - 1
-        w[0:m] = 2.0
-        w[1:m:2] = 4.0
-        w[0] = w[m - 1] = 1.0
-        w[0:m] *= g.step / 3.0
-        if m != g.n:
-            # even sample count: trapezoid on the last cell
-            w[-2] += 0.5 * g.step
-            w[-1] += 0.5 * g.step
-        return w
-    raise ValueError(f"unknown quadrature rule {rule!r}")
+def _axis_weights(g: Grid1D) -> np.ndarray:
+    """Trapezoid weights of one axis."""
+    w = np.full(g.n, g.step)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
 
 
-def integrate_2d(f: ComplexField2D, rule: str = "trapezoid") -> complex:
-    """Approximate int int f over the grid's bounding box."""
-    w0 = _axis_weights(f.grid.axis0, rule)
-    w1 = _axis_weights(f.grid.axis1, rule)
-    return complex(w0 @ f.values @ w1)
+def integrate_2d(f: ComplexField2D) -> complex:
+    """Trapezoid approximation of int int f over the grid's bounding box."""
+    return complex(_axis_weights(f.grid.axis0) @ f.values @ _axis_weights(f.grid.axis1))
 
 
 def _cont_ft(f: ComplexField2D, axes: tuple[int, ...], sign: int,

@@ -104,7 +104,7 @@ def _marginal(w: WignerField, label: OrbitLabel, leading: bool) -> MarginalField
     n0, n1, n2, n3 = w.domain.shape
     grids = w.domain.grids
     pair, rest = (grids[:2], grids[2:]) if leading else (grids[2:], grids[:2])
-    weights = np.outer(*(_axis_weights(g, "trapezoid") for g in pair)).ravel()
+    weights = np.outer(*(_axis_weights(g) for g in pair)).ravel()
     vals = w.values.reshape(n0 * n1, n2 * n3)
     if leading:
         vals = (weights @ vals).reshape(n2, n3)
@@ -189,8 +189,7 @@ def _star_2d(fv: np.ndarray, gv: np.ndarray, grid: Grid2D, out: Grid2D,
          abs(a) * (np.max(np.abs(o0)) + s0) * grid.axis1.step],
         what,
     )
-    w2d = np.outer(_axis_weights(grid.axis0, "trapezoid"),
-                   _axis_weights(grid.axis1, "trapezoid"))
+    w2d = np.outer(_axis_weights(grid.axis0), _axis_weights(grid.axis1))
     fw = fv * w2d * np.exp(1j * a * np.outer(e0, e1))
     k1_eta2 = np.exp(-1j * a * np.outer(o0, e1))
     # g(eta1, 2 k2 - eta2): the reversal is node-exact on the symmetric
@@ -280,7 +279,7 @@ def _star4d_setup(w1: WignerField, w2: WignerField, max_axis_points: int):
                            f"need about {need} bytes, above the limit of "
                            f"{_STAR4D_MAX_BYTES} bytes")
     coords = [g.coords() for g in grids]
-    wt = [_axis_weights(g, "trapezoid") for g in grids]
+    wt = [_axis_weights(g) for g in grids]
     wt4 = (wt[0][:, None, None, None] * wt[1][None, :, None, None]
            * wt[2][None, None, :, None] * wt[3][None, None, None, :])
     return grids, coords, wt4

@@ -13,15 +13,16 @@ frequencies land on the conjugate lattice) or one separable phase
 contraction (for arbitrary points).  A slower, structurally independent
 quadrature lives in :mod:`ncwigner.oracles`.
 
-Centre groups are enumerated in one of two ways.  When wigner_nc,
-wigner_nc_position or cross_wigner_standard gets a Domain4D, each frequency
-and each centre is one domain axis (a fixed coordinate is a one-point
-axis), so the input is already [centre grid] x [frequency grid]: it is
-evaluated on that grid, with one frequency-side step per call and no point
-array or sort.  Point arrays, and orbit-coordinate domains (whose maps mix
-the axes), are grouped by a stable sort on the centres.  Both ways share
-the per-centre step and one contract: groups run with c0 slowest, then c1,
-each group's points in input order, so per point they give the same bits.
+One loop, ``_phase_integral``, runs the centre groups; one of two
+enumerators feeds it.  Point arrays, and orbit-coordinate domains (whose
+maps mix the axes), are grouped by a stable sort on the centres.  When
+wigner_nc, wigner_nc_position or cross_wigner_standard gets a Domain4D,
+each frequency and each centre is one domain axis (a fixed coordinate is a
+one-point axis), so the input is already [centre grid] x [frequency grid]:
+each centre is one group holding the whole frequency grid, with no point
+array or sort.  Both enumerators keep one contract: groups run with c0
+slowest, then c1, each group's points in input order, so per point they
+give the same bits.
 
 Each transform below is one call of the runner ``_transform`` with its
 entry of this coordinate dictionary (k1, k2, k3 label the sector; a, b, g
@@ -74,7 +75,6 @@ import ctypes
 import functools
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -135,9 +135,7 @@ def _worker_count() -> int:
         v = int(raw)
     except ValueError:
         v = 0
-    if v <= 0:
-        return min(4, cpus)
-    return min(v, cpus)
+    return min(v, cpus) if v > 0 else min(4, cpus)
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +157,8 @@ def _as_points(pts) -> np.ndarray:
         if arr.shape[1] != 4:
             raise ValueError("point arrays must have shape (M, 4)")
         return arr
-    rows = []
-    for p in pts:
-        if isinstance(p, (CoadjointPoint, NCCoords)):
-            rows.append(p.as_array())
-        else:
-            rows.append(np.asarray(p, dtype=float))
+    rows = [p.as_array() if isinstance(p, (CoadjointPoint, NCCoords))
+            else np.asarray(p, dtype=float) for p in pts]
     return np.asarray(rows, dtype=float).reshape(-1, 4)
 
 
@@ -204,8 +198,8 @@ class _GroupEvaluator:
         self._c0_key = None
         self._bra_c0 = None
         self._ket_c0 = None
-        # consecutive point groups mostly repeat their frequency set; keep
-        # the last (w0, w1, frequency step) built by eval_group
+        # consecutive groups mostly repeat their frequency set (a product
+        # grid's always do); keep the last (w0, w1, step) eval_group built
         self._group_step = None
 
     def check_resolution(self, w0, w1):
@@ -239,8 +233,7 @@ class _GroupEvaluator:
         Returns contract(h) -> I(w; c) for an integrand h of those centres.
         """
         m0, m1 = self.check_resolution(w0, w1)
-        r0 = np.round(m0)
-        r1 = np.round(m1)
+        r0, r1 = np.round(m0), np.round(m1)
         aligned = (np.all(np.abs(m0 - r0) <= _ALIGN_TOL)
                    and np.all(np.abs(m1 - r1) <= _ALIGN_TOL))
         if self.method == "fft" and not aligned:
@@ -249,9 +242,8 @@ class _GroupEvaluator:
                 "use method='direct' or an aligned output grid"
             )
         size = np.broadcast(w0, w1).size
-        use_fft = self.method == "fft" or (
-            self.method == "auto" and aligned and size >= 16
-        )
+        use_fft = self.method == "fft" or (self.method == "auto" and aligned
+                                           and size >= 16)
         n0, n1 = self.g0.n, self.g1.n
         if use_fft:
             i0 = (r0.astype(int)) % n0
@@ -292,32 +284,23 @@ class _GroupEvaluator:
             return scale * (transform(h) * phase)
         return contract
 
-    def eval_centre(self, c0, c1, frequency_step):
-        """Per-centre step: I(w; c) at (c0, c1), or 0.0 when the integrand
-        lies below the tail cut.  ``frequency_step()`` yields the contraction
-        and is called only for centres above the cut, so the frequency
-        guards fire only where the integrand carries mass."""
+    def eval_group(self, c0, c1, w0, w1):
+        """I(w; c) for all (w0, w1) pairs at one centre (c0, c1), or 0.0
+        when the integrand lies below the tail cut.
+
+        The frequency step is built only for centres above the cut, so its
+        guards fire only where the integrand carries mass.  It is reused
+        from the last group that built one when both frequency arrays are
+        that group's, or equal to them.
+        """
         h = self._integrand(float(c0), float(c1))
         if np.max(np.abs(h)) <= self.tail_cut:
             return 0.0
-        return frequency_step()(h)
-
-    def eval_group(self, c0, c1, w0, w1):
-        """I(w; c) for all (w0, w1) pairs at one centre (c0, c1).
-
-        The frequency step is reused from the last group that built one
-        when both frequency arrays are equal to that group's.
-        """
-        def step():
-            last = self._group_step
-            if last is not None and np.array_equal(last[0], w0) \
-                    and np.array_equal(last[1], w1):
-                return last[2]
-            contract = self.frequency_step(w0, w1)
-            self._group_step = (w0, w1, contract)
-            return contract
-
-        return self.eval_centre(c0, c1, step)
+        last = self._group_step
+        if last is None or not ((last[0] is w0 or np.array_equal(last[0], w0))
+                                and (last[1] is w1 or np.array_equal(last[1], w1))):
+            last = self._group_step = (w0, w1, self.frequency_step(w0, w1))
+        return last[2](h)
 
 
 @functools.cache
@@ -346,12 +329,19 @@ def _blas_local_threads_setter():
     return None
 
 
-def _run_groups(n_groups, run, new_evaluator):
-    """run(lo, hi, evaluator) over groups 0..n_groups-1, threaded when there
-    are enough groups.  Threads take contiguous chunks, so each chunk's
-    evaluator (one per chunk: each holds a reflected ket) keeps its c0
-    cache warm.  Pool workers run BLAS on one thread each, so the pool
-    alone sets the parallelism; the calling thread keeps its BLAS threads."""
+def _phase_integral(ket, bra, omega0, omega1, method, n_groups, group, out):
+    """The engine's one loop: out[idx] = I(w; c) for each centre group
+    (c0, c1, w0, w1, idx) = group(k), k < n_groups; returns out.  With
+    enough groups, pool threads take contiguous chunks and one evaluator
+    each (it holds a reflected ket, the c0 cache and the last frequency
+    step) and run BLAS on one thread each, so the pool alone sets the
+    parallelism; the calling thread keeps its BLAS threads."""
+    def run(lo, hi, evaluator):
+        for k in range(lo, hi):
+            c0, c1, w0, w1, idx = group(k)
+            out[idx] = evaluator.eval_group(c0, c1, w0, w1)
+
+    new_evaluator = functools.partial(_GroupEvaluator, ket, bra, omega0, omega1, method)
     workers = _worker_count()
     if workers > 1 and n_groups >= 64:
         chunk = -(-n_groups // workers)
@@ -363,25 +353,20 @@ def _run_groups(n_groups, run, new_evaluator):
             ]
             for f in futures:
                 f.result()
-    else:
+    elif n_groups:
         run(0, n_groups, new_evaluator())
+    return out
 
 
-# Both entry points below enumerate centre groups under one contract, which
-# bit-identity between them and the c0 shift cache rely on: groups run in
-# ascending centre order with c0 slowest, then c1, and each group's points
-# keep their input order.  Per point, the two give the same bits.
+# The two enumerators below share one contract, which bit-identity between
+# them and the c0 shift cache rely on: groups run in ascending centre order
+# with c0 slowest, then c1, and each group's points keep their input order.
+# Each returns (n_groups, group, out) for _phase_integral.
 
-def _phase_integral(ket, bra, w0, w1, c0, c1, omega0, omega1, method="auto"):
-    """Batched I(w; c) over M points, grouped by centre."""
-    w0 = np.asarray(w0, dtype=float)
-    w1 = np.asarray(w1, dtype=float)
-    c0 = np.asarray(c0, dtype=float)
-    c1 = np.asarray(c1, dtype=float)
+def _point_groups(w0, w1, c0, c1):
+    """Centre groups of M points, into a fresh (M,) out."""
+    w0, w1, c0, c1 = (np.asarray(a, dtype=float) for a in (w0, w1, c0, c1))
     m = w0.size
-    out = np.empty(m, dtype=np.complex128)
-    if m == 0:
-        return out
     # A stable sort on the complex key c0 + i c1 (lexicographic; same order
     # as np.lexsort((c1, c0)), but faster) meets the grouping contract; a
     # group starts wherever either key changes (0.0 == -0.0, so signed
@@ -394,47 +379,29 @@ def _phase_integral(ket, bra, w0, w1, c0, c1, omega0, omega1, method="auto"):
     s0 = c0[order]
     s1 = c1[order]
     change = (s0[1:] != s0[:-1]) | (s1[1:] != s1[:-1])
-    bounds = np.flatnonzero(np.r_[True, change, True])  # group i: bounds[i]:bounds[i+1]
+    bounds = np.flatnonzero(np.r_[True, change, True])  # group k: bounds[k]:bounds[k+1]
 
-    def run(lo, hi, evaluator):
-        for a, b in zip(bounds[lo:hi], bounds[lo + 1:hi + 1]):
-            idx = order[a:b]
-            out[idx] = evaluator.eval_group(s0[a], s1[a], w0[idx], w1[idx])
+    def group(k):
+        a = bounds[k]
+        idx = order[a:bounds[k + 1]]
+        return s0[a], s1[a], w0[idx], w1[idx], idx
 
-    _run_groups(bounds.size - 1, run,
-                lambda: _GroupEvaluator(ket, bra, omega0, omega1, method))
-    return out
+    return (bounds.size - 1 if m else 0), group, np.empty(m, dtype=np.complex128)
 
 
-def _phase_integral_grid(ket, bra, w0, w1, c0, c1, omega0, omega1, method, out):
-    """I(w; c) on the product grid [c0 x c1] x [w0 x w1] of four ascending
-    1-D axes, written to out[i0, i1, j0, j1].
-
-    Every centre shares one frequency set, so the frequency-side step runs
-    once per call, at the first centre above the tail cut; no points are
-    materialised and nothing is sorted.
-    """
-    lock = threading.Lock()
-    steps = []
-
-    def frequency_step(evaluator):
-        with lock:
-            if not steps:
-                steps.append(evaluator.frequency_step(w0[:, None], w1[None, :]))
-        return steps[0]
-
+def _grid_groups(w0, w1, c0, c1, out):
+    """Centre groups of the product grid [c0 x c1] x [w0 x w1] of four
+    ascending 1-D axes, into out[i0, i1, j0, j1].  Every group holds the
+    same two frequency arrays, so each evaluator builds its step at most
+    once."""
+    ws = w0[:, None], w1[None, :]
     n1 = c1.size
 
-    def run(lo, hi, evaluator):
-        def step():
-            return frequency_step(evaluator)
+    def group(k):
+        i, j = divmod(k, n1)
+        return (c0[i], c1[j], *ws, (i, j))
 
-        for k in range(lo, hi):
-            i, j = divmod(k, n1)
-            out[i, j] = evaluator.eval_centre(c0[i], c1[j], step)
-
-    _run_groups(c0.size * n1, run,
-                lambda: _GroupEvaluator(ket, bra, omega0, omega1, method))
+    return c0.size * n1, group, out
 
 
 # ---------------------------------------------------------------------------
@@ -486,21 +453,19 @@ def _transform(ket, bra, rep, pts, names, waves, omegas, pref, label, sector,
             raise ValueError(f"{what} must be tagged rep={rep!r}, got {f.rep!r}")
     domain = (_checked_domain(pts, names, max_axis_points)
               if isinstance(pts, Domain4D) else None)
-    if callable(waves):
-        arr = _as_points(pts) if domain is None else domain.points()
-        vals = _phase_integral(ket, bra, *waves(arr), *omegas, method)
-    else:
+    if not callable(waves):
         order = waves + tuple(i for i in range(4) if i not in waves)  # w0, w1, c0, c1
-        if domain is None:
-            cols = _as_points(pts).T
-            vals = _phase_integral(ket, bra, *(cols[i] for i in order), *omegas, method)
-        else:
-            axes = domain.axes()
-            vals = np.empty([a.size for a in axes], dtype=np.complex128)
-            # a view of vals with axes (c0, c1, w0, w1), so each centre
-            # writes its frequency block in place
-            _phase_integral_grid(ket, bra, *(axes[i] for i in order), *omegas,
-                                 method, vals.transpose(order[2:] + waves))
+    if callable(waves) or domain is None:
+        arr = _as_points(pts) if domain is None else domain.points()
+        cols = waves(arr) if callable(waves) else [arr[:, i] for i in order]
+        vals = _phase_integral(ket, bra, *omegas, method, *_point_groups(*cols))
+    else:
+        axes = domain.axes()
+        vals = np.empty([a.size for a in axes], dtype=np.complex128)
+        # a view of vals with axes (c0, c1, w0, w1), so each centre writes
+        # its frequency block in place
+        _phase_integral(ket, bra, *omegas, method, *_grid_groups(
+            *(axes[i] for i in order), vals.transpose(order[2:] + waves)))
     np.multiply(pref, vals, out=vals)  # in place: grids reach 4M values
     if domain is None:
         return vals

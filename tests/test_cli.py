@@ -299,6 +299,16 @@ class TestVerifyAndLimit:
         assert all(a > b for a, b in zip(dists, dists[1:]))
 
 
+NC_LABEL = ["--k1", "1", "--k2", "-1", "--k3", "1"]
+WIGNER = {
+    "nc": ["wigner", "nc", *NC_LABEL, "--slice", "p1nc=0,p2nc=0"],
+    "generic": ["wigner", "generic", *NC_LABEL, "--slice", "k3s=0,k4s=0"],
+    "tau0": ["wigner", "tau0", "--k1", "1", "--k2", "-1", "--slice", "k3s=0,k4s=0"],
+    "qm": ["wigner", "qm", "--k1", "1", "--slice", "k3s=0,k4s=0"],
+}
+MARGINAL = ["marginal", "momentum", *NC_LABEL]
+
+
 class TestInputContract:
     """Bad input ends in its exit code (2 for arguments, 4 for grid guards)
     with one 'ncwig: error:' line, not a traceback."""
@@ -544,6 +554,52 @@ class TestInputContract:
             read_field_file(str(bad))
         assert "\n" not in str(exc.value)
         self.expect_exit(self.standard(tmp_path, state=f"file:{bad}"), capsys, fragment)
+
+    @pytest.mark.parametrize("argv, flag", [
+        *(([*WIGNER[v], "--state-grid", "0"], "--state-grid") for v in WIGNER),
+        ([*MARGINAL, "--state-grid", "0"], "--state-grid"),
+        ([*WIGNER["nc"], "--state-grid", "-3"], "--state-grid"),
+        ([*WIGNER["nc"], "--grid", "1"], "--grid"),
+        ([*WIGNER["nc"], "--extent", "0"], "--extent"),
+        ([*WIGNER["nc"], "--extent", "-1"], "--extent"),
+        ([*WIGNER["nc"], "--state-grid", "1"], "--state-grid"),
+        ([*WIGNER["qm"], "--state-extent", "-3"], "--state-extent"),
+        ([*MARGINAL, "--int-grid", "1"], "--int-grid"),
+        ([*MARGINAL, "--int-extent", "0"], "--int-extent"),
+        (["wigner", "standard", "--planck-h", "0"], "--planck-h"),
+        (["star", "hbar", "--vartheta", "0.5", "--bfield", "0.5", "--extent", "-1"],
+         "--extent"),
+        (["star", "vartheta", "--vartheta", "0.5", "--grid", "0"], "--grid"),
+        (["limit", "--k1", "1", "--halvings", "-1"], "--halvings"),
+        *(([*WIGNER["nc"], "--state", f"gaussian:{spec}"], "--state")
+          for spec in ("a,0", "-1,0", "0,0,x,1", "0,0,nan,0")),
+    ])
+    def test_bad_numeric_argument_exit_2(self, tmp_path, capsys, argv, flag):
+        # argparse refuses a bad flag value with its usage and one error
+        # line; --state specs fail in the command with one 'ncwig: error:'
+        out = [] if argv[0] == "limit" else ["--out", str(tmp_path / "x.csv")]
+        try:
+            code = main([*argv, *out])
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        errors = [ln for ln in err.splitlines() if "error:" in ln]
+        assert code == 2
+        assert len(errors) == 1 and flag in errors[0]
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, fragment", [
+        ([*WIGNER["nc"], "--grid", "16", "--extent", "400"], "more than 4096 state points"),
+        (["star", "vartheta", "--hbar", "1", "--vartheta", "0.05"], "needs 6225 state points"),
+    ])
+    def test_state_grid_cap_exit_4_before_building(self, tmp_path, capsys, monkeypatch,
+                                                   argv, fragment):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("state built before the state-grid cap check")
+
+        for name in ("gaussian_state", "gaussian_state_momentum"):
+            monkeypatch.setattr(cli, name, not_reached)
+        self.expect_exit([*argv, "--out", str(tmp_path / "x.csv")], capsys, fragment, code=4)
 
     def test_star_4d_memory_guard_exit_4(self, tmp_path, capsys, monkeypatch):
         import ncwigner.starprod as starprod

@@ -179,16 +179,6 @@ class TestFieldTypes:
         with pytest.raises(ValueError):
             ComplexField2D(g, vals)
 
-    def test_flat_layout_axis0_fastest(self):
-        g = Grid2D(Grid1D(2, 0.0, 1.0), Grid1D(3, 0.0, 1.0))
-        vals = np.arange(6, dtype=complex).reshape(2, 3)
-        f = ComplexField2D(g, vals)
-        flat = f.flat_values()
-        # axis0 fastest: [v00, v10, v01, v11, v02, v12]
-        assert flat.tolist() == [0, 3, 1, 4, 2, 5]
-        back = ComplexField2D.from_flat(g, flat)
-        assert np.array_equal(back.values, vals)
-
     def test_rank_one_grid_mismatch(self):
         a = ComplexField2D(Grid2D.square(8, 2.0), np.zeros((8, 8)))
         b = ComplexField2D(Grid2D.square(8, 3.0), np.zeros((8, 8)))

@@ -37,7 +37,6 @@ class TestIntegrate2D:
         x0, x1 = g.meshgrid()
         f = ComplexField2D(g, np.exp(-(x0 ** 2 + x1 ** 2)) / math.pi)
         assert integrate_2d(f) == pytest.approx(1.0, abs=1e-10)
-        assert integrate_2d(f, rule="simpson") == pytest.approx(1.0, abs=1e-10)
 
     def test_linearity(self):
         g = Grid2D.square(32, 3.0)

@@ -692,7 +692,8 @@ class TestFrequencyStepReuse:
 
         # a step per group gives the same bits
         def fresh_step(self, c0, c1, w0, w1):
-            return self.eval_centre(c0, c1, lambda: self.frequency_step(w0, w1))
+            self._group_step = None
+            return eval_group(self, c0, c1, w0, w1)
 
         monkeypatch.setattr(wigner._GroupEvaluator, "eval_group", fresh_step)
         assert wigner_nc_params(gauss_position, pts, params).tobytes() == vals.tobytes()
@@ -803,8 +804,8 @@ class TestDomainGridPath:
 
     def test_frequency_step_runs_once_under_thread_stress(self, generic_label,
                                                          gauss_op, monkeypatch):
-        # more workers than cores and a short switch interval: the shared
-        # frequency step must still be built exactly once, and every worker
+        # more workers than cores and a short switch interval: each chunk's
+        # evaluator builds the frequency step at most once, and every worker
         # must write the same bits as a single thread
         axis = gauss_op.ket.grid.axis0
         f = aligned_frequency_grid(axis, -generic_label.k1 * generic_label.consts.alpha, 4)
@@ -816,7 +817,7 @@ class TestDomainGridPath:
         step = wigner._GroupEvaluator.frequency_step
 
         def counted(self, w0, w1):
-            calls.append(1)
+            calls.append(self)  # holds each evaluator, so no id is reused
             time.sleep(0.02)  # widen the window in which other workers arrive
             return step(self, w0, w1)
 
@@ -828,7 +829,7 @@ class TestDomainGridPath:
             many = wigner_nc(gauss_op, dom, generic_label)
         finally:
             sys.setswitchinterval(interval)
-        assert len(calls) == 1
+        assert 1 <= len(calls) == len(set(map(id, calls))) <= 8  # 64 centres, 8 chunks
         assert many.values.tobytes() == one.values.tobytes()
 
     def test_result_is_not_copied(self, generic_label, gauss_op):
