@@ -168,13 +168,10 @@ def _axis_grid(path: str, name: str, header, fields: dict) -> Grid1D:
     decimal string), origin and step (finite)."""
     n = fields.get("n")
     try:
-        g = Grid1D(n=int(n) if isinstance(n, str) else operator.index(n),
-                   origin=float(fields.get("origin")), step=float(fields.get("step")))
+        return Grid1D(n=int(n) if isinstance(n, str) else operator.index(n),
+                      origin=float(fields.get("origin")), step=float(fields.get("step")))
     except (TypeError, ValueError):
-        g = None
-    if g is None or not (math.isfinite(g.origin) and math.isfinite(g.step)):
-        raise ValueError(f"field file {path}: malformed {name} header {header!r}")
-    return g
+        raise ValueError(f"field file {path}: malformed {name} header {header!r}") from None
 
 
 def _parse_text_field(path: str, text: str):
@@ -405,7 +402,7 @@ def _momentum_state_for_output(args, label: OrbitLabel, domain: Domain4D,
     if domain.names == ORBIT_COORDS:
         # orbit frequencies are the q^nc coordinates, which mix the axes
         omega = abs(label.consts.alpha)
-        w0, w1 = orbit_to_nc(CoadjointPoint(*domain.points().T), label).qnc
+        w0, w1 = orbit_to_nc(CoadjointPoint(*np.ix_(*domain.axes())), label).qnc
     else:
         omega = abs(a)
         w0, w1 = domain.axes()[:2]  # the q^nc axes are the frequencies

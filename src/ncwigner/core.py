@@ -335,6 +335,9 @@ class Grid1D:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"grid needs n >= 2, got {self.n}")
+        if not (math.isfinite(self.origin) and math.isfinite(self.step)):
+            raise ValueError(f"grid origin and step must be finite, got {self.origin}, "
+                             f"{self.step}")
         if not self.step > 0:
             raise ValueError(f"grid step must be positive, got {self.step}")
 
@@ -460,8 +463,10 @@ class Domain4D:
             if isinstance(v, Grid1D):
                 varying.append(name)
                 grids.append(v)
-            else:
+            elif math.isfinite(float(v)):
                 fixed.append((name, float(v)))
+            else:
+                raise ValueError(f"coordinate {name} must be finite, got {v}")
         if len(varying) not in (2, 4):
             raise ValueError("a domain must vary exactly two or four coordinates")
         return cls(names, tuple(varying), tuple(grids), tuple(fixed))

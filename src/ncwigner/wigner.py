@@ -13,16 +13,15 @@ frequencies land on the conjugate lattice) or one separable phase
 contraction (for arbitrary points).  A slower, structurally independent
 quadrature lives in :mod:`ncwigner.oracles`.
 
-One loop, ``_phase_integral``, runs the centre groups; one of two
-enumerators feeds it.  Point arrays, and orbit-coordinate domains (whose
-maps mix the axes), are grouped by a stable sort on the centres.  When
-wigner_nc, wigner_nc_position or cross_wigner_standard gets a Domain4D,
-each frequency and each centre is one domain axis (a fixed coordinate is a
-one-point axis), so the input is already [centre grid] x [frequency grid]:
-each centre is one group holding the whole frequency grid, with no point
-array or sort.  Both enumerators keep one contract: groups run with c0
-slowest, then c1, each group's points in input order, so per point they
-give the same bits.
+One loop, ``_phase_integral``, runs the centre groups and one enumerator,
+``_centre_groups``, feeds it.  Each coordinate map sends four broadcastable
+arrays to (w0, w1, c0, c1): the columns of a point array, or the axes of a
+Domain4D as an open mesh, so each mapped array spans only the axes it
+depends on.  The centre axes are those that c0 or c1 spans; a stable sort
+of their nodes on c0 + i c1 makes each group the nodes that share a centre,
+times the remaining (frequency) axes.  Groups run with c0 slowest, then c1,
+each group's nodes in input order, so a domain and its points give the same
+bits, and an nc or phase-space grid is one group per centre.
 
 Each transform below is one call of the runner ``_transform`` with its
 entry of this coordinate dictionary (k1, k2, k3 label the sector; a, b, g
@@ -138,28 +137,18 @@ def _worker_count() -> int:
     return min(v, cpus) if v > 0 else min(4, cpus)
 
 
-# ---------------------------------------------------------------------------
-# Point handling
-# ---------------------------------------------------------------------------
-
-def _checked_domain(domain: Domain4D, names, max_axis_points) -> Domain4D:
-    if domain.names != names:
-        raise ValueError(f"domain over {domain.names} passed where {names} expected")
-    if domain.is_full:
-        _require_axis_cap(domain, max_axis_points, "full 4D grids")
-    return domain
-
-
 def _as_points(pts) -> np.ndarray:
-    """Normalise a point array or a sequence of points to an (M, 4) array."""
-    if isinstance(pts, np.ndarray):
-        arr = np.atleast_2d(np.asarray(pts, dtype=float))
-        if arr.shape[1] != 4:
-            raise ValueError("point arrays must have shape (M, 4)")
-        return arr
-    rows = [p.as_array() if isinstance(p, (CoadjointPoint, NCCoords))
-            else np.asarray(p, dtype=float) for p in pts]
-    return np.asarray(rows, dtype=float).reshape(-1, 4)
+    """Normalise a point array or a sequence of points to a finite (M, 4)
+    array; anything else raises a one-line ValueError."""
+    if not isinstance(pts, np.ndarray):
+        pts = [p.as_array() if isinstance(p, (CoadjointPoint, NCCoords)) else p
+               for p in pts] or np.empty((0, 4))
+    arr = np.atleast_2d(np.asarray(pts, dtype=float))
+    if arr.ndim != 2 or arr.shape[1] != 4:
+        raise ValueError(f"point arrays must have shape (M, 4), got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("point coordinates must be finite")
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +218,8 @@ class _GroupEvaluator:
         Runs the resolution guard, the alignment and ``auto`` decision, and
         builds the lattice indices or contraction matrices and the
         grid-origin phase.  w0 and w1 broadcast against each other: one
-        group's 1-D point arrays, or a column and a row for a product grid.
+        group's 1-D point arrays, or for a domain one array over the group's
+        nodes and one over the frequency axes, whose pairs fill a product.
         Returns contract(h) -> I(w; c) for an integrand h of those centres.
         """
         m0, m1 = self.check_resolution(w0, w1)
@@ -358,50 +348,58 @@ def _phase_integral(ket, bra, omega0, omega1, method, n_groups, group, out):
     return out
 
 
-# The two enumerators below share one contract, which bit-identity between
-# them and the c0 shift cache rely on: groups run in ascending centre order
-# with c0 slowest, then c1, and each group's points keep their input order.
-# Each returns (n_groups, group, out) for _phase_integral.
+def _centre_groups(w0, w1, c0, c1, out):
+    """(n_groups, group, view) for _phase_integral: the centre groups of
+    out, to which the four arrays broadcast.
 
-def _point_groups(w0, w1, c0, c1):
-    """Centre groups of M points, into a fresh (M,) out."""
-    w0, w1, c0, c1 = (np.asarray(a, dtype=float) for a in (w0, w1, c0, c1))
-    m = w0.size
-    # A stable sort on the complex key c0 + i c1 (lexicographic; same order
-    # as np.lexsort((c1, c0)), but faster) meets the grouping contract; a
-    # group starts wherever either key changes (0.0 == -0.0, so signed
-    # zeros share a group).
-    key = np.empty(m, dtype=np.complex128)
+    The centre axes (those c0 or c1 spans) lead in view.  Their nodes are
+    sorted stably on the complex key c0 + i c1 (lexicographic, as
+    np.lexsort((c1, c0)), but faster); a group is a run of equal keys
+    (0.0 == -0.0: signed zeros share one) in input order, times the other
+    axes.  A frequency array spanning no centre axis is one object for all
+    groups, so the evaluator's step cache hits by identity.
+    """
+    cax = [i for i in range(out.ndim) if np.shape(c0)[i] != 1 or np.shape(c1)[i] != 1]
+    perm = cax + [i for i in range(out.ndim) if i not in cax]
+    lead = len(cax)
+    cshape = tuple(out.shape[i] for i in cax)
+
+    def spread(a, shape):  # np.broadcast_to costs microseconds; skip it where a fits
+        return a if a.shape == shape else np.broadcast_to(a, shape)
+
+    def nodes(c):
+        c = np.asarray(c, dtype=float).transpose(perm)
+        return spread(c.reshape(c.shape[:lead]), cshape).reshape(-1)
+
+    def freq(w):
+        w = np.asarray(w, dtype=float).transpose(perm)
+        if w.shape[:lead] == (1,) * lead:
+            w = w.reshape(w.shape[lead:])
+            return lambda idx: w
+        return spread(w, cshape + w.shape[lead:]).__getitem__
+
+    c0, c1 = nodes(c0), nodes(c1)
+    key = np.empty(c0.size, dtype=np.complex128)
     key.real = c0
     key.imag = c1
     order = np.argsort(key, kind="stable")
-    del key  # 16 bytes per point; free it before the gathers below
-    s0 = c0[order]
-    s1 = c1[order]
+    del key  # 16 bytes per node; free it before the gathers below
+    s0, s1 = c0[order], c1[order]
     change = (s0[1:] != s0[:-1]) | (s1[1:] != s1[:-1])
-    bounds = np.flatnonzero(np.r_[True, change, True])  # group k: bounds[k]:bounds[k+1]
+    bounds = np.flatnonzero(np.concatenate(([True], change, [True])))
+    # each sorted node's index along each centre axis (no copy for one axis)
+    units = np.unravel_index(order, cshape) if lead > 1 else (order,)[:lead]
+    f0, f1 = freq(w0), freq(w1)
 
     def group(k):
-        a = bounds[k]
-        idx = order[a:bounds[k + 1]]
-        return s0[a], s1[a], w0[idx], w1[idx], idx
+        a, b = bounds[k], bounds[k + 1]
+        if b - a == 1:  # basic slices: views, never 0-d frequency arrays
+            idx = tuple(slice(u[a], u[a] + 1) for u in units)
+        else:
+            idx = tuple(u[a:b] for u in units)
+        return s0[a], s1[a], f0(idx), f1(idx), idx
 
-    return (bounds.size - 1 if m else 0), group, np.empty(m, dtype=np.complex128)
-
-
-def _grid_groups(w0, w1, c0, c1, out):
-    """Centre groups of the product grid [c0 x c1] x [w0 x w1] of four
-    ascending 1-D axes, into out[i0, i1, j0, j1].  Every group holds the
-    same two frequency arrays, so each evaluator builds its step at most
-    once."""
-    ws = w0[:, None], w1[None, :]
-    n1 = c1.size
-
-    def group(k):
-        i, j = divmod(k, n1)
-        return (c0[i], c1[j], *ws, (i, j))
-
-    return c0.size * n1, group, out
+    return (bounds.size - 1 if c0.size else 0), group, out.transpose(perm)
 
 
 # ---------------------------------------------------------------------------
@@ -438,11 +436,10 @@ def _transform(ket, bra, rep, pts, names, waves, omegas, pref, label, sector,
     """The runner behind every transform: pref * I(w; c) at pts.
 
     ket and bra must be tagged ``rep``, and ``label`` must come from
-    ``sector`` unless that is None.  ``waves`` is the pair of ``names`` axes
-    holding the frequencies (the other two are the centres), or a map from
-    an (M, 4) point array to (w0, w1, c0, c1); ``omegas`` is (om0, om1).
-    A Domain4D comes back as a WignerField carrying ``label``, computed on
-    its product grid when ``waves`` names axes; other inputs return values.
+    ``sector`` unless that is None.  ``waves`` maps the four ``names``
+    coordinates, as broadcastable arrays, to (w0, w1, c0, c1); ``omegas`` is
+    (om0, om1).  A Domain4D comes back as a WignerField carrying ``label``;
+    other inputs return values.
     """
     if sector is not None and label.sector is not sector:
         raise SectorMismatch(
@@ -451,21 +448,18 @@ def _transform(ket, bra, rep, pts, names, waves, omegas, pref, label, sector,
     for what, f in (("ket", ket), ("bra", bra)):
         if f.rep != rep:
             raise ValueError(f"{what} must be tagged rep={rep!r}, got {f.rep!r}")
-    domain = (_checked_domain(pts, names, max_axis_points)
-              if isinstance(pts, Domain4D) else None)
-    if not callable(waves):
-        order = waves + tuple(i for i in range(4) if i not in waves)  # w0, w1, c0, c1
-    if callable(waves) or domain is None:
-        arr = _as_points(pts) if domain is None else domain.points()
-        cols = waves(arr) if callable(waves) else [arr[:, i] for i in order]
-        vals = _phase_integral(ket, bra, *omegas, method, *_point_groups(*cols))
-    else:
+    domain = pts if isinstance(pts, Domain4D) else None
+    if domain is not None:
+        if domain.names != names:
+            raise ValueError(f"domain over {domain.names} passed where {names} expected")
+        if domain.is_full:
+            _require_axis_cap(domain, max_axis_points, "full 4D grids")
         axes = domain.axes()
-        vals = np.empty([a.size for a in axes], dtype=np.complex128)
-        # a view of vals with axes (c0, c1, w0, w1), so each centre writes
-        # its frequency block in place
-        _phase_integral(ket, bra, *omegas, method, *_grid_groups(
-            *(axes[i] for i in order), vals.transpose(order[2:] + waves)))
+        cols, vals = np.ix_(*axes), np.empty([a.size for a in axes], dtype=np.complex128)
+    else:
+        cols = _as_points(pts).T
+        vals = np.empty(cols.shape[1], dtype=np.complex128)
+    _phase_integral(ket, bra, *omegas, method, *_centre_groups(*waves(*cols), vals))
     np.multiply(pref, vals, out=vals)  # in place: grids reach 4M values
     if domain is None:
         return vals
@@ -473,25 +467,28 @@ def _transform(ket, bra, rep, pts, names, waves, omegas, pref, label, sector,
     return WignerField._adopt(domain, vals.reshape(domain.shape), label)
 
 
-def _sector_prefactor(label: OrbitLabel) -> float:
-    """The orbit transforms' prefactor d / ((2 pi)^(7/2) sqrt(rho)), with d
-    the Duflo-Moore constant and rho the Plancherel density of the label's
-    sector."""
-    return duflo_moore_constant(label) / (
-        (2.0 * math.pi) ** 3.5 * math.sqrt(plancherel_density(label)))
+def _p_waves(q1, q2, p1, p2):
+    """Frequencies p, centres q: the forms of position-space fields."""
+    return p1, p2, q1, q2
 
 
-def _orbit_waves(label: OrbitLabel):
-    """The orbit transforms' map: orbit coordinates -> (w0, w1, c0, c1),
-    the frequencies q^nc and the centres p^nc / k1.
+def _orbit_transform(op, pts, label, sector, method, max_axis_points):
+    """The orbit transforms: frequencies q^nc, centres p^nc / k1, and the
+    prefactor d / ((2 pi)^(7/2) sqrt(rho)), with d the Duflo-Moore constant
+    and rho the Plancherel density of the label's sector.
 
     The generic-sector map specialises exactly to the k3 = 0 and
     k2 = k3 = 0 sectors because the discriminant collapses to k1^2 a^2.
     """
-    def waves(arr):
-        nc = orbit_to_nc(CoadjointPoint(*arr.T), label)
+    def waves(*k):
+        nc = orbit_to_nc(CoadjointPoint(*k), label)
         return (*nc.qnc, nc.pnc[0] / label.k1, nc.pnc[1] / label.k1)
-    return waves
+
+    pref = duflo_moore_constant(label) / (
+        (2.0 * math.pi) ** 3.5 * math.sqrt(plancherel_density(label)))
+    return _transform(op.ket, op.bra, "momentum", pts, ORBIT_COORDS, waves,
+                      (label.consts.alpha,) * 2, pref, label, sector, method,
+                      max_axis_points)
 
 
 def wigner_generic(op: RankOneOperator, pts, label: OrbitLabel,
@@ -503,9 +500,7 @@ def wigner_generic(op: RankOneOperator, pts, label: OrbitLabel,
     sequence of CoadjointPoint / an (M, 4) array (returns complex values).
     Both fields must be momentum-space samples.
     """
-    return _transform(op.ket, op.bra, "momentum", pts, ORBIT_COORDS, _orbit_waves(label),
-                      (label.consts.alpha,) * 2, _sector_prefactor(label), label,
-                      Sector.GENERIC, method, max_axis_points)
+    return _orbit_transform(op, pts, label, Sector.GENERIC, method, max_axis_points)
 
 
 def wigner_tau0(op: RankOneOperator, pts, label: OrbitLabel,
@@ -517,9 +512,7 @@ def wigner_tau0(op: RankOneOperator, pts, label: OrbitLabel,
     normalisation 1/((2 pi)^(3/2) |k1|); in the k2 -> 0 limit it therefore
     exceeds :func:`wigner_qm_orbit` by TAU0_TO_QM_PREFACTOR_RATIO.
     """
-    return _transform(op.ket, op.bra, "momentum", pts, ORBIT_COORDS, _orbit_waves(label),
-                      (label.consts.alpha,) * 2, _sector_prefactor(label), label,
-                      Sector.TAU_ZERO, method, max_axis_points)
+    return _orbit_transform(op, pts, label, Sector.TAU_ZERO, method, max_axis_points)
 
 
 def wigner_qm_orbit(op: RankOneOperator, pts, label: OrbitLabel,
@@ -530,9 +523,7 @@ def wigner_qm_orbit(op: RankOneOperator, pts, label: OrbitLabel,
     Coincides with the textbook cross-Wigner transform under the convention
     map documented in the module docstring.
     """
-    return _transform(op.ket, op.bra, "momentum", pts, ORBIT_COORDS, _orbit_waves(label),
-                      (label.consts.alpha,) * 2, _sector_prefactor(label), label,
-                      Sector.SIGMA_TAU_ZERO, method, max_axis_points)
+    return _orbit_transform(op, pts, label, Sector.SIGMA_TAU_ZERO, method, max_axis_points)
 
 
 def _nc_pref(label: OrbitLabel) -> float:
@@ -550,7 +541,7 @@ def wigner_nc(op: RankOneOperator, pts, label: OrbitLabel,
     agree through the coordinate maps, which the tests exercise.
     """
     om = -label.k1 * label.consts.alpha
-    return _transform(op.ket, op.bra, "momentum", pts, NC_COORDS, (0, 1), (om, om),
+    return _transform(op.ket, op.bra, "momentum", pts, NC_COORDS, lambda *qp: qp, (om, om),
                       _nc_pref(label), label, Sector.GENERIC, method, max_axis_points)
 
 
@@ -565,7 +556,7 @@ def wigner_nc_position(psi: ComplexField2D, phi: ComplexField2D, pts,
     applied to the (k1 a)-scaled momentum representation of psi.
     """
     om = label.k1 * label.consts.alpha
-    return _transform(phi, psi, "position", pts, NC_COORDS, (2, 3), (om, om),
+    return _transform(phi, psi, "position", pts, NC_COORDS, _p_waves, (om, om),
                       _nc_pref(label), label, Sector.GENERIC, method, max_axis_points)
 
 
@@ -588,8 +579,7 @@ def wigner_nc_params(psi: ComplexField2D, pts, params: NCParams,
         raise DegenerateParams("hbar^2 - bfield*vartheta = 0: degenerate parameters")
     hb, th, bf = params.hbar, params.vartheta, params.bfield
 
-    def waves(arr):
-        k1s, k2s, k3s, k4s = arr.T
+    def waves(k1s, k2s, k3s, k4s):
         return k3s, (hb * k4s + bf * k1s) / e, (hb ** 2 * k1s + hb * th * k4s) / e, k2s
 
     pref = 1.0 / (4.0 * math.pi ** 2 * abs(hb) * math.sqrt(abs(e)))
@@ -609,7 +599,7 @@ def cross_wigner_standard(phi: ComplexField2D, psi: ComplexField2D, pts,
     if h == 0.0 or not math.isfinite(h):
         raise ValueError("h must be finite and nonzero")
     om = 2.0 * math.pi / h
-    return _transform(phi, psi, "position", pts, PHASE_COORDS, (2, 3), (om, om),
+    return _transform(phi, psi, "position", pts, PHASE_COORDS, _p_waves, (om, om),
                       1.0 / h ** 2, None, None, method, max_axis_points)
 
 

@@ -349,7 +349,7 @@ class TestInputContract:
 
     def test_nc_commands_do_not_materialise_points(self, tmp_path, monkeypatch):
         def no_points(self):
-            raise AssertionError("Domain4D.points() called for an nc domain")
+            raise AssertionError("Domain4D.points() called by a command")
 
         monkeypatch.setattr(Domain4D, "points", no_points)
         assert main(["marginal", "momentum", "--k1", "1", "--k2", "-1", "--k3", "1",
@@ -358,6 +358,14 @@ class TestInputContract:
         assert main(["wigner", "nc", "--k1", "1", "--k2", "-1", "--k3", "1",
                      "--grid", "4", "--extent", "1", "--slice", "p1nc=0,p2nc=0",
                      "--out", str(tmp_path / "w.csv")]) == 0
+        # orbit domains too: the frequency bound and the transform both
+        # take the open mesh of the axes
+        assert main([*WIGNER["generic"], "--grid", "4", "--extent", "1",
+                     "--out", str(tmp_path / "g.csv")]) == 0
+        assert main(["star", "general", "--hbar", "2", "--vartheta", "0.5",
+                     "--bfield", "0.25", "--state-grid", "64", "--state-extent", "8",
+                     "--grid", "8", "--extent", "1.5",
+                     "--out", str(tmp_path / "sg.csv")]) == 0
 
     @pytest.mark.parametrize("variant, label, transform", [
         ("nc", ["--k1", "1", "--k2", "-1", "--k3", "1"], "wigner_nc"),

@@ -32,7 +32,8 @@ from ncwigner import (
     wigner_qm_orbit,
     wigner_tau0,
 )
-from ncwigner.core import (Domain4D, Grid1D, nc_domain, orbit_domain, orbit_to_nc,
+from ncwigner.core import (NC_COORDS, ORBIT_COORDS, PHASE_COORDS, Domain4D, Grid1D,
+                           NCParams, nc_domain, orbit_domain, orbit_to_nc,
                            phase_space_domain)
 from ncwigner import wigner
 from ncwigner.oracles import direct_wigner_oracle, random_hermite_gaussian
@@ -508,6 +509,18 @@ class TestCentreGrouping:
         assert fast.shape == (1,)
         assert abs(fast[0] - slow) <= 1e-8 * abs(slow)
 
+    @pytest.mark.parametrize("transform", [wigner_nc, wigner_generic])
+    def test_one_point_array_matches_a_one_point_group(self, generic_label, gauss_op,
+                                                       transform):
+        # a one-point array spans no centre axis; its frequencies must still
+        # reach the step as (1,) arrays, like a one-point group's, since
+        # NumPy's exp rounds a 0-d complex differently
+        rng = np.random.default_rng(25)
+        for pair in rng.uniform(-1.0, 1.0, size=(8, 2, 4)):
+            one = transform(gauss_op, pair[:1], generic_label)
+            two = transform(gauss_op, pair, generic_label)
+            assert one.tobytes() == two[:1].tobytes()
+
     def test_signed_zero_centres_share_a_group(self, generic_label, gauss_op,
                                                monkeypatch):
         centres = []
@@ -700,61 +713,79 @@ class TestFrequencyStepReuse:
 
 
 def grid_transforms(label, gauss_op, gauss_position):
-    """name -> (evaluate(pts, method), domain factory, frequency names,
-    centre names, omega, state axis) for the transforms with a product-grid
-    path."""
+    """name -> (evaluate(pts, method), domain coordinates, frequency names,
+    omega, state axis, whether the map keeps the FFT lattices) for every
+    transform that takes a Domain4D."""
     a = label.k1 * label.consts.alpha
     h = 1.0
+    orbit = {"wigner_generic": (wigner_generic, label),
+             "wigner_tau0": (wigner_tau0, make_orbit_label(1.0, 1.0, 0.0)),
+             "wigner_qm_orbit": (wigner_qm_orbit, make_orbit_label(1.0, 0.0, 0.0))}
+    params = NCParams(hbar=1.0, vartheta=1.0, bfield=-1.0)
     return {
         "wigner_nc": (
             lambda pts, m: wigner_nc(gauss_op, pts, label, method=m),
-            nc_domain, ("q1nc", "q2nc"), ("p1nc", "p2nc"), -a, gauss_op.ket.grid.axis0),
+            NC_COORDS, ("q1nc", "q2nc"), -a, gauss_op.ket.grid.axis0, True),
         "wigner_nc_position": (
             lambda pts, m: wigner_nc_position(gauss_position, gauss_position, pts,
                                               label, method=m),
-            nc_domain, ("p1nc", "p2nc"), ("q1nc", "q2nc"), a, gauss_position.grid.axis0),
+            NC_COORDS, ("p1nc", "p2nc"), a, gauss_position.grid.axis0, True),
         "cross_wigner_standard": (
             lambda pts, m: cross_wigner_standard(gauss_position, gauss_position, pts,
                                                  h=h, method=m),
-            phase_space_domain, ("p1", "p2"), ("q1", "q2"), 2.0 * math.pi / h,
-            gauss_position.grid.axis0),
+            PHASE_COORDS, ("p1", "p2"), 2.0 * math.pi / h,
+            gauss_position.grid.axis0, True),
+        # orbit coordinates: the map mixes (k1*, k4*) except at k2 = k3 = 0
+        # with unit constants; the k3 = 0 (k1*, k2*) slice has one centre
+        **{name: (lambda pts, m, f=f, lab=lab: f(gauss_op, pts, lab, method=m),
+                  ORBIT_COORDS, ("k1s", "k2s"), lab.consts.alpha, gauss_op.ket.grid.axis0,
+                  name == "wigner_qm_orbit")
+           for name, (f, lab) in orbit.items()},
+        "wigner_nc_params": (
+            lambda pts, m: wigner_nc_params(gauss_position, pts, params, method=m),
+            ORBIT_COORDS, ("k3s", "k4s"), 1.0, gauss_position.grid.axis0, False),
     }
 
 
-def grid_path_domains(build, freq, centre, state_axis, omega, aligned):
-    """A full domain (4 points per axis), a q-only slice and a mixed q/p
-    slice (8 points per axis), on the FFT/state lattices or off them."""
+def grid_path_domains(names, freq, state_axis, omega, aligned):
+    """A full domain (4 points per axis), a slice of the first two
+    coordinates and one of the first and third (8 points per axis), on the
+    FFT/state lattices or off them; the ``freq`` coordinates get the
+    frequency lattice, the other two the centre lattice."""
     if aligned:
         f4, f8 = (aligned_frequency_grid(state_axis, omega, n) for n in (4, 8))
         c4, c8 = (aligned_center_grid(state_axis, n) for n in (4, 8))
     else:
         f4, f8 = Grid1D(4, -0.61, 0.37), Grid1D(8, -0.83, 0.23)
         c4, c8 = Grid1D(4, -0.53, 0.31), Grid1D(8, -0.77, 0.19)
-    axes = {name: (f4, f8) for name in freq} | {name: (c4, c8) for name in centre}
-    names = (*freq, *centre) if freq[0].startswith("q") else (*centre, *freq)
-    q1, q2, p1, p2 = names
+    axes = {name: (f4, f8) if name in freq else (c4, c8) for name in names}
+    x1, x2, x3, x4 = names
     fixed = {name: float(g8.coords()[5]) for name, (_, g8) in axes.items()}
     return [
-        build(**{name: g4 for name, (g4, _) in axes.items()}),
-        build(**{q1: axes[q1][1], q2: axes[q2][1], p1: fixed[p1], p2: fixed[p2]}),
-        build(**{q1: axes[q1][1], q2: fixed[q2], p1: axes[p1][1], p2: fixed[p2]}),
+        Domain4D.build(names, **{name: g4 for name, (g4, _) in axes.items()}),
+        Domain4D.build(names, **{x1: axes[x1][1], x2: axes[x2][1], x3: fixed[x3],
+                                 x4: fixed[x4]}),
+        Domain4D.build(names, **{x1: axes[x1][1], x2: fixed[x2], x3: axes[x3][1],
+                                 x4: fixed[x4]}),
     ]
 
 
 class TestDomainGridPath:
-    """Domain4D inputs are evaluated on their product grid; per point they
+    """Domain4D inputs are evaluated on their open mesh; per point they
     must give the bits of the same transform on domain.points()."""
 
     @pytest.mark.parametrize("aligned", [True, False])
     @pytest.mark.parametrize("name", ["wigner_nc", "wigner_nc_position",
-                                      "cross_wigner_standard"])
+                                      "cross_wigner_standard", "wigner_generic",
+                                      "wigner_tau0", "wigner_qm_orbit",
+                                      "wigner_nc_params"])
     def test_bitwise_equal_to_points(self, generic_label, gauss_op, gauss_position,
                                      name, aligned):
-        evaluate, build, freq, centre, omega, axis = grid_transforms(
+        evaluate, names, freq, omega, axis, keeps_lattice = grid_transforms(
             generic_label, gauss_op, gauss_position)[name]
-        for dom in grid_path_domains(build, freq, centre, axis, omega, aligned):
+        for dom in grid_path_domains(names, freq, axis, omega, aligned):
             for method in ("auto", "fft", "direct"):
-                if method == "fft" and not aligned:
+                if method == "fft" and not (aligned and keeps_lattice):
                     for pts in (dom, dom.points()):
                         with pytest.raises(ShiftOffGrid):
                             evaluate(pts, method)
@@ -849,10 +880,26 @@ class TestDomainGridPath:
         assert w.values.nbytes == 64 ** 2 * 32 ** 2 * 16
         assert peak < 1.25 * w.values.nbytes
 
+    def test_orbit_domain_holds_no_point_cloud(self, gauss_position):
+        # a 32^4 orbit domain: the map's arrays span only their own axes
+        # and only the (k1*, k2*, k4*) centre nodes are sorted, so the peak
+        # stays near the 16 MiB result (a flattened (M, 4) cloud and its
+        # mapped columns peak at 92 MiB)
+        g = Grid1D.symmetric(32, 3.0)
+        dom = orbit_domain(k1s=g, k2s=g, k3s=g, k4s=g)
+        tracemalloc.start()
+        try:
+            w = wigner_nc_params(gauss_position, dom, NCParams(1.0, 1.0, -1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert w.values.nbytes == 32 ** 4 * 16
+        assert peak <= 1.5 * w.values.nbytes
+
     def test_points_never_materialised(self, generic_label, gauss_op, gauss_position,
                                        monkeypatch):
         def no_points(self):
-            raise AssertionError("Domain4D.points() called on the grid path")
+            raise AssertionError("Domain4D.points() called by a transform")
 
         monkeypatch.setattr(Domain4D, "points", no_points)
         g = Grid1D.symmetric(4, 1.0)
@@ -865,11 +912,43 @@ class TestDomainGridPath:
         w = cross_wigner_standard(gauss_position, gauss_position,
                                   phase_space_domain(q1=0.0, q2=0.0, p1=g, p2=g), h=1.0)
         assert w.values.shape == (4, 4)
+        w = wigner_generic(gauss_op, orbit_domain(k1s=g, k2s=g, k3s=g, k4s=g),
+                           generic_label)
+        assert w.values.shape == (4, 4, 4, 4)
+        w = wigner_nc_params(gauss_position, orbit_domain(k1s=g, k2s=0.0, k3s=g, k4s=0.5),
+                             NCParams(1.0, 1.0, -1.0))
+        assert w.values.shape == (4, 4)
 
 
 class TestTransformContract:
     """Checks every transform shares through its one runner: the sector,
     the field representation, and the sector prefactor off unit constants."""
+
+    @pytest.mark.parametrize("case", ["nan_frequency", "nan_centre", "inf_centre",
+                                      "nan_point_object", "stacked_array",
+                                      "nan_grid_origin", "inf_grid_step",
+                                      "nan_fixed_coordinate"])
+    def test_malformed_inputs_raise_one_line(self, generic_label, gauss_op, case):
+        g = Grid1D.symmetric(4, 1.0)
+        bad = {
+            "nan_frequency": lambda: wigner_nc(gauss_op, np.array([[np.nan, 0, 0, 0]]),
+                                               generic_label),
+            "nan_centre": lambda: wigner_nc(gauss_op, np.array([[0, 0, np.nan, 0]]),
+                                            generic_label),
+            "inf_centre": lambda: wigner_nc(gauss_op, np.array([[0, 0, 0, np.inf]]),
+                                            generic_label),
+            "nan_point_object": lambda: wigner_generic(
+                gauss_op, [CoadjointPoint(0.0, math.nan, 0.0, 0.0)], generic_label),
+            "stacked_array": lambda: wigner_nc(gauss_op, np.zeros((2, 4, 4)), generic_label),
+            "nan_grid_origin": lambda: Grid1D(4, math.nan, 0.1),
+            "inf_grid_step": lambda: Grid1D(4, 0.0, math.inf),
+            "nan_fixed_coordinate": lambda: orbit_domain(k1s=g, k2s=g, k3s=math.nan,
+                                                         k4s=0.0),
+        }[case]
+        with pytest.raises(ValueError, match=r"\(M, 4\)" if case == "stacked_array"
+                           else "finite") as exc:
+            bad()
+        assert "\n" not in str(exc.value)
 
     @pytest.mark.parametrize("trip", [(1.0, 1.0, 0.0), (1.0, 0.0, 0.0)])
     def test_nc_forms_need_a_generic_label(self, gauss_op, gauss_position, trip):
