@@ -357,14 +357,14 @@ def suite_isometry(rng) -> list[VerificationReport]:
     return reports
 
 
-def qm_limit_study(psi, labels, method: str) -> tuple[np.ndarray, bool]:
+def qm_limit_study(psi, labels) -> tuple[np.ndarray, bool]:
     """The commutative-limit study behind the qm_limit suite and
     ``ncwig limit``: :func:`qm_limit_check` at 144 (q, p) probe points on a
     4 x 4 x 3 x 3 grid, and whether the distances strictly decrease."""
     qv = np.linspace(-1.5, 1.5, 4)
     pv = np.linspace(-1.0, 1.0, 3)
     pts = np.stack(np.meshgrid(qv, qv, pv, pv, indexing="ij"), axis=-1).reshape(-1, 4)
-    dists = qm_limit_check(psi, labels, pts, method)
+    dists = qm_limit_check(psi, labels, pts)
     return dists, bool(np.all(np.diff(dists) < 0))
 
 
@@ -372,7 +372,7 @@ def suite_qm_limit(rng) -> list[VerificationReport]:
     consts = DimensionalConstants(1.0, 1.0, -1.0)
     labels = [make_orbit_label(1.0, 4.0 ** -m, 4.0 ** -m, consts) for m in range(5)]
     psi = gaussian_state(default_state_grid(128, 10.0))
-    dists, decreasing = qm_limit_study(psi, labels, "auto")
+    dists, decreasing = qm_limit_study(psi, labels)
     metric = float(dists[-1]) if decreasing else math.inf
     return [_rep("qm_limit", metric, 1e-3,
                  decreasing=decreasing,
@@ -440,10 +440,17 @@ SUITE_NAMES = tuple(SUITES)
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    """Suite selection and determinism seed. suites=None runs everything."""
+    """Suite selection and determinism seed. suites=None runs everything;
+    unknown names raise ValueError here, before any suite runs."""
 
     suites: tuple[str, ...] | None = None
     seed: int = 7
+
+    def __post_init__(self):
+        unknown = set(self.suites or ()) - set(SUITE_NAMES)
+        if unknown:
+            raise ValueError(f"unknown suites {sorted(unknown)}; available: "
+                             f"{', '.join(SUITE_NAMES)}")
 
 
 def iter_verification_suites(
@@ -452,14 +459,10 @@ def iter_verification_suites(
     """Run the named verification suites with default grids, one at a time.
 
     Yields (suite name, its reports, its wall seconds) as each suite ends;
-    the seconds cover that suite's work only.  Unknown names are rejected
-    before any suite runs.
+    the seconds cover that suite's work only.
     """
     config = config if config is not None else VerifyConfig()
     names = SUITE_NAMES if config.suites is None else tuple(config.suites)
-    unknown = set(names) - set(SUITE_NAMES)
-    if unknown:
-        raise ValueError(f"unknown suites {sorted(unknown)}; available: {SUITE_NAMES}")
     for name in names:
         t0 = time.perf_counter()
         reports = list(SUITES[name](np.random.default_rng(config.seed)))

@@ -9,11 +9,11 @@ identical flags and seed.  Non-finite values are refused on writing.
 :func:`read_field_file` reads all three formats, bit for bit with signed
 zeros, and ends every malformed file in one ValueError line.
 
-Exit codes: 0 success; 2 argument errors; 3 invalid labels, sector
-mismatches and singular parameters; 4 grid guards (too coarse, too large,
-off-grid shifts).  Every run prints the resolved label, the derived
-noncommutativity parameters, grid metadata and the evaluation method to
-standard error.
+Exit codes: 0 success; 2 argument errors, an --out path that cannot be
+written among them; 3 invalid labels, sector mismatches and singular
+parameters; 4 grid guards (too coarse, too large).  Every run prints the
+resolved label, the derived noncommutativity parameters and grid metadata
+to standard error.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import itertools
 import json
 import math
 import operator
+import os
 import sys
 
 import numpy as np
@@ -45,7 +46,6 @@ from .core import (
     PHASE_COORDS,
     RankOneOperator,
     SectorMismatch,
-    ShiftOffGrid,
     make_orbit_label,
     nc_domain,
     nc_params_from_label,
@@ -55,7 +55,7 @@ from .core import (
 from ._suites import VerifyConfig, iter_verification_suites, qm_limit_study
 from .numerics import _ALIGN_TOL
 from .oracles import format_report, gaussian_state, gaussian_state_momentum
-from .starprod import (_STAR4D_AXIS_CAP, marginal_momentum, marginal_position, star_B,
+from .starprod import (_require_star4d_bytes, marginal_momentum, marginal_position, star_B,
                        star_general, star_hbar, star_vartheta)
 from .wigner import (
     cross_wigner_standard,
@@ -383,15 +383,21 @@ def _meta_lines(label: OrbitLabel | None, params: NCParams | None, extra: dict[s
     return meta
 
 
-def _log_run(meta: dict[str, str], method: str | None = None):
+def _log_run(meta: dict[str, str]):
     for key, val in meta.items():
         print(f"[ncwig] {key}: {val}", file=sys.stderr)
-    if method is not None:
-        print(f"[ncwig] method: {method}", file=sys.stderr)
 
 
-def _momentum_state_for_output(args, label: OrbitLabel, domain: Domain4D,
-                               state, method: str = "auto") -> ComplexField2D:
+def _write_out(args, grids, values, meta):
+    """write_field_file to --out; a path it cannot write is an argument error."""
+    try:
+        write_field_file(args.out, grids, values, meta, fmt=args.format)
+    except OSError as exc:
+        raise _CliFailure(2, f"--out: {exc}") from None
+    print(f"[ncwig] wrote {args.out}", file=sys.stderr)
+
+
+def _momentum_state_for_output(args, label: OrbitLabel, domain: Domain4D, state) -> ComplexField2D:
     """Build the momentum-side field; gaussian sources go on a grid fine
     enough to resolve every requested output phase."""
     if state[0] == "file":
@@ -411,11 +417,6 @@ def _momentum_state_for_output(args, label: OrbitLabel, domain: Domain4D,
     # extent covers the state's momentum support; the step is refined until
     # the conjugate band covers every requested output phase
     extent = max(12.0, abs(center[2]) + 10.0, abs(center[3]) + 10.0) / abs(a)
-    if method == "fft" and domain.grids:
-        # snap the extent so the conjugate lattice divides the output step
-        dkap = 2.0 * omega * domain.grids[0].step
-        unit = math.pi / dkap
-        extent = max(1, math.ceil(extent / unit)) * unit
     n = args.state_grid
     while math.pi * n / (2.0 * extent) <= 1.05 * kmax and n < _STATE_GRID_CAP:
         n *= 2
@@ -466,22 +467,20 @@ def _cmd_wigner(args) -> int:
         "axes": ",".join(domain.varying),
         "fixed": " ".join(f"{k}={_fnum(v)}" for k, v in domain.fixed),
     })
-    _log_run(meta, args.method)
+    _log_run(meta)
     if label is None:
         psi = _position_state(args, state)
-        field = transform(psi, psi, domain, args.planck_h, method=args.method)
+        field = transform(psi, psi, domain, args.planck_h)
     else:
-        fhat = _momentum_state_for_output(args, label, domain, state, method=args.method)
+        fhat = _momentum_state_for_output(args, label, domain, state)
         g0 = fhat.grid.axis0
         print(f"[ncwig] state-grid: n={g0.n} origin={_fnum(g0.origin)} "
               f"step={_fnum(g0.step)} rep={fhat.rep}", file=sys.stderr)
         for name, g in zip(domain.varying, domain.grids):
             print(f"[ncwig] output-grid {name}: n={g.n} origin={_fnum(g.origin)} "
                   f"step={_fnum(g.step)}", file=sys.stderr)
-        field = transform(RankOneOperator(ket=fhat, bra=fhat), domain, label,
-                          method=args.method)
-    write_field_file(args.out, tuple(domain.grids), field.values, meta, fmt=args.format)
-    print(f"[ncwig] wrote {args.out}", file=sys.stderr)
+        field = transform(RankOneOperator(ket=fhat, bra=fhat), domain, label)
+    _write_out(args, tuple(domain.grids), field.values, meta)
     return 0
 
 
@@ -497,8 +496,7 @@ def _cmd_marginal(args) -> int:
     dom = nc_domain(q1nc=q, q2nc=q, p1nc=p, p2nc=p)
     fhat = _momentum_state_for_output(args, label, dom, state)
     op = RankOneOperator(ket=fhat, bra=fhat)
-    w4 = wigner_nc(op, dom, label, method=args.method,
-                   max_axis_points=max(args.int_grid, args.grid))
+    w4 = wigner_nc(op, dom, label, max_axis_points=max(args.int_grid, args.grid))
     marg = marginal(w4, label)
     meta = _meta_lines(label, params, {
         "transform": f"marginal-{args.which}",
@@ -506,10 +504,8 @@ def _cmd_marginal(args) -> int:
         "coords": marg.coords,
         "residual_imag": _fnum(marg.residual_imag),
     })
-    _log_run(meta, args.method)
-    write_field_file(args.out, (marg.grid.axis0, marg.grid.axis1),
-                     marg.values.astype(np.complex128), meta, fmt=args.format)
-    print(f"[ncwig] wrote {args.out}", file=sys.stderr)
+    _log_run(meta)
+    _write_out(args, (marg.grid.axis0, marg.grid.axis1), marg.values, meta)
     return 0
 
 
@@ -538,13 +534,15 @@ def _cmd_star(args) -> int:
             supp = max(abs(center[0]), abs(center[1])) + 8.0
             if math.isfinite(kernel_scale):
                 h_needed = 0.45 * math.pi / (kernel_scale * (args.extent + supp))
-                need = math.ceil(2 * (supp + 2) / h_needed)
+                # an extent near the float maximum sends h_needed to 0
+                need = 2 * (supp + 2) / h_needed if h_needed > 0 else math.inf
                 if need > _STATE_GRID_CAP:
+                    count = math.ceil(need) if need < 1e12 else f"{need:.3g}"
                     raise GridTooLarge(
-                        f"star {kind}: the kernel chirp needs {need} state points per "
+                        f"star {kind}: the kernel chirp needs {count} state points per "
                         f"axis, above the cap of {_STATE_GRID_CAP}; raise "
                         f"|{'bfield' if need_mom else 'vartheta'}| or shrink --extent")
-                n = max(args.state_grid, need)
+                n = max(args.state_grid, math.ceil(need))
                 n += n % 2
             else:
                 n = args.state_grid
@@ -556,31 +554,31 @@ def _cmd_star(args) -> int:
         fc = f.with_values(np.conj(f.values))
         fn = star_vartheta if kind == "vartheta" else star_B
         res = fn(fc, f, params, out=Grid2D(out1d, out1d))
-        write_field_file(args.out, (out1d, out1d), res.values, meta, fmt=args.format)
+        _write_out(args, (out1d, out1d), res.values, meta)
     else:
-        n = min(args.grid, _STAR4D_AXIS_CAP)
-        _log_run({"star-grid": f"n={n} per axis (--grid {args.grid}; 4D kinds are "
-                               f"capped at {_STAR4D_AXIS_CAP})"})
+        n = args.grid
+        _require_star4d_bytes((n,) * 4)
         g = Grid1D.symmetric(n, args.extent)
         dom = orbit_domain(k1s=g, k2s=g, k3s=g, k4s=g)
         psi = _position_state(args, state)
-        w = wigner_nc_params(psi, dom, params)
+        w = wigner_nc_params(psi, dom, params, max_axis_points=n)
         fn = star_hbar if kind == "hbar" else star_general
         res = fn(w, w, params)
         # write the central 2D slice of the 4D result
         mid = n // 2
         meta["slice"] = f"k3s={_fnum(g.coords()[mid])} k4s={_fnum(g.coords()[mid])}"
-        write_field_file(args.out, (g, g), res.values[:, :, mid, mid], meta,
-                         fmt=args.format)
-    print(f"[ncwig] wrote {args.out}", file=sys.stderr)
+        _write_out(args, (g, g), res.values[:, :, mid, mid], meta)
     return 0
 
 
 def _cmd_verify(args) -> int:
     suites = None if args.suite == "all" else tuple(s for s in args.suite.split(",") if s)
+    try:
+        config = VerifyConfig(suites=suites, seed=args.seed)
+    except ValueError as exc:
+        raise _CliFailure(2, f"--suite: {exc}") from None
     reports = []
-    for name, suite_reports, seconds in iter_verification_suites(
-            VerifyConfig(suites=suites, seed=args.seed)):
+    for name, suite_reports, seconds in iter_verification_suites(config):
         reports.extend(suite_reports)
         print(f"[ncwig] {name}: {seconds:.2f}s", file=sys.stderr)
     lines = [format_report(r) for r in reports]
@@ -589,15 +587,14 @@ def _cmd_verify(args) -> int:
     if args.out:
         if args.out.endswith(".json"):
             # structured variant; runtimes are volatile and stay out
-            doc = [{"name": r.name, "metric": r.metric, "tolerance": r.tolerance,
-                    "passed": r.passed, "details": dict(r.details)}
-                   for r in reports]
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=1, sort_keys=True)
-                fh.write("\n")
-        else:
+            body = json.dumps([{"name": r.name, "metric": r.metric, "tolerance": r.tolerance,
+                                "passed": r.passed, "details": dict(r.details)}
+                               for r in reports], indent=1, sort_keys=True) + "\n"
+        try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(body)
+        except OSError as exc:
+            raise _CliFailure(2, f"--out: {exc}") from None
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -610,8 +607,8 @@ def _cmd_limit(args) -> int:
     meta = _meta_lines(labels[0], nc_params_from_label(labels[0]), {
         "transform": "limit", "halvings": str(args.halvings), "c": _fnum(args.c),
     })
-    _log_run(meta, args.method)
-    dists, decreasing = qm_limit_study(psi, labels, args.method)
+    _log_run(meta)
+    dists, decreasing = qm_limit_study(psi, labels)
     for d in dists:
         print(_fnum(d))
     ok = decreasing and dists[-1] < args.tolerance
@@ -639,7 +636,9 @@ def _checked(convert, ok, what):
 
 
 _POINTS = _checked(int, lambda v: v >= 2, "a whole number >= 2")
-_EXTENT = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
+# grids span 2 * extent, which must stay finite
+_EXTENT = _checked(float, lambda v: 0 < v <= sys.float_info.max / 2,
+                   f"a number in (0, {sys.float_info.max / 2:.3g}]")
 _NONZERO = _checked(float, lambda v: math.isfinite(v) and v != 0, "a finite nonzero number")
 _COUNT = _checked(int, lambda v: v >= 0, "a whole number >= 0")
 
@@ -681,7 +680,6 @@ def build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--extent", type=_EXTENT, default=10.0, help="output half-extent")
     pw.add_argument("--slice", default=None,
                     help="fixed coordinates, e.g. k3s=0,k4s=0")
-    pw.add_argument("--method", choices=("auto", "fft", "direct"), default="auto")
     _add_output_args(pw)
     pw.set_defaults(func=_cmd_wigner)
 
@@ -694,7 +692,6 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--int-grid", type=_POINTS, default=64,
                     help="points per axis for the integrated pair")
     pm.add_argument("--int-extent", type=_EXTENT, default=5.0)
-    pm.add_argument("--method", choices=("auto", "fft", "direct"), default="auto")
     _add_output_args(pm)
     pm.set_defaults(func=_cmd_marginal)
 
@@ -706,8 +703,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--bfield", type=float, default=0.0)
     _add_state_args(ps)
     ps.add_argument("--grid", type=_POINTS, default=32,
-                    help="output points per axis; hbar and general use at most "
-                         f"{_STAR4D_AXIS_CAP}")
+                    help="output points per axis; hbar and general also per 4D "
+                         "axis, bounded by their working memory (1 GiB)")
     ps.add_argument("--extent", type=_EXTENT, default=3.0)
     _add_output_args(ps)
     ps.set_defaults(func=_cmd_star)
@@ -724,7 +721,6 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--c", type=float, default=0.25, help="k2 = k3 = c * 2^-m")
     pl.add_argument("--halvings", type=_COUNT, default=4)
     pl.add_argument("--tolerance", type=float, default=1e-3)
-    pl.add_argument("--method", choices=("auto", "fft", "direct"), default="auto")
     _add_state_args(pl)
     pl.set_defaults(func=_cmd_limit)
 
@@ -735,6 +731,10 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        # refused before any state, transform or suite runs
+        out_dir = os.path.dirname(getattr(args, "out", None) or "") or "."
+        if not os.path.isdir(out_dir):
+            raise _CliFailure(2, f"--out: no directory {out_dir!r}")
         return args.func(args)
     except _CliFailure as exc:
         print(f"ncwig: error: {exc}", file=sys.stderr)
@@ -745,7 +745,7 @@ def main(argv=None) -> int:
     except DegenerateParams as exc:
         print(f"ncwig: error: singular parameters: {exc}", file=sys.stderr)
         return 3
-    except (GridTooCoarse, GridTooLarge, ShiftOffGrid) as exc:
+    except (GridTooCoarse, GridTooLarge) as exc:
         print(f"ncwig: error: {exc}", file=sys.stderr)
         return 4
 

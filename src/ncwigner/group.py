@@ -71,10 +71,6 @@ def group_inverse(g: GroupElement) -> GroupElement:
                         (-g.q[0], -g.q[1]), (-g.p[0], -g.p[1]))
 
 
-def _shift_mode(interpolation: bool) -> str:
-    return "fourier" if interpolation else "integer"
-
-
 def uir_apply(g: GroupElement, f: ComplexField2D, label: OrbitLabel,
               interpolation: bool = False) -> ComplexField2D:
     """Representation action on the mixed (r1, s2) carrier space.
@@ -94,7 +90,7 @@ def uir_apply(g: GroupElement, f: ComplexField2D, label: OrbitLabel,
     c = label.consts
     q1, q2 = g.q
     p1, p2 = g.p
-    shifted = shift_field(f, q1, -p2, mode=_shift_mode(interpolation))
+    shifted = shift_field(f, q1, -p2, mode="fourier" if interpolation else "integer")
     r1 = f.grid.axis0.coords()[:, None]
     s2 = f.grid.axis1.coords()[None, :]
     phase = (
@@ -127,7 +123,7 @@ def uir_apply_ft(g: GroupElement, fhat: ComplexField2D, label: OrbitLabel,
     q1, q2 = g.q
     p1, p2 = g.p
     shift1 = p1 + (label.k3 * c.gamma / (label.k1 * c.alpha)) * q2
-    shifted = shift_field(fhat, -shift1, -p2, mode=_shift_mode(interpolation))
+    shifted = shift_field(fhat, -shift1, -p2, mode="fourier" if interpolation else "integer")
     s1 = fhat.grid.axis0.coords()[:, None]
     s2 = fhat.grid.axis1.coords()[None, :]
     phase = -(

@@ -178,27 +178,23 @@ def fractional_shift(f: ComplexField2D, d0: float, d1: float) -> ComplexField2D:
     return f.with_values(out)
 
 
-def shift_field(f: ComplexField2D, d0: float, d1: float, mode: str = "auto") -> ComplexField2D:
-    """Shifted samples f(r + d), choosing index translation or Fourier phases.
+def shift_field(f: ComplexField2D, d0: float, d1: float, mode: str) -> ComplexField2D:
+    """Shifted samples f(r + d) by index translation or Fourier phases.
 
     mode "integer": require d/step to be an integer within 1e-9 (else
     ShiftOffGrid) and translate indices with zero fill.  mode "fourier":
-    always use the band-limited circular shift.  mode "auto": integer when
-    both axes are aligned, Fourier otherwise.
+    the band-limited circular shift of :func:`fractional_shift`.
     """
-    if mode not in ("integer", "fourier", "auto"):
+    if mode == "fourier":
+        return fractional_shift(f, d0, d1)
+    if mode != "integer":
         raise ValueError(f"unknown shift mode {mode!r}")
     delta0 = d0 / f.grid.axis0.step
     delta1 = d1 / f.grid.axis1.step
-    aligned = (abs(delta0 - round(delta0)) <= _ALIGN_TOL
-               and abs(delta1 - round(delta1)) <= _ALIGN_TOL)
-    if mode == "integer" and not aligned:
-        raise ShiftOffGrid(
-            f"shift ({d0}, {d1}) is not an integer number of grid steps "
-            f"({delta0:.3g}, {delta1:.3g} steps)"
-        )
-    if mode == "fourier" or not aligned:
-        return fractional_shift(f, d0, d1)
+    if not (abs(delta0 - round(delta0)) <= _ALIGN_TOL
+            and abs(delta1 - round(delta1)) <= _ALIGN_TOL):
+        raise ShiftOffGrid(f"shift ({d0}, {d1}) is not an integer number of grid steps "
+                           f"({delta0:.3g}, {delta1:.3g} steps)")
     # f(r + d) sits at index j + d/step
     out = _axis_shift(f.values, d0, f.grid.axis0.step, 0)
     return f.with_values(_axis_shift(out, d1, f.grid.axis1.step, 1))

@@ -16,10 +16,10 @@ common orbit grid; their quadratic phases are recorded in
 :func:`star_hbar_phase_matrix` / :func:`star_general_phase_matrix`.  Each
 4D product is two GEMMs and one gather (see :func:`_star_4d`): about n^6
 flops in BLAS for n points per axis, with n^4-element complex temporaries
-(the chirped factors and the products C, Q and K).  The default cap of
-16 points per axis is kept; ``max_axis_points`` overrides it, and a grid
-whose temporaries would exceed ``_STAR4D_MAX_BYTES`` raises GridTooLarge
-before any of them is allocated.
+(the chirped factors and the products C, Q and K).  Their only size
+limit is :func:`_require_star4d_bytes`: a grid whose temporaries would
+exceed ``_STAR4D_MAX_BYTES`` (1 GiB, about 60 points per axis) raises
+GridTooLarge before any of them is allocated.
 
 The oscillatory quadratic phases are evaluated exactly per node and the
 integration is plain trapezoid over the fields' support, protected by a
@@ -47,7 +47,6 @@ from .core import (
     ORBIT_COORDS,
     OrbitLabel,
     WignerField,
-    _require_axis_cap,
 )
 from .numerics import _axis_reflect, _axis_shifter, _axis_weights
 
@@ -65,7 +64,6 @@ __all__ = [
 
 _SUPPORT_CUT = 1e-8
 _MAX_PHASE_PER_CELL = 0.5 * math.pi
-_STAR4D_AXIS_CAP = 16
 # peak working memory of one 4D star product: about five n0*n1*n2*n3
 # complex arrays are alive at once (tracemalloc: 5.00-5.01x from 16^4 to 32^4)
 _STAR4D_PEAK_ARRAYS = 5
@@ -266,18 +264,23 @@ def star_general_phase_matrix(params: NCParams) -> np.ndarray:
     return m / e
 
 
-def _star4d_setup(w1: WignerField, w2: WignerField, max_axis_points: int):
+def _require_star4d_bytes(shape):
+    """Raise GridTooLarge when a 4D star product on a grid of ``shape``
+    would need more than ``_STAR4D_MAX_BYTES`` of working memory."""
+    need = _STAR4D_PEAK_ARRAYS * np.dtype(np.complex128).itemsize * math.prod(shape)
+    if need > _STAR4D_MAX_BYTES:
+        raise GridTooLarge(f"4D star products on a {'x'.join(map(str, shape))} grid "
+                           f"need about {need} bytes, above the limit of "
+                           f"{_STAR4D_MAX_BYTES} bytes")
+
+
+def _star4d_setup(w1: WignerField, w2: WignerField):
     if w1.domain != w2.domain:
         raise ValueError("4D star-product factors must share one domain")
     if not (w1.domain.names == ORBIT_COORDS and w1.domain.is_full):
         raise ValueError("4D star products act on full orbit-coordinate fields")
-    _require_axis_cap(w1.domain, max_axis_points, "4D star products")
+    _require_star4d_bytes(w1.domain.shape)
     grids = w1.domain.grids
-    need = _STAR4D_PEAK_ARRAYS * np.dtype(np.complex128).itemsize * math.prod(w1.domain.shape)
-    if need > _STAR4D_MAX_BYTES:
-        raise GridTooLarge(f"4D star products on a {'x'.join(str(g.n) for g in grids)} grid "
-                           f"need about {need} bytes, above the limit of "
-                           f"{_STAR4D_MAX_BYTES} bytes")
     coords = [g.coords() for g in grids]
     wt = [_axis_weights(g) for g in grids]
     wt4 = (wt[0][:, None, None, None] * wt[1][None, :, None, None]
@@ -286,7 +289,7 @@ def _star4d_setup(w1: WignerField, w2: WignerField, max_axis_points: int):
 
 
 def _star_4d(w1: WignerField, w2: WignerField, params: NCParams, phase_matrix,
-             what: str, max_axis_points: int) -> WignerField:
+             what: str) -> WignerField:
     """Trapezoid sum over (e, f, g, h) of
 
         exp(i [c_B a1 a2 + c_H1 a1 b1 + c_H2 a2 b2 + c_T b1 b2])
@@ -305,7 +308,7 @@ def _star_4d(w1: WignerField, w2: WignerField, params: NCParams, phase_matrix,
     f', g'] (zero off the grid) and R = Q K with K = exp(2i phi): two GEMMs
     and one gather instead of a loop over (b, c).
     """
-    grids, coords, wt4 = _star4d_setup(w1, w2, max_axis_points)
+    grids, coords, wt4 = _star4d_setup(w1, w2)
     m = phase_matrix(params)
     pref = math.sqrt(abs(params.det)) / (math.pi * abs(params.hbar))
     supp = _support_extent(np.maximum(np.abs(w1.values), np.abs(w2.values)), coords)
@@ -343,20 +346,17 @@ def _star_4d(w1: WignerField, w2: WignerField, params: NCParams, phase_matrix,
     return WignerField._adopt(w1.domain, out, w1.label)
 
 
-def star_hbar(w1: WignerField, w2: WignerField, params: NCParams,
-              max_axis_points: int = _STAR4D_AXIS_CAP) -> WignerField:
+def star_hbar(w1: WignerField, w2: WignerField, params: NCParams) -> WignerField:
     """Symplectic-phase star product of two orbit-coordinate Wigner fields.
 
     Kernel phase (2/hbar) [(k1*-eta1)(k3*-xi1) - (k2*-eta2)(k4*-xi2)],
     prefactor sqrt|hbar^2 - B theta| / (pi |hbar|), second factor sampled at
     (eta1, 2 k2* - eta2, 2 k3* - xi1, xi2).
     """
-    return _star_4d(w1, w2, params, star_hbar_phase_matrix, "star_hbar",
-                    max_axis_points)
+    return _star_4d(w1, w2, params, star_hbar_phase_matrix, "star_hbar")
 
 
-def star_general(w1: WignerField, w2: WignerField, params: NCParams,
-                 max_axis_points: int = _STAR4D_AXIS_CAP) -> WignerField:
+def star_general(w1: WignerField, w2: WignerField, params: NCParams) -> WignerField:
     """Three-parameter star product combining the hbar, theta and B phases.
 
     Kernel phase (2/E) [B (k1*-eta1)(k2*-eta2) - hbar (k1*-eta1)(k3*-xi1)
@@ -364,5 +364,4 @@ def star_general(w1: WignerField, w2: WignerField, params: NCParams,
     E = hbar^2 - B theta; at theta = B = 0 the phase matrix reduces to
     minus the hbar kernel's (the two quadratic forms are conjugate there).
     """
-    return _star_4d(w1, w2, params, star_general_phase_matrix, "star_general",
-                    max_axis_points)
+    return _star_4d(w1, w2, params, star_general_phase_matrix, "star_general")

@@ -9,9 +9,9 @@ coordinates map to frequencies w, centres c and scales (om0, om1), and in
 the prefactor.  The substitution s = 2t turns the integrand into a product
 of the plainly shifted fields conj(B)(t + c) A(-t + c) on the state grid,
 so for each centre the whole frequency batch is one FFT (when the requested
-frequencies land on the conjugate lattice) or one separable phase
-contraction (for arbitrary points).  A slower, structurally independent
-quadrature lives in :mod:`ncwigner.oracles`.
+frequencies land on the conjugate lattice, at least ``_FFT_MIN_POINTS`` of
+them) or one phase contraction (otherwise).  A slower, structurally
+independent quadrature lives in :mod:`ncwigner.oracles`.
 
 One loop, ``_phase_integral``, runs the centre groups and one enumerator,
 ``_centre_groups``, feeds it.  Each coordinate map sends four broadcastable
@@ -92,7 +92,6 @@ from .core import (
     RankOneOperator,
     Sector,
     SectorMismatch,
-    ShiftOffGrid,
     WignerField,
     _require_axis_cap,
     DegenerateParams,
@@ -124,6 +123,8 @@ __all__ = [
 TAU0_TO_QM_PREFACTOR_RATIO = math.sqrt(2.0 * math.pi)
 
 _DEFAULT_AXIS_CAP = 32
+# lattice frequencies at one centre from which the FFT replaces the contraction
+_FFT_MIN_POINTS = 16
 
 
 def _worker_count() -> int:
@@ -159,12 +160,9 @@ class _GroupEvaluator:
     """Evaluates the phase integral for batches of points sharing a centre."""
 
     def __init__(self, ket: ComplexField2D, bra: ComplexField2D,
-                 omega0: float, omega1: float, method: str):
+                 omega0: float, omega1: float):
         if ket.grid != bra.grid:
             raise ValueError("ket and bra must share one grid")
-        if method not in ("auto", "fft", "direct"):
-            raise ValueError(f"unknown method {method!r}")
-        self.method = method
         self.g0 = ket.grid.axis0
         self.g1 = ket.grid.axis1
         self.t0 = self.g0.coords()
@@ -215,9 +213,10 @@ class _GroupEvaluator:
     def frequency_step(self, w0, w1):
         """Frequency-side work for (w0, w1) pairs that share their centres.
 
-        Runs the resolution guard, the alignment and ``auto`` decision, and
-        builds the lattice indices or contraction matrices and the
-        grid-origin phase.  w0 and w1 broadcast against each other: one
+        Runs the resolution guard, picks the FFT when the frequencies sit
+        on the conjugate lattice and number at least ``_FFT_MIN_POINTS``,
+        else the contraction, and builds the lattice indices or contraction
+        matrices and the grid-origin phase.  w0 and w1 broadcast against each other: one
         group's 1-D point arrays, or for a domain one array over the group's
         nodes and one over the frequency axes, whose pairs fill a product.
         Returns contract(h) -> I(w; c) for an integrand h of those centres.
@@ -226,16 +225,9 @@ class _GroupEvaluator:
         r0, r1 = np.round(m0), np.round(m1)
         aligned = (np.all(np.abs(m0 - r0) <= _ALIGN_TOL)
                    and np.all(np.abs(m1 - r1) <= _ALIGN_TOL))
-        if self.method == "fft" and not aligned:
-            raise ShiftOffGrid(
-                "output frequencies are not on the FFT conjugate lattice; "
-                "use method='direct' or an aligned output grid"
-            )
         size = np.broadcast(w0, w1).size
-        use_fft = self.method == "fft" or (self.method == "auto" and aligned
-                                           and size >= 16)
         n0, n1 = self.g0.n, self.g1.n
-        if use_fft:
+        if aligned and size >= _FFT_MIN_POINTS:
             i0 = (r0.astype(int)) % n0
             i1 = (r1.astype(int)) % n1
             kap0 = r0 * self.dk0
@@ -319,7 +311,7 @@ def _blas_local_threads_setter():
     return None
 
 
-def _phase_integral(ket, bra, omega0, omega1, method, n_groups, group, out):
+def _phase_integral(ket, bra, omega0, omega1, n_groups, group, out):
     """The engine's one loop: out[idx] = I(w; c) for each centre group
     (c0, c1, w0, w1, idx) = group(k), k < n_groups; returns out.  With
     enough groups, pool threads take contiguous chunks and one evaluator
@@ -331,7 +323,7 @@ def _phase_integral(ket, bra, omega0, omega1, method, n_groups, group, out):
             c0, c1, w0, w1, idx = group(k)
             out[idx] = evaluator.eval_group(c0, c1, w0, w1)
 
-    new_evaluator = functools.partial(_GroupEvaluator, ket, bra, omega0, omega1, method)
+    new_evaluator = functools.partial(_GroupEvaluator, ket, bra, omega0, omega1)
     workers = _worker_count()
     if workers > 1 and n_groups >= 64:
         chunk = -(-n_groups // workers)
@@ -432,7 +424,7 @@ def aligned_center_grid(state_axis: Grid1D, n: int, stride: int = 1) -> Grid1D:
 # ---------------------------------------------------------------------------
 
 def _transform(ket, bra, rep, pts, names, waves, omegas, pref, label, sector,
-               method, max_axis_points):
+               max_axis_points):
     """The runner behind every transform: pref * I(w; c) at pts.
 
     ket and bra must be tagged ``rep``, and ``label`` must come from
@@ -459,7 +451,7 @@ def _transform(ket, bra, rep, pts, names, waves, omegas, pref, label, sector,
     else:
         cols = _as_points(pts).T
         vals = np.empty(cols.shape[1], dtype=np.complex128)
-    _phase_integral(ket, bra, *omegas, method, *_centre_groups(*waves(*cols), vals))
+    _phase_integral(ket, bra, *omegas, *_centre_groups(*waves(*cols), vals))
     np.multiply(pref, vals, out=vals)  # in place: grids reach 4M values
     if domain is None:
         return vals
@@ -472,7 +464,7 @@ def _p_waves(q1, q2, p1, p2):
     return p1, p2, q1, q2
 
 
-def _orbit_transform(op, pts, label, sector, method, max_axis_points):
+def _orbit_transform(op, pts, label, sector, max_axis_points):
     """The orbit transforms: frequencies q^nc, centres p^nc / k1, and the
     prefactor d / ((2 pi)^(7/2) sqrt(rho)), with d the Duflo-Moore constant
     and rho the Plancherel density of the label's sector.
@@ -487,12 +479,10 @@ def _orbit_transform(op, pts, label, sector, method, max_axis_points):
     pref = duflo_moore_constant(label) / (
         (2.0 * math.pi) ** 3.5 * math.sqrt(plancherel_density(label)))
     return _transform(op.ket, op.bra, "momentum", pts, ORBIT_COORDS, waves,
-                      (label.consts.alpha,) * 2, pref, label, sector, method,
-                      max_axis_points)
+                      (label.consts.alpha,) * 2, pref, label, sector, max_axis_points)
 
 
 def wigner_generic(op: RankOneOperator, pts, label: OrbitLabel,
-                   method: str = "auto",
                    max_axis_points: int = _DEFAULT_AXIS_CAP):
     """Wigner transform of |ket><bra| on a generic 4D orbit.
 
@@ -500,11 +490,10 @@ def wigner_generic(op: RankOneOperator, pts, label: OrbitLabel,
     sequence of CoadjointPoint / an (M, 4) array (returns complex values).
     Both fields must be momentum-space samples.
     """
-    return _orbit_transform(op, pts, label, Sector.GENERIC, method, max_axis_points)
+    return _orbit_transform(op, pts, label, Sector.GENERIC, max_axis_points)
 
 
 def wigner_tau0(op: RankOneOperator, pts, label: OrbitLabel,
-                method: str = "auto",
                 max_axis_points: int = _DEFAULT_AXIS_CAP):
     """Wigner transform on the k3 = 0 family of 4D orbits.
 
@@ -512,18 +501,17 @@ def wigner_tau0(op: RankOneOperator, pts, label: OrbitLabel,
     normalisation 1/((2 pi)^(3/2) |k1|); in the k2 -> 0 limit it therefore
     exceeds :func:`wigner_qm_orbit` by TAU0_TO_QM_PREFACTOR_RATIO.
     """
-    return _orbit_transform(op, pts, label, Sector.TAU_ZERO, method, max_axis_points)
+    return _orbit_transform(op, pts, label, Sector.TAU_ZERO, max_axis_points)
 
 
 def wigner_qm_orbit(op: RankOneOperator, pts, label: OrbitLabel,
-                    method: str = "auto",
                     max_axis_points: int = _DEFAULT_AXIS_CAP):
     """Wigner transform on the commutative k2 = k3 = 0 orbits.
 
     Coincides with the textbook cross-Wigner transform under the convention
     map documented in the module docstring.
     """
-    return _orbit_transform(op, pts, label, Sector.SIGMA_TAU_ZERO, method, max_axis_points)
+    return _orbit_transform(op, pts, label, Sector.SIGMA_TAU_ZERO, max_axis_points)
 
 
 def _nc_pref(label: OrbitLabel) -> float:
@@ -532,7 +520,6 @@ def _nc_pref(label: OrbitLabel) -> float:
 
 
 def wigner_nc(op: RankOneOperator, pts, label: OrbitLabel,
-              method: str = "auto",
               max_axis_points: int = _DEFAULT_AXIS_CAP):
     """Noncommutative Wigner function over (q^nc, p^nc).
 
@@ -542,12 +529,11 @@ def wigner_nc(op: RankOneOperator, pts, label: OrbitLabel,
     """
     om = -label.k1 * label.consts.alpha
     return _transform(op.ket, op.bra, "momentum", pts, NC_COORDS, lambda *qp: qp, (om, om),
-                      _nc_pref(label), label, Sector.GENERIC, method, max_axis_points)
+                      _nc_pref(label), label, Sector.GENERIC, max_axis_points)
 
 
 def wigner_nc_position(psi: ComplexField2D, phi: ComplexField2D, pts,
-                       label: OrbitLabel, method: str = "auto",
-                       max_axis_points: int = _DEFAULT_AXIS_CAP):
+                       label: OrbitLabel, max_axis_points: int = _DEFAULT_AXIS_CAP):
     """Noncommutative Wigner function from position-space fields.
 
     W(q, p) = pref * int exp(i k1 a p.r) conj(psi)(r/2 + q) phi(-r/2 + q) d^2 r,
@@ -557,11 +543,10 @@ def wigner_nc_position(psi: ComplexField2D, phi: ComplexField2D, pts,
     """
     om = label.k1 * label.consts.alpha
     return _transform(phi, psi, "position", pts, NC_COORDS, _p_waves, (om, om),
-                      _nc_pref(label), label, Sector.GENERIC, method, max_axis_points)
+                      _nc_pref(label), label, Sector.GENERIC, max_axis_points)
 
 
 def wigner_nc_params(psi: ComplexField2D, pts, params: NCParams,
-                     method: str = "auto",
                      max_axis_points: int = _DEFAULT_AXIS_CAP):
     """Noncommutative Wigner function of |psi><psi| in (hbar, vartheta, bfield)
     form over orbit coordinates.
@@ -584,12 +569,11 @@ def wigner_nc_params(psi: ComplexField2D, pts, params: NCParams,
 
     pref = 1.0 / (4.0 * math.pi ** 2 * abs(hb) * math.sqrt(abs(e)))
     return _transform(psi, psi, "position", pts, ORBIT_COORDS, waves, (1.0 / hb, 1.0),
-                      pref, None, None, method, max_axis_points)
+                      pref, None, None, max_axis_points)
 
 
 def cross_wigner_standard(phi: ComplexField2D, psi: ComplexField2D, pts,
-                          h: float, method: str = "auto",
-                          max_axis_points: int = _DEFAULT_AXIS_CAP):
+                          h: float, max_axis_points: int = _DEFAULT_AXIS_CAP):
     """Textbook cross-Wigner transform of |phi><psi| in the Planck-h convention.
 
     W(q, p) = h^(-2) int conj(psi)(q - x/2) exp(-2 pi i x.p / h) phi(q + x/2) d^2 x
@@ -600,11 +584,10 @@ def cross_wigner_standard(phi: ComplexField2D, psi: ComplexField2D, pts,
         raise ValueError("h must be finite and nonzero")
     om = 2.0 * math.pi / h
     return _transform(phi, psi, "position", pts, PHASE_COORDS, _p_waves, (om, om),
-                      1.0 / h ** 2, None, None, method, max_axis_points)
+                      1.0 / h ** 2, None, None, max_axis_points)
 
 
-def qm_limit_check(psi: ComplexField2D, labels, pts,
-                   method: str = "auto") -> np.ndarray:
+def qm_limit_check(psi: ComplexField2D, labels, pts) -> np.ndarray:
     """Sup-norm distances of the nc Wigner function to the canonical one.
 
     ``labels`` is a sequence of generic labels sharing k1 and the constants,
@@ -627,9 +610,9 @@ def qm_limit_check(psi: ComplexField2D, labels, pts,
     scale = k1 * consts.alpha
     psihat = momentum_representation(psi, scale)
     op = RankOneOperator(ket=psihat, bra=psihat)
-    ref = cross_wigner_standard(psi, psi, arr, h=2.0 * math.pi / scale, method=method)
+    ref = cross_wigner_standard(psi, psi, arr, h=2.0 * math.pi / scale)
     dists = np.empty(len(labels))
     for i, lab in enumerate(labels):
-        w = wigner_nc(op, arr, lab, method=method)
+        w = wigner_nc(op, arr, lab)
         dists[i] = float(np.max(np.abs(w - ref)))
     return dists

@@ -44,17 +44,6 @@ class TestWignerCommand:
         assert code == 3
         assert "tau_zero" in capsys.readouterr().err
 
-    def test_methods_agree(self, tmp_path):
-        base = ["wigner", "nc", "--k1", "1", "--k2", "-1", "--k3", "1",
-                "--state", "gaussian:0,0", "--grid", "24", "--extent", "2.5",
-                "--slice", "p1nc=0,p2nc=0"]
-        d = tmp_path / "d.csv"
-        f = tmp_path / "f.csv"
-        assert main(base + ["--method", "direct", "--out", str(d)]) == 0
-        assert main(base + ["--method", "fft", "--out", str(f)]) == 0
-        vd, vf = load_csv(d), load_csv(f)
-        assert np.max(np.abs(vd - vf)) <= 1e-10 * np.max(np.abs(vd))
-
     def test_field_file_round_trip_as_state(self, tmp_path):
         out = tmp_path / "w.csv"
         assert main(["wigner", "standard", "--state", "gaussian:0,0",
@@ -216,14 +205,24 @@ class TestStarAndMarginalCommands:
                      "--grid", "8", "--extent", "1.5",
                      "--out", str(tmp_path / "sh.csv")]) == 0
 
-    def test_star_4d_reports_capped_grid(self, tmp_path, capsys):
+    def test_star_4d_uses_grid_as_given(self, tmp_path, capsys):
+        out = tmp_path / "sg.csv"
         assert main(["star", "general", "--hbar", "2", "--vartheta", "0.5",
                      "--bfield", "0.25", "--state", "gaussian:0,0",
                      "--state-grid", "64", "--state-extent", "8",
-                     "--grid", "32", "--extent", "1.5",
-                     "--out", str(tmp_path / "sg.csv")]) == 0
-        err = capsys.readouterr().err
-        assert "[ncwig] star-grid: n=16 per axis (--grid 32;" in err
+                     "--grid", "24", "--extent", "1.5", "--out", str(out)]) == 0
+        assert read_field_file(str(out)).values.shape == (24, 24)
+        assert "star-grid" not in capsys.readouterr().err
+
+    def test_star_4d_byte_estimate_before_transform(self, tmp_path, capsys, monkeypatch):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("wigner_nc_params called before the 4D byte estimate")
+
+        monkeypatch.setattr(cli, "wigner_nc_params", not_reached)
+        assert main(["star", "hbar", "--grid", "64", "--out", str(tmp_path / "s.csv")]) == 4
+        errors = [ln for ln in capsys.readouterr().err.splitlines()
+                  if ln.startswith("ncwig: error:")]
+        assert len(errors) == 1 and "need about 1342177280 bytes" in errors[0]
 
     def test_marginal_momentum(self, tmp_path):
         out = tmp_path / "m.csv"
@@ -403,12 +402,41 @@ class TestInputContract:
                           "--grid", "8", "--extent", "20", "--slice", "q2=0,p2=0",
                           "--out", str(tmp_path / "w.csv")], capsys, "Nyquist", code=4)
 
-    def test_off_grid_shift_exit_4(self, tmp_path, capsys):
-        # method fft with a 5-point output grid off the conjugate lattice
-        self.expect_exit(["wigner", "standard", "--state-grid", "32", "--state-extent", "6",
-                          "--grid", "5", "--extent", "1", "--slice", "q2=0,p2=0",
-                          "--method", "fft", "--out", str(tmp_path / "w.csv")], capsys,
-                         "conjugate lattice", code=4)
+    def test_unknown_suite_exit_2_before_any_suite(self, capsys, monkeypatch):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("a suite ran before the --suite check")
+
+        monkeypatch.setattr(cli, "iter_verification_suites", not_reached)
+        self.expect_exit(["verify", "--suite", "group_associativity,nope"], capsys,
+                         "unknown suites ['nope']; available: group_associativity, ")
+
+    @pytest.mark.parametrize("argv, late", [
+        (["wigner", "standard", "--grid", "4", "--extent", "1", "--slice", "q2=0,p2=0"],
+         ("_position_state", "cross_wigner_standard")),
+        (["verify", "--suite", "group_associativity"], ("iter_verification_suites",)),
+    ])
+    def test_out_without_directory_refused_first(self, tmp_path, capsys, monkeypatch,
+                                                 argv, late):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("work done before the --out check")
+
+        for name in late:
+            monkeypatch.setattr(cli, name, not_reached)
+        missing = tmp_path / "missing"
+        self.expect_exit([*argv, "--out", str(missing / "x.csv")], capsys,
+                         f"--out: no directory {str(missing)!r}")
+
+    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+        # a directory passes the parent check but cannot be opened for writing
+        self.expect_exit(self.standard(tmp_path)[:-1] + [str(tmp_path)], capsys, "--out: ")
+
+    def test_huge_extent_keeps_the_error_line_short(self, tmp_path, capsys):
+        assert main(["star", "vartheta", "--hbar", "1", "--vartheta", "1", "--extent", "1e300",
+                     "--out", str(tmp_path / "x.csv")]) == 4
+        errors = [ln for ln in capsys.readouterr().err.splitlines()
+                  if ln.startswith("ncwig: error:")]
+        assert len(errors) == 1 and len(errors[0]) < 160
+        assert "needs 2.83e+301 state points" in errors[0]
 
     @pytest.mark.parametrize("fmt", ["csv", "gnuplot"])
     @pytest.mark.parametrize("case, fragment", [

@@ -138,6 +138,9 @@ class TestShifts:
         f = gaussian_field(32, 4.0)
         with pytest.raises(ShiftOffGrid):
             shift_field(f, 0.1234, 0.0, mode="integer")
+        # the mode is always named; there is no automatic choice
+        with pytest.raises(ValueError, match="unknown shift mode 'auto'"):
+            shift_field(f, 0.0, 0.0, mode="auto")
 
     def test_shift_values_are_samples_of_translated_function(self):
         f = gaussian_field(256, 10.0)

@@ -292,14 +292,6 @@ class TestStar4D:
                            [0, 2.0, -0.5, 0]])
         assert np.array_equal(m, expect)
 
-    def test_grid_cap(self, star4d_setup):
-        g = Grid1D.symmetric(24, 1.5)
-        dom = orbit_domain(k1s=g, k2s=g, k3s=g, k4s=g)
-        z = WignerField(dom, np.zeros(dom.shape))
-        with pytest.raises(GridTooLarge, match=r"^4D star products are capped at 16 points "
-                           r"per axis \(got 24\); pass max_axis_points to override$"):
-            star_hbar(z, z, self.params)
-
     def test_memory_guard_runs_before_any_4d_temporary(self, star4d_setup, monkeypatch):
         dom, w1, w2 = star4d_setup
         need = 5 * 16 * 8 ** 4
@@ -316,7 +308,7 @@ class TestStar4D:
 
     def test_memory_estimate_matches_the_measured_peak(self):
         # the guard's estimate of five n^4 complex arrays against tracemalloc
-        # at 16^4; the default limit admits the 32^4 grids max_axis_points=32 allows
+        # at 16^4; the default limit admits 32^4 grids
         g = Grid1D.symmetric(16, 1.5)
         dom = orbit_domain(k1s=g, k2s=g, k3s=g, k4s=g)
         xx, yy, zz, ww = np.meshgrid(*(g.coords(),) * 4, indexing="ij")
@@ -386,7 +378,7 @@ class TestStar4D:
         rng = np.random.default_rng(24)
         w1 = _rand4d(rng, dom, env, xx, yy, zz, ww)
         w2 = _rand4d(rng, dom, env, xx, yy, zz, ww)
-        got = star_general(w1, w2, self.params, max_axis_points=n).values
+        got = star_general(w1, w2, self.params).values
         hb, th, bf = self.params.hbar, self.params.vartheta, self.params.bfield
         e = self.params.det
         wt = np.full(n, g.step)

@@ -15,7 +15,6 @@ from ncwigner import (
     NCCoords,
     RankOneOperator,
     SectorMismatch,
-    ShiftOffGrid,
     TAU0_TO_QM_PREFACTOR_RATIO,
     cross_wigner_standard,
     default_state_grid,
@@ -44,6 +43,17 @@ from ncwigner.wigner import (
 )
 
 from conftest import sup_rel
+
+
+def engine_paths(monkeypatch, evaluate):
+    """evaluate() with every centre group on the contraction
+    (_FFT_MIN_POINTS = inf), then with every aligned group on the FFT
+    (_FFT_MIN_POINTS = 0)."""
+    values = []
+    for least in (math.inf, 0):
+        monkeypatch.setattr(wigner, "_FFT_MIN_POINTS", least)
+        values.append(evaluate())
+    return values
 
 
 def zero_op(grid):
@@ -96,11 +106,10 @@ class TestWignerGeneric:
         with pytest.raises(ValueError):
             wigner_generic(op, [CoadjointPoint(0, 0, 0, 0)], generic_label)
 
-    def test_methods_agree(self, generic_label, gauss_op):
+    def test_methods_agree(self, generic_label, gauss_op, monkeypatch):
         rng = np.random.default_rng(10)
         pts = aligned_points(rng, generic_label, gauss_op.ket, 64)
-        d = wigner_generic(gauss_op, pts, generic_label, method="direct")
-        f = wigner_generic(gauss_op, pts, generic_label, method="fft")
+        d, f = engine_paths(monkeypatch, lambda: wigner_generic(gauss_op, pts, generic_label))
         assert sup_rel(d, f) <= 1e-10
 
     def test_nyquist_guard(self, generic_label, gauss_op):
@@ -246,7 +255,7 @@ class TestWignerNCParams:
         with pytest.raises(DegenerateParams):
             wigner_nc_params(gauss_position, [CoadjointPoint(0, 0, 0, 0)], params)
 
-    def test_methods_agree(self, generic_label, gauss_position):
+    def test_methods_agree(self, generic_label, gauss_position, monkeypatch):
         # orbit points solved so that both phase frequencies sit on the
         # conjugate lattice and both centres on the state lattice
         params = nc_params_from_label(generic_label)
@@ -265,8 +274,7 @@ class TestWignerNCParams:
             k1s, k4s = np.linalg.solve(sys, [e * c0, e * w1])
             rows.append([k1s, j1 * g0.step, m0 * dk / 2.0 * hb, k4s])
         pts = np.asarray(rows)
-        d = wigner_nc_params(gauss_position, pts, params, method="direct")
-        f = wigner_nc_params(gauss_position, pts, params, method="fft")
+        d, f = engine_paths(monkeypatch, lambda: wigner_nc_params(gauss_position, pts, params))
         assert sup_rel(d, f) <= 1e-10
 
 
@@ -419,8 +427,8 @@ class TestInvariants:
         w_sw = wigner_generic(RankOneOperator(lam, chi), pts, generic_label)
         assert sup_rel(w, np.conj(w_sw)) <= 1e-12
 
-    def test_fft_equals_direct_all_transforms(self, gauss_position):
-        # aligned 32^2 probe grids; forced fft vs forced direct
+    def test_fft_equals_direct_all_transforms(self, gauss_position, monkeypatch):
+        # aligned 32^2 probe grids; FFT vs contraction, each forced
         for trip, fn in (((1.0, -1.0, 1.0), wigner_generic),
                          ((1.0, 1.0, 0.0), wigner_tau0),
                          ((1.0, 0.0, 0.0), wigner_qm_orbit)):
@@ -429,8 +437,7 @@ class TestInvariants:
             op = RankOneOperator(ket=phat, bra=phat)
             rng = np.random.default_rng(14)
             pts = aligned_points(rng, label, phat, 32 * 32)
-            d = fn(op, pts, label, method="direct")
-            f = fn(op, pts, label, method="fft")
+            d, f = engine_paths(monkeypatch, lambda: fn(op, pts, label))
             assert sup_rel(d, f) <= 1e-10
         # nc transform on an aligned slice grid
         label = make_orbit_label(1.0, -1.0, 1.0)
@@ -439,16 +446,13 @@ class TestInvariants:
         qg = aligned_frequency_grid(phat.grid.axis0, 1.0, 32, stride=2)
         pg = aligned_center_grid(phat.grid.axis0, 32, stride=1)
         dom = nc_domain(q1nc=qg, q2nc=qg, p1nc=0.0, p2nc=0.0)
-        d = wigner_nc(op, dom, label, method="direct")
-        f = wigner_nc(op, dom, label, method="fft")
+        d, f = engine_paths(monkeypatch, lambda: wigner_nc(op, dom, label))
         assert sup_rel(d.values, f.values) <= 1e-10
         # position form: frequencies must sit on the position grid's lattice
         pg_pos = aligned_frequency_grid(gauss_position.grid.axis0, 1.0, 32, stride=1)
         dom2 = nc_domain(q1nc=0.0, q2nc=0.0, p1nc=pg_pos, p2nc=pg_pos)
-        d = wigner_nc_position(gauss_position, gauss_position, dom2, label,
-                               method="direct")
-        f = wigner_nc_position(gauss_position, gauss_position, dom2, label,
-                               method="fft")
+        d, f = engine_paths(monkeypatch, lambda: wigner_nc_position(
+            gauss_position, gauss_position, dom2, label))
         assert sup_rel(d.values, f.values) <= 1e-10
 
 
@@ -713,9 +717,8 @@ class TestFrequencyStepReuse:
 
 
 def grid_transforms(label, gauss_op, gauss_position):
-    """name -> (evaluate(pts, method), domain coordinates, frequency names,
-    omega, state axis, whether the map keeps the FFT lattices) for every
-    transform that takes a Domain4D."""
+    """name -> (evaluate(pts), domain coordinates, frequency names, omega,
+    state axis) for every transform that takes a Domain4D."""
     a = label.k1 * label.consts.alpha
     h = 1.0
     orbit = {"wigner_generic": (wigner_generic, label),
@@ -724,26 +727,22 @@ def grid_transforms(label, gauss_op, gauss_position):
     params = NCParams(hbar=1.0, vartheta=1.0, bfield=-1.0)
     return {
         "wigner_nc": (
-            lambda pts, m: wigner_nc(gauss_op, pts, label, method=m),
-            NC_COORDS, ("q1nc", "q2nc"), -a, gauss_op.ket.grid.axis0, True),
+            lambda pts: wigner_nc(gauss_op, pts, label),
+            NC_COORDS, ("q1nc", "q2nc"), -a, gauss_op.ket.grid.axis0),
         "wigner_nc_position": (
-            lambda pts, m: wigner_nc_position(gauss_position, gauss_position, pts,
-                                              label, method=m),
-            NC_COORDS, ("p1nc", "p2nc"), a, gauss_position.grid.axis0, True),
+            lambda pts: wigner_nc_position(gauss_position, gauss_position, pts, label),
+            NC_COORDS, ("p1nc", "p2nc"), a, gauss_position.grid.axis0),
         "cross_wigner_standard": (
-            lambda pts, m: cross_wigner_standard(gauss_position, gauss_position, pts,
-                                                 h=h, method=m),
-            PHASE_COORDS, ("p1", "p2"), 2.0 * math.pi / h,
-            gauss_position.grid.axis0, True),
+            lambda pts: cross_wigner_standard(gauss_position, gauss_position, pts, h=h),
+            PHASE_COORDS, ("p1", "p2"), 2.0 * math.pi / h, gauss_position.grid.axis0),
         # orbit coordinates: the map mixes (k1*, k4*) except at k2 = k3 = 0
         # with unit constants; the k3 = 0 (k1*, k2*) slice has one centre
-        **{name: (lambda pts, m, f=f, lab=lab: f(gauss_op, pts, lab, method=m),
-                  ORBIT_COORDS, ("k1s", "k2s"), lab.consts.alpha, gauss_op.ket.grid.axis0,
-                  name == "wigner_qm_orbit")
+        **{name: (lambda pts, f=f, lab=lab: f(gauss_op, pts, lab),
+                  ORBIT_COORDS, ("k1s", "k2s"), lab.consts.alpha, gauss_op.ket.grid.axis0)
            for name, (f, lab) in orbit.items()},
         "wigner_nc_params": (
-            lambda pts, m: wigner_nc_params(gauss_position, pts, params, method=m),
-            ORBIT_COORDS, ("k3s", "k4s"), 1.0, gauss_position.grid.axis0, False),
+            lambda pts: wigner_nc_params(gauss_position, pts, params),
+            ORBIT_COORDS, ("k3s", "k4s"), 1.0, gauss_position.grid.axis0),
     }
 
 
@@ -772,7 +771,9 @@ def grid_path_domains(names, freq, state_axis, omega, aligned):
 
 class TestDomainGridPath:
     """Domain4D inputs are evaluated on their open mesh; per point they
-    must give the bits of the same transform on domain.points()."""
+    must give the bits of the same transform on domain.points(), with the
+    default FFT threshold, with the FFT for every aligned group and with
+    the contraction for every group."""
 
     @pytest.mark.parametrize("aligned", [True, False])
     @pytest.mark.parametrize("name", ["wigner_nc", "wigner_nc_position",
@@ -780,18 +781,14 @@ class TestDomainGridPath:
                                       "wigner_tau0", "wigner_qm_orbit",
                                       "wigner_nc_params"])
     def test_bitwise_equal_to_points(self, generic_label, gauss_op, gauss_position,
-                                     name, aligned):
-        evaluate, names, freq, omega, axis, keeps_lattice = grid_transforms(
+                                     name, aligned, monkeypatch):
+        evaluate, names, freq, omega, axis = grid_transforms(
             generic_label, gauss_op, gauss_position)[name]
         for dom in grid_path_domains(names, freq, axis, omega, aligned):
-            for method in ("auto", "fft", "direct"):
-                if method == "fft" and not (aligned and keeps_lattice):
-                    for pts in (dom, dom.points()):
-                        with pytest.raises(ShiftOffGrid):
-                            evaluate(pts, method)
-                    continue
-                grid_vals = evaluate(dom, method)
-                point_vals = evaluate(dom.points(), method)
+            for least in (wigner._FFT_MIN_POINTS, 0, math.inf):
+                monkeypatch.setattr(wigner, "_FFT_MIN_POINTS", least)
+                grid_vals = evaluate(dom)
+                point_vals = evaluate(dom.points())
                 assert grid_vals.values.shape == dom.shape
                 assert grid_vals.values.tobytes() == point_vals.tobytes()
 
@@ -805,18 +802,16 @@ class TestDomainGridPath:
                       generic_label)
         assert np.all(w.values == 0)
 
-    def test_guards_match_point_path(self, generic_label, gauss_op):
+    def test_guards_match_point_path(self, generic_label, gauss_op, monkeypatch):
         hs = gauss_op.ket.grid.axis0.step
         big = Grid1D(4, 1.2 * math.pi / hs, 1.0)   # beyond the Nyquist band
-        off = Grid1D(4, -0.61, 0.37)               # off the FFT lattice
         c = aligned_center_grid(gauss_op.ket.grid.axis0, 4)
-        for q, method, exc in ((big, "auto", GridTooCoarse),
-                               (big, "fft", GridTooCoarse),
-                               (off, "fft", ShiftOffGrid)):
-            dom = nc_domain(q1nc=q, q2nc=q, p1nc=c, p2nc=c)
+        dom = nc_domain(q1nc=big, q2nc=big, p1nc=c, p2nc=c)
+        for least in (wigner._FFT_MIN_POINTS, 0):
+            monkeypatch.setattr(wigner, "_FFT_MIN_POINTS", least)
             for pts in (dom, dom.points()):
-                with pytest.raises(exc):
-                    wigner_nc(gauss_op, pts, generic_label, method=method)
+                with pytest.raises(GridTooCoarse):
+                    wigner_nc(gauss_op, pts, generic_label)
         g = Grid1D.symmetric(33, 2.0)
         with pytest.raises(GridTooLarge):
             wigner_nc(gauss_op, nc_domain(q1nc=g, q2nc=g, p1nc=g, p2nc=g),
