@@ -388,10 +388,15 @@ def _log_run(meta: dict[str, str]):
         print(f"[ncwig] {key}: {val}", file=sys.stderr)
 
 
-def _write_out(args, grids, values, meta):
-    """write_field_file to --out; a path it cannot write is an argument error."""
+def _write_out(args, *field, text=None):
+    """Write --out: a field file from (grids, values, meta), else ``text``.
+    A path it cannot write is an argument error."""
     try:
-        write_field_file(args.out, grids, values, meta, fmt=args.format)
+        if field:
+            write_field_file(args.out, *field, fmt=args.format)
+        else:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except OSError as exc:
         raise _CliFailure(2, f"--out: {exc}") from None
     print(f"[ncwig] wrote {args.out}", file=sys.stderr)
@@ -556,18 +561,17 @@ def _cmd_star(args) -> int:
         res = fn(fc, f, params, out=Grid2D(out1d, out1d))
         _write_out(args, (out1d, out1d), res.values, meta)
     else:
-        n = args.grid
-        _require_star4d_bytes((n,) * 4)
-        g = Grid1D.symmetric(n, args.extent)
-        dom = orbit_domain(k1s=g, k2s=g, k3s=g, k4s=g)
+        _require_star4d_bytes((args.grid,) * 4)
+        dom = orbit_domain(k1s=out1d, k2s=out1d, k3s=out1d, k4s=out1d)
         psi = _position_state(args, state)
-        w = wigner_nc_params(psi, dom, params, max_axis_points=n)
+        w = wigner_nc_params(psi, dom, params, max_axis_points=args.grid)
         fn = star_hbar if kind == "hbar" else star_general
         res = fn(w, w, params)
         # write the central 2D slice of the 4D result
-        mid = n // 2
-        meta["slice"] = f"k3s={_fnum(g.coords()[mid])} k4s={_fnum(g.coords()[mid])}"
-        _write_out(args, (g, g), res.values[:, :, mid, mid], meta)
+        mid = args.grid // 2
+        at = _fnum(out1d.coords()[mid])
+        meta["slice"] = f"k3s={at} k4s={at}"
+        _write_out(args, (out1d, out1d), res.values[:, :, mid, mid], meta)
     return 0
 
 
@@ -590,11 +594,7 @@ def _cmd_verify(args) -> int:
             body = json.dumps([{"name": r.name, "metric": r.metric, "tolerance": r.tolerance,
                                 "passed": r.passed, "details": dict(r.details)}
                                for r in reports], indent=1, sort_keys=True) + "\n"
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(body)
-        except OSError as exc:
-            raise _CliFailure(2, f"--out: {exc}") from None
+        _write_out(args, text=body)
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -704,7 +704,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_state_args(ps)
     ps.add_argument("--grid", type=_POINTS, default=32,
                     help="output points per axis; hbar and general also per 4D "
-                         "axis, bounded by their working memory (1 GiB)")
+                         "axis, bounded by the star kernel's 1 GiB byte estimate")
     ps.add_argument("--extent", type=_EXTENT, default=3.0)
     _add_output_args(ps)
     ps.set_defaults(func=_cmd_star)

@@ -426,9 +426,11 @@ class TestInputContract:
         self.expect_exit([*argv, "--out", str(missing / "x.csv")], capsys,
                          f"--out: no directory {str(missing)!r}")
 
-    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+    def test_unwritable_out_exit_2(self, tmp_path, capsys, monkeypatch):
         # a directory passes the parent check but cannot be opened for writing
         self.expect_exit(self.standard(tmp_path)[:-1] + [str(tmp_path)], capsys, "--out: ")
+        monkeypatch.setattr(cli, "iter_verification_suites", lambda config: iter(()))
+        self.expect_exit(["verify", "--out", str(tmp_path)], capsys, "--out: ")
 
     def test_huge_extent_keeps_the_error_line_short(self, tmp_path, capsys):
         assert main(["star", "vartheta", "--hbar", "1", "--vartheta", "1", "--extent", "1e300",

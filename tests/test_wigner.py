@@ -45,14 +45,29 @@ from ncwigner.wigner import (
 from conftest import sup_rel
 
 
+def count_fft_calls(monkeypatch):
+    """List that gains one entry per FFT the engine takes (its only ifft2)."""
+    calls = []
+    ifft2 = np.fft.ifft2
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return ifft2(*args, **kwargs)
+    monkeypatch.setattr(np.fft, "ifft2", counted)
+    return calls
+
+
 def engine_paths(monkeypatch, evaluate):
     """evaluate() with every centre group on the contraction
     (_FFT_MIN_POINTS = inf), then with every aligned group on the FFT
-    (_FFT_MIN_POINTS = 0)."""
+    (_FFT_MIN_POINTS = 0); checks that the FFT ran in the second pass only."""
+    calls = count_fft_calls(monkeypatch)
     values = []
     for least in (math.inf, 0):
         monkeypatch.setattr(wigner, "_FFT_MIN_POINTS", least)
+        calls.clear()
         values.append(evaluate())
+        assert bool(calls) == (least == 0)
     return values
 
 
@@ -718,7 +733,8 @@ class TestFrequencyStepReuse:
 
 def grid_transforms(label, gauss_op, gauss_position):
     """name -> (evaluate(pts), domain coordinates, frequency names, omega,
-    state axis) for every transform that takes a Domain4D."""
+    state axis, whether the map keeps the FFT lattices) for every transform
+    that takes a Domain4D."""
     a = label.k1 * label.consts.alpha
     h = 1.0
     orbit = {"wigner_generic": (wigner_generic, label),
@@ -728,21 +744,23 @@ def grid_transforms(label, gauss_op, gauss_position):
     return {
         "wigner_nc": (
             lambda pts: wigner_nc(gauss_op, pts, label),
-            NC_COORDS, ("q1nc", "q2nc"), -a, gauss_op.ket.grid.axis0),
+            NC_COORDS, ("q1nc", "q2nc"), -a, gauss_op.ket.grid.axis0, True),
         "wigner_nc_position": (
             lambda pts: wigner_nc_position(gauss_position, gauss_position, pts, label),
-            NC_COORDS, ("p1nc", "p2nc"), a, gauss_position.grid.axis0),
+            NC_COORDS, ("p1nc", "p2nc"), a, gauss_position.grid.axis0, True),
         "cross_wigner_standard": (
             lambda pts: cross_wigner_standard(gauss_position, gauss_position, pts, h=h),
-            PHASE_COORDS, ("p1", "p2"), 2.0 * math.pi / h, gauss_position.grid.axis0),
+            PHASE_COORDS, ("p1", "p2"), 2.0 * math.pi / h,
+            gauss_position.grid.axis0, True),
         # orbit coordinates: the map mixes (k1*, k4*) except at k2 = k3 = 0
         # with unit constants; the k3 = 0 (k1*, k2*) slice has one centre
         **{name: (lambda pts, f=f, lab=lab: f(gauss_op, pts, lab),
-                  ORBIT_COORDS, ("k1s", "k2s"), lab.consts.alpha, gauss_op.ket.grid.axis0)
+                  ORBIT_COORDS, ("k1s", "k2s"), lab.consts.alpha, gauss_op.ket.grid.axis0,
+                  name == "wigner_qm_orbit")
            for name, (f, lab) in orbit.items()},
         "wigner_nc_params": (
             lambda pts: wigner_nc_params(gauss_position, pts, params),
-            ORBIT_COORDS, ("k3s", "k4s"), 1.0, gauss_position.grid.axis0),
+            ORBIT_COORDS, ("k3s", "k4s"), 1.0, gauss_position.grid.axis0, False),
     }
 
 
@@ -782,15 +800,21 @@ class TestDomainGridPath:
                                       "wigner_nc_params"])
     def test_bitwise_equal_to_points(self, generic_label, gauss_op, gauss_position,
                                      name, aligned, monkeypatch):
-        evaluate, names, freq, omega, axis = grid_transforms(
+        evaluate, names, freq, omega, axis, keeps_lattice = grid_transforms(
             generic_label, gauss_op, gauss_position)[name]
+        calls = count_fft_calls(monkeypatch)
+        default = wigner._FFT_MIN_POINTS
         for dom in grid_path_domains(names, freq, axis, omega, aligned):
-            for least in (wigner._FFT_MIN_POINTS, 0, math.inf):
+            for least in (default, 0, math.inf):
                 monkeypatch.setattr(wigner, "_FFT_MIN_POINTS", least)
+                calls.clear()
                 grid_vals = evaluate(dom)
                 point_vals = evaluate(dom.points())
                 assert grid_vals.values.shape == dom.shape
                 assert grid_vals.values.tobytes() == point_vals.tobytes()
+                # the FFT runs only when forced on, and then on lattice inputs
+                if least == math.inf or (least == 0 and aligned and keeps_lattice):
+                    assert bool(calls) == (least == 0)
 
     def test_all_centres_tail_skipped(self, generic_label, gauss_op):
         # centres far off the state's support, frequencies beyond Nyquist:
