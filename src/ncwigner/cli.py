@@ -523,6 +523,8 @@ def _cmd_star(args) -> int:
         params = NCParams(hbar=args.hbar, vartheta=args.vartheta, bfield=args.bfield)
     state = _parse_state_spec(args.state)
     kind = args.kind
+    if args.extent is None:
+        args.extent = 3.0 if kind in ("vartheta", "b") else 2.5
     out1d = Grid1D.symmetric(args.grid, args.extent)
     meta = _meta_lines(label, params, {"transform": f"star-{kind}", "state": args.state})
     _log_run(meta)
@@ -705,7 +707,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--grid", type=_POINTS, default=32,
                     help="output points per axis; hbar and general also per 4D "
                          "axis, bounded by the star kernel's 1 GiB byte estimate")
-    ps.add_argument("--extent", type=_EXTENT, default=3.0)
+    ps.add_argument("--extent", type=_EXTENT, default=None,
+                    help="output half-extent (default: 3.0 for vartheta and b, 2.5 for "
+                         "hbar and general, where the 4D kernels' cell phase allows it)")
     _add_output_args(ps)
     ps.set_defaults(func=_cmd_star)
 

@@ -6,12 +6,12 @@ weights (:func:`_axis_weights`), index and Fourier shifts
 between them, :func:`_axis_shifter`, which shifts one field by many
 offsets at the cost of one forward FFT, and its one-off form
 :func:`_axis_shift`), the reflection x -> -x on a symmetric grid with its
-symmetry check (:func:`_axis_reflect`) and the alignment tolerance
-``_ALIGN_TOL``.  It is also the one home of the continuous Fourier
-transform: :func:`_cont_ft` over one axis or both is the body of
-:func:`cont_ft_2d` and :func:`cont_ft_axis`, and its scaled form
-:func:`_scaled_ft` the body of :func:`momentum_representation` and
-:func:`position_representation`.
+symmetry check (:func:`_axis_reflect`), and the lattice test
+:func:`_lattice_steps` with its alignment tolerance ``_ALIGN_TOL``.  It
+is also the one home of the continuous Fourier transform: :func:`_cont_ft`
+over one axis or both is the body of :func:`cont_ft_2d` and
+:func:`cont_ft_axis`, and its scaled form :func:`_scaled_ft` the body of
+:func:`momentum_representation` and :func:`position_representation`.
 
 Fourier convention: unitary, kernel (2 pi)^(-1/2) exp(-i s r) per coordinate
 for the forward (sign = -1) direction.  This makes the unit Gaussian
@@ -124,6 +124,14 @@ def _shift_spectrum(spec: np.ndarray, delta: float, axis: int) -> np.ndarray:
     return np.fft.ifft(spec * (ph[:, None] if axis == 0 else ph[None, :]), axis=axis)
 
 
+def _lattice_steps(d: float, step: float):
+    """d as a whole number of steps (within ``_ALIGN_TOL``), or None when
+    d is off the lattice."""
+    delta = d / step
+    r = round(delta)
+    return int(r) if abs(delta - r) <= _ALIGN_TOL else None
+
+
 def _axis_integer_shift(values: np.ndarray, s: int, axis: int) -> np.ndarray:
     """values[j + s] along axis 0 or 1, zero-filled (no wrap-around)."""
     n = values.shape[axis]
@@ -149,13 +157,12 @@ def _axis_shifter(values: np.ndarray, step: float, axis: int):
 
     def shift(d: float) -> np.ndarray:
         nonlocal spec
-        delta = d / step
-        r = round(delta)
-        if abs(delta - r) <= _ALIGN_TOL:
-            return values if r == 0 else _axis_integer_shift(values, int(r), axis)
+        r = _lattice_steps(d, step)
+        if r is not None:
+            return values if r == 0 else _axis_integer_shift(values, r, axis)
         if spec is None:
             spec = np.fft.fft(values, axis=axis)
-        return _shift_spectrum(spec, delta, axis)
+        return _shift_spectrum(spec, d / step, axis)
     return shift
 
 

@@ -7,11 +7,13 @@ Every transform in this module evaluates one family of integrals,
 for a bra field B and a ket field A, differing only in how the output
 coordinates map to frequencies w, centres c and scales (om0, om1), and in
 the prefactor.  The substitution s = 2t turns the integrand into a product
-of the plainly shifted fields conj(B)(t + c) A(-t + c) on the state grid,
-so for each centre the whole frequency batch is one FFT (when the requested
+of the shifted fields conj(B)(t + c) A(-t + c) on the state grid, so for
+each centre the whole frequency batch is one FFT (when the requested
 frequencies land on the conjugate lattice, at least ``_FFT_MIN_POINTS`` of
-them) or one phase contraction (otherwise).  A slower, structurally
-independent quadrature lives in :mod:`ncwigner.oracles`.
+them) or one phase contraction (otherwise).  A c0 a whole number of state
+steps away builds the product on the fields' overlap window alone, and the
+FFT's column pass covers the requested columns only.  A slower,
+structurally independent quadrature lives in :mod:`ncwigner.oracles`.
 
 One loop, ``_phase_integral``, runs the centre groups and one enumerator,
 ``_centre_groups``, feeds it.  Each coordinate map sends four broadcastable
@@ -101,7 +103,8 @@ from .core import (
     orbit_to_nc,
     plancherel_density,
 )
-from .numerics import _ALIGN_TOL, _axis_shift, _axis_shifter, conjugate_grid, reflect_field
+from .numerics import (_ALIGN_TOL, _axis_shift, _axis_shifter, _lattice_steps, _shift_spectrum,
+                       conjugate_grid, reflect_field)
 
 __all__ = [
     "wigner_generic",
@@ -156,6 +159,22 @@ def _as_points(pts) -> np.ndarray:
 # The phase-integral engine
 # ---------------------------------------------------------------------------
 
+def _overlap(r, n):
+    """Slices of the window [|r|, n - |r|) and of its images shifted by +r
+    and -r: where f(j + r) and g(j - r) both lie on an n-point axis."""
+    return tuple(slice(abs(r) + s, n - abs(r) + s) for s in (0, r, -r))
+
+
+def _lattice_fft(h, i0, cols, i1):
+    """(np.fft.ifft2(h) * h.size)[i0, cols[i1]], bitwise: ifft2's axis-1
+    pass over every row, then its axis-0 pass over the columns ``cols``
+    only (every column when None), scaled after the gather."""
+    a = np.fft.ifft(h, axis=1)
+    if cols is not None:
+        a = a[:, cols]
+    return np.fft.ifft(a, axis=0)[i0, i1] * h.size
+
+
 class _GroupEvaluator:
     """Evaluates the phase integral for batches of points sharing a centre."""
 
@@ -180,11 +199,15 @@ class _GroupEvaluator:
         self.tail_cut = 1e-13 * float(
             np.max(np.abs(self.bra)) * np.max(np.abs(self.ket_refl))
         )
-        # centre groups arrive sorted with c0 slowest; cache its shifts as
-        # axis-1 shifters, so each c0 costs one forward FFT per field
+        # centre groups arrive sorted with c0 slowest; cache an off-lattice
+        # c0's shifts as axis-1 shifters, so each costs one forward FFT per
+        # field.  Lattice c0s build no shifted copies; with an off-lattice
+        # c1 they share one axis-1 spectrum per field, taken on first use.
         self._c0_key = None
         self._bra_c0 = None
         self._ket_c0 = None
+        self._bra_spec1 = None
+        self._ket_spec1 = None
         # consecutive groups mostly repeat their frequency set (a product
         # grid's always do); keep the last (w0, w1, step) eval_group built
         self._group_step = None
@@ -202,13 +225,45 @@ class _GroupEvaluator:
         return m0, m1
 
     def _integrand(self, c0, c1):
-        if c0 != self._c0_key or self._bra_c0 is None:
-            self._bra_c0 = _axis_shifter(
-                _axis_shift(self.bra, c0, self.g0.step, axis=0), self.g1.step, axis=1)
-            self._ket_c0 = _axis_shifter(
-                _axis_shift(self.ket_refl, -c0, self.g0.step, axis=0), self.g1.step, axis=1)
-            self._c0_key = c0
-        return np.conj(self._bra_c0(c1)) * self._ket_c0(-c1)
+        """(h, core): the integrand conj(B)(t + c) A(-t + c) on the state
+        grid and the view of h that can be nonzero, or (None, None) where h
+        vanishes.  For c0 = r0 state steps h is zero outside rows
+        [|r0|, n0 - |r0|), and inside them is conj(bra[rows + r0])
+        ket_refl[rows - r0], narrowed the same way to columns for a lattice
+        c1 and Fourier-shifted along axis 1 otherwise: the bits of the
+        zero-filled shifted copies, without building them.
+        """
+        r0 = _lattice_steps(c0, self.g0.step)
+        if r0 is None:
+            if c0 != self._c0_key or self._bra_c0 is None:
+                self._bra_c0 = _axis_shifter(
+                    _axis_shift(self.bra, c0, self.g0.step, axis=0), self.g1.step, axis=1)
+                self._ket_c0 = _axis_shifter(
+                    _axis_shift(self.ket_refl, -c0, self.g0.step, axis=0), self.g1.step,
+                    axis=1)
+                self._c0_key = c0
+            h = np.conj(self._bra_c0(c1)) * self._ket_c0(-c1)
+            return h, h
+        n0, n1 = self.g0.n, self.g1.n
+        r1 = _lattice_steps(c1, self.g1.step)
+        if 2 * abs(r0) >= n0 or (r1 is not None and 2 * abs(r1) >= n1):
+            return None, None
+        rows, bra_rows, ket_rows = _overlap(r0, n0)
+        h = np.zeros((n0, n1), dtype=np.complex128)
+        if r1 is None:
+            if self._bra_spec1 is None:
+                self._bra_spec1 = np.fft.fft(self.bra, axis=1)
+                self._ket_spec1 = np.fft.fft(self.ket_refl, axis=1)
+            delta = c1 / self.g1.step
+            core = h[rows]
+            np.multiply(np.conj(_shift_spectrum(self._bra_spec1[bra_rows], delta, 1)),
+                        _shift_spectrum(self._ket_spec1[ket_rows], -delta, 1), out=core)
+        else:
+            cols, bra_cols, ket_cols = _overlap(r1, n1)
+            core = h[rows, cols]
+            np.multiply(np.conj(self.bra[bra_rows, bra_cols]),
+                        self.ket_refl[ket_rows, ket_cols], out=core)
+        return h, core
 
     def frequency_step(self, w0, w1):
         """Frequency-side work for (w0, w1) pairs that share their centres.
@@ -229,12 +284,15 @@ class _GroupEvaluator:
         n0, n1 = self.g0.n, self.g1.n
         if aligned and size >= _FFT_MIN_POINTS:
             i0 = (r0.astype(int)) % n0
-            i1 = (r1.astype(int)) % n1
+            cols, i1 = np.unique((r1.astype(int)) % n1, return_inverse=True)
+            i1 = i1.reshape(np.shape(r1))
+            if cols.size == n1:
+                cols = None
             kap0 = r0 * self.dk0
             kap1 = r1 * self.dk1
 
             def transform(h):
-                return (np.fft.ifft2(h) * (n0 * n1))[i0, i1]
+                return _lattice_fft(h, i0, cols, i1)
         else:
             kap0 = 2.0 * self.omega0 * np.asarray(w0)
             kap1 = 2.0 * self.omega1 * np.asarray(w1)
@@ -275,8 +333,8 @@ class _GroupEvaluator:
         from the last group that built one when both frequency arrays are
         that group's, or equal to them.
         """
-        h = self._integrand(float(c0), float(c1))
-        if np.max(np.abs(h)) <= self.tail_cut:
+        h, core = self._integrand(float(c0), float(c1))
+        if h is None or np.max(np.abs(core)) <= self.tail_cut:
             return 0.0
         last = self._group_step
         if last is None or not ((last[0] is w0 or np.array_equal(last[0], w0))
@@ -315,9 +373,9 @@ def _phase_integral(ket, bra, omega0, omega1, n_groups, group, out):
     """The engine's one loop: out[idx] = I(w; c) for each centre group
     (c0, c1, w0, w1, idx) = group(k), k < n_groups; returns out.  With
     enough groups, pool threads take contiguous chunks and one evaluator
-    each (it holds a reflected ket, the c0 cache and the last frequency
-    step) and run BLAS on one thread each, so the pool alone sets the
-    parallelism; the calling thread keeps its BLAS threads."""
+    each (it holds a reflected ket, the c0 cache, the axis-1 spectra and
+    the last frequency step) and run BLAS on one thread each, so the pool
+    alone sets the parallelism; the calling thread keeps its BLAS threads."""
     def run(lo, hi, evaluator):
         for k in range(lo, hi):
             c0, c1, w0, w1, idx = group(k)
@@ -451,7 +509,15 @@ def _transform(ket, bra, rep, pts, names, waves, omegas, pref, label, sector,
     else:
         cols = _as_points(pts).T
         vals = np.empty(cols.shape[1], dtype=np.complex128)
-    _phase_integral(ket, bra, *omegas, *_centre_groups(*waves(*cols), vals))
+    w0, w1, c0, c1 = waves(*cols)
+    for c, g in ((c0, ket.grid.axis0), (c1, ket.grid.axis1)):
+        # the engine counts centre offsets in state steps; refuse any count
+        # that overflows before a group runs
+        far = float(max(abs(np.max(c)), abs(np.min(c)))) / g.step if np.size(c) else 0.0
+        if not math.isfinite(far):
+            raise GridTooCoarse(f"centre offsets reach {far:.3g} state steps; "
+                                "shrink the output extent")
+    _phase_integral(ket, bra, *omegas, *_centre_groups(w0, w1, c0, c1, vals))
     np.multiply(pref, vals, out=vals)  # in place: grids reach 4M values
     if domain is None:
         return vals

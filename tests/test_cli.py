@@ -214,6 +214,15 @@ class TestStarAndMarginalCommands:
         assert read_field_file(str(out)).values.shape == (24, 24)
         assert "star-grid" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["hbar", "general"])
+    def test_star_4d_default_flags_run(self, tmp_path, kind):
+        # the 4D kinds' default extent keeps the 32^4 grid inside the
+        # kernels' cell-phase limit
+        out = tmp_path / "s.csv"
+        assert main(["star", kind, "--out", str(out)]) == 0
+        axis = read_field_file(str(out)).grid.axis0
+        assert (axis.n, axis.origin) == (32, -2.5)
+
     def test_star_4d_byte_estimate_before_transform(self, tmp_path, capsys, monkeypatch):
         def not_reached(*args, **kwargs):
             raise AssertionError("wigner_nc_params called before the 4D byte estimate")
@@ -431,6 +440,16 @@ class TestInputContract:
         self.expect_exit(self.standard(tmp_path)[:-1] + [str(tmp_path)], capsys, "--out: ")
         monkeypatch.setattr(cli, "iter_verification_suites", lambda config: iter(()))
         self.expect_exit(["verify", "--out", str(tmp_path)], capsys, "--out: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["wigner", "standard", "--slice", "q2=0,p2=0", "--grid", "8", "--extent", "8e307"],
+        ["star", "hbar", "--grid", "8", "--extent", "8e307"],
+    ])
+    def test_overflowing_centre_offsets_exit_4(self, tmp_path, capsys, argv):
+        # finite coordinates whose centre offsets overflow in state steps
+        self.expect_exit([*argv, "--out", str(tmp_path / "x.csv")], capsys,
+                         "centre offsets reach inf state steps", code=4)
+        assert not (tmp_path / "x.csv").exists()
 
     def test_huge_extent_keeps_the_error_line_short(self, tmp_path, capsys):
         assert main(["star", "vartheta", "--hbar", "1", "--vartheta", "1", "--extent", "1e300",

@@ -31,10 +31,11 @@ from ncwigner import (
     wigner_qm_orbit,
     wigner_tau0,
 )
-from ncwigner.core import (NC_COORDS, ORBIT_COORDS, PHASE_COORDS, Domain4D, Grid1D,
-                           NCParams, nc_domain, orbit_domain, orbit_to_nc,
+from ncwigner.core import (NC_COORDS, ORBIT_COORDS, PHASE_COORDS, ComplexField2D, Domain4D,
+                           Grid1D, Grid2D, NCParams, nc_domain, orbit_domain, orbit_to_nc,
                            phase_space_domain)
 from ncwigner import wigner
+from ncwigner.numerics import _axis_shift, _axis_shifter
 from ncwigner.oracles import direct_wigner_oracle, random_hermite_gaussian
 from ncwigner.wigner import (
     aligned_center_grid,
@@ -46,14 +47,14 @@ from conftest import sup_rel
 
 
 def count_fft_calls(monkeypatch):
-    """List that gains one entry per FFT the engine takes (its only ifft2)."""
+    """List that gains one entry per lattice FFT the engine takes."""
     calls = []
-    ifft2 = np.fft.ifft2
+    lattice_fft = wigner._lattice_fft
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return ifft2(*args, **kwargs)
-    monkeypatch.setattr(np.fft, "ifft2", counted)
+        return lattice_fft(*args, **kwargs)
+    monkeypatch.setattr(wigner, "_lattice_fft", counted)
     return calls
 
 
@@ -731,6 +732,76 @@ class TestFrequencyStepReuse:
         assert wigner_nc_params(gauss_position, pts, params).tobytes() == vals.tobytes()
 
 
+class TestLatticeWindows:
+    """Lattice centres build the integrand on its overlap window, and the
+    lattice FFT runs its axis-0 pass over the requested columns only; both
+    must give the bits of the zero-filled shifted copies and of the full
+    ifft2.  The grid is 12 x 10, with different steps per axis."""
+
+    N0, N1 = 12, 10
+
+    def evaluator(self):
+        grid = Grid2D(Grid1D.symmetric(self.N0, 3.0), Grid1D.symmetric(self.N1, 3.5))
+        rng = np.random.default_rng(5)
+        ket, bra = (ComplexField2D(grid, rng.standard_normal(grid.shape)
+                                   + 1j * rng.standard_normal(grid.shape), rep="momentum")
+                    for _ in range(2))
+        return wigner._GroupEvaluator(ket, bra, 1.0, 1.0)
+
+    @staticmethod
+    def zero_filled_integrand(ev, c0, c1):
+        s0, s1 = ev.g0.step, ev.g1.step
+        bra = _axis_shifter(_axis_shift(ev.bra, c0, s0, axis=0), s1, axis=1)(c1)
+        ket = _axis_shifter(_axis_shift(ev.ket_refl, -c0, s0, axis=0), s1, axis=1)(-c1)
+        return np.conj(bra) * ket
+
+    def test_integrand_matches_zero_filled_shifts(self):
+        # whole steps of both signs, up to and past half the axis (empty
+        # windows), and off-lattice offsets, crossed over both axes
+        steps0 = (0, 1, -2, 5, -6, 6, 7, -13, 0.37, -1.6)
+        steps1 = (0, -1, 3, -4, 5, -5, 11, 0.5, -2.25)
+        ev = self.evaluator()
+        cases = [(r0 * ev.g0.step, r1 * ev.g1.step) for r0 in steps0 for r1 in steps1]
+        empty = 0
+        # one evaluator in both orders: its caches must not leak between centres
+        for c0, c1 in cases + cases[::-1]:
+            ref = self.zero_filled_integrand(ev, c0, c1)
+            h, core = ev._integrand(c0, c1)
+            if h is None:
+                empty += 1
+                assert core is None and not ref.any()
+                continue
+            # signed zeros outside the window are the only freedom
+            assert (h + 0.0).tobytes() == (ref + 0.0).tobytes()
+            assert np.shares_memory(core, h)
+            assert np.max(np.abs(core)) == np.max(np.abs(ref))
+        assert 0 < empty < 2 * len(cases)
+
+    @pytest.mark.parametrize("columns", [list(range(10)), list(range(0, 10, 2)),
+                                         [7, 1, 7, 4, 9, 1], [3]])
+    def test_lattice_fft_gathers_the_full_ifft2(self, monkeypatch, columns):
+        ev = self.evaluator()
+        n0, n1 = self.N0, self.N1
+        m0 = np.arange(-n0 // 2, n0 // 2)[:, None]      # every row, Nyquist included
+        m1 = np.array([c - n1 if c >= n1 // 2 else c for c in columns])[None, :]
+        w0, w1 = m0 * ev.dk0 / 2.0, m1 * ev.dk1 / 2.0   # 2 omega w = m dk, omega = 1
+        seen = []
+        lattice_fft = wigner._lattice_fft
+
+        def spy(h, i0, cols, i1):
+            seen.append((cols, lattice_fft(h, i0, cols, i1)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(wigner, "_lattice_fft", spy)
+        monkeypatch.setattr(wigner, "_FFT_MIN_POINTS", 0)
+        h = self.zero_filled_integrand(ev, 2 * ev.g0.step, -0.3)
+        ev.frequency_step(w0, w1)(h)
+        (cols, got), = seen
+        assert (cols is None) == (len(set(columns)) == n1)
+        ref = (np.fft.ifft2(h) * (n0 * n1))[m0 % n0, m1 % n1]
+        assert got.tobytes() == ref.tobytes()
+
+
 def grid_transforms(label, gauss_op, gauss_position):
     """name -> (evaluate(pts), domain coordinates, frequency names, omega,
     state axis, whether the map keeps the FFT lattices) for every transform
@@ -968,6 +1039,18 @@ class TestTransformContract:
                            else "finite") as exc:
             bad()
         assert "\n" not in str(exc.value)
+
+    @pytest.mark.parametrize("centre", [(1.7e308, 0.0), (0.0, -1.7e308)])
+    def test_overflowing_centre_offsets_refused_before_any_group(self, generic_label,
+                                                                 gauss_op, monkeypatch,
+                                                                 centre):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("a centre group ran")
+
+        monkeypatch.setattr(wigner, "_phase_integral", not_reached)
+        pts = np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, *centre]])
+        with pytest.raises(GridTooCoarse, match="^centre offsets reach inf state steps"):
+            wigner_nc(gauss_op, pts, generic_label)
 
     @pytest.mark.parametrize("trip", [(1.0, 1.0, 0.0), (1.0, 0.0, 0.0)])
     def test_nc_forms_need_a_generic_label(self, gauss_op, gauss_position, trip):
