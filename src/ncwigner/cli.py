@@ -643,6 +643,7 @@ _EXTENT = _checked(float, lambda v: 0 < v <= sys.float_info.max / 2,
                    f"a number in (0, {sys.float_info.max / 2:.3g}]")
 _NONZERO = _checked(float, lambda v: math.isfinite(v) and v != 0, "a finite nonzero number")
 _COUNT = _checked(int, lambda v: v >= 0, "a whole number >= 0")
+_POSITIVE = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
 
 
 def _add_label_args(p, required=True):
@@ -716,7 +717,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run the verification suites")
     pv.add_argument("--suite", default="all",
                     help="'all' or comma-separated suite names ('' for none)")
-    pv.add_argument("--seed", type=int, default=7)
+    pv.add_argument("--seed", type=_COUNT, default=7)
     pv.add_argument("--out", default=None)
     pv.set_defaults(func=_cmd_verify)
 
@@ -724,7 +725,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_label_args(pl, required=True)
     pl.add_argument("--c", type=float, default=0.25, help="k2 = k3 = c * 2^-m")
     pl.add_argument("--halvings", type=_COUNT, default=4)
-    pl.add_argument("--tolerance", type=float, default=1e-3)
+    pl.add_argument("--tolerance", type=_POSITIVE, default=1e-3)
     _add_state_args(pl)
     pl.set_defaults(func=_cmd_limit)
 

@@ -196,15 +196,13 @@ def shift_field(f: ComplexField2D, d0: float, d1: float, mode: str) -> ComplexFi
         return fractional_shift(f, d0, d1)
     if mode != "integer":
         raise ValueError(f"unknown shift mode {mode!r}")
-    delta0 = d0 / f.grid.axis0.step
-    delta1 = d1 / f.grid.axis1.step
-    if not (abs(delta0 - round(delta0)) <= _ALIGN_TOL
-            and abs(delta1 - round(delta1)) <= _ALIGN_TOL):
+    s0, s1 = f.grid.axis0.step, f.grid.axis1.step
+    r0, r1 = _lattice_steps(d0, s0), _lattice_steps(d1, s1)
+    if r0 is None or r1 is None:
         raise ShiftOffGrid(f"shift ({d0}, {d1}) is not an integer number of grid steps "
-                           f"({delta0:.3g}, {delta1:.3g} steps)")
+                           f"({d0 / s0:.3g}, {d1 / s1:.3g} steps)")
     # f(r + d) sits at index j + d/step
-    out = _axis_shift(f.values, d0, f.grid.axis0.step, 0)
-    return f.with_values(_axis_shift(out, d1, f.grid.axis1.step, 1))
+    return f.with_values(_axis_integer_shift(_axis_integer_shift(f.values, r0, 0), r1, 1))
 
 
 def _axis_reflect(values: np.ndarray, g: Grid1D, axis: int) -> np.ndarray:

@@ -10,9 +10,10 @@ the prefactor.  The substitution s = 2t turns the integrand into a product
 of the shifted fields conj(B)(t + c) A(-t + c) on the state grid, so for
 each centre the whole frequency batch is one FFT (when the requested
 frequencies land on the conjugate lattice, at least ``_FFT_MIN_POINTS`` of
-them) or one phase contraction (otherwise).  A c0 a whole number of state
-steps away builds the product on the fields' overlap window alone, and the
-FFT's column pass covers the requested columns only.  A slower,
+them) or one phase contraction (otherwise).  Along each axis, a centre a
+whole number of state steps away builds the product on the fields' overlap
+window alone, and any other centre Fourier-shifts the fields; the FFT's
+column pass covers the requested columns only.  A slower,
 structurally independent quadrature lives in :mod:`ncwigner.oracles`.
 
 One loop, ``_phase_integral``, runs the centre groups and one enumerator,
@@ -72,6 +73,7 @@ over the orbit to ||ket||^2 ||bra||^2): 1/a^2 on the generic sector,
 
 from __future__ import annotations
 
+import copy
 import ctypes
 import functools
 import math
@@ -103,8 +105,8 @@ from .core import (
     orbit_to_nc,
     plancherel_density,
 )
-from .numerics import (_ALIGN_TOL, _axis_shift, _axis_shifter, _lattice_steps, _shift_spectrum,
-                       conjugate_grid, reflect_field)
+from .numerics import (_ALIGN_TOL, _axis_shift, _lattice_steps, _shift_spectrum, conjugate_grid,
+                       reflect_field)
 
 __all__ = [
     "wigner_generic",
@@ -196,18 +198,10 @@ class _GroupEvaluator:
         # integrand magnitudes below this carry no quadrature information;
         # such centre groups integrate to (numerical) zero and are exempt
         # from the resolution guard
-        self.tail_cut = 1e-13 * float(
-            np.max(np.abs(self.bra)) * np.max(np.abs(self.ket_refl))
-        )
-        # centre groups arrive sorted with c0 slowest; cache an off-lattice
-        # c0's shifts as axis-1 shifters, so each costs one forward FFT per
-        # field.  Lattice c0s build no shifted copies; with an off-lattice
-        # c1 they share one axis-1 spectrum per field, taken on first use.
-        self._c0_key = None
-        self._bra_c0 = None
-        self._ket_c0 = None
-        self._bra_spec1 = None
-        self._ket_spec1 = None
+        self.tail_cut = 1e-13 * float(np.max(np.abs(self.bra)) * np.max(np.abs(self.ket_refl)))
+        # centre groups arrive sorted with c0 slowest: keep the last c0's
+        # field rows and their axis-1 spectra (_integrand)
+        self._rows = None
         # consecutive groups mostly repeat their frequency set (a product
         # grid's always do); keep the last (w0, w1, step) eval_group built
         self._group_step = None
@@ -227,42 +221,45 @@ class _GroupEvaluator:
     def _integrand(self, c0, c1):
         """(h, core): the integrand conj(B)(t + c) A(-t + c) on the state
         grid and the view of h that can be nonzero, or (None, None) where h
-        vanishes.  For c0 = r0 state steps h is zero outside rows
-        [|r0|, n0 - |r0|), and inside them is conj(bra[rows + r0])
-        ket_refl[rows - r0], narrowed the same way to columns for a lattice
-        c1 and Fourier-shifted along axis 1 otherwise: the bits of the
-        zero-filled shifted copies, without building them.
-        """
-        r0 = _lattice_steps(c0, self.g0.step)
-        if r0 is None:
-            if c0 != self._c0_key or self._bra_c0 is None:
-                self._bra_c0 = _axis_shifter(
-                    _axis_shift(self.bra, c0, self.g0.step, axis=0), self.g1.step, axis=1)
-                self._ket_c0 = _axis_shifter(
-                    _axis_shift(self.ket_refl, -c0, self.g0.step, axis=0), self.g1.step,
-                    axis=1)
-                self._c0_key = c0
-            h = np.conj(self._bra_c0(c1)) * self._ket_c0(-c1)
-            return h, h
+        vanishes.  Each axis chooses alone: an offset of r whole state steps
+        takes the overlap window [|r|, n - |r|) of bra[j + r] and
+        ket_refl[j - r] along it, any other the Fourier shift of every
+        sample, so h holds the bits of the zero-filled shifted copies
+        without building them."""
         n0, n1 = self.g0.n, self.g1.n
+        if self._rows is None or self._rows[0] != c0:
+            # axis 0, once per c0: the rows of h that can be nonzero and the
+            # field rows that fill them (none for an empty window), with
+            # their axis-1 FFTs taken when an off-lattice c1 first asks
+            r0 = _lattice_steps(c0, self.g0.step)
+            if r0 is None:
+                rows = slice(None)
+                bra = _axis_shift(self.bra, c0, self.g0.step, axis=0)
+                ket = _axis_shift(self.ket_refl, -c0, self.g0.step, axis=0)
+            elif 2 * abs(r0) < n0:
+                rows, bra_rows, ket_rows = _overlap(r0, n0)
+                bra, ket = self.bra[bra_rows], self.ket_refl[ket_rows]
+            else:
+                rows = bra = ket = None
+            spectra = functools.cache(lambda b=bra, k=ket: (np.fft.fft(b, axis=1),
+                                                            np.fft.fft(k, axis=1)))
+            self._rows = (c0, rows, bra, ket, spectra)
+        _, rows, bra, ket, spectra = self._rows
+        # axis 1, per centre
         r1 = _lattice_steps(c1, self.g1.step)
-        if 2 * abs(r0) >= n0 or (r1 is not None and 2 * abs(r1) >= n1):
+        if rows is None or (r1 is not None and 2 * abs(r1) >= n1):
             return None, None
-        rows, bra_rows, ket_rows = _overlap(r0, n0)
         h = np.zeros((n0, n1), dtype=np.complex128)
         if r1 is None:
-            if self._bra_spec1 is None:
-                self._bra_spec1 = np.fft.fft(self.bra, axis=1)
-                self._ket_spec1 = np.fft.fft(self.ket_refl, axis=1)
+            bra_spec, ket_spec = spectra()
             delta = c1 / self.g1.step
             core = h[rows]
-            np.multiply(np.conj(_shift_spectrum(self._bra_spec1[bra_rows], delta, 1)),
-                        _shift_spectrum(self._ket_spec1[ket_rows], -delta, 1), out=core)
+            np.multiply(np.conj(_shift_spectrum(bra_spec, delta, 1)),
+                        _shift_spectrum(ket_spec, -delta, 1), out=core)
         else:
             cols, bra_cols, ket_cols = _overlap(r1, n1)
             core = h[rows, cols]
-            np.multiply(np.conj(self.bra[bra_rows, bra_cols]),
-                        self.ket_refl[ket_rows, ket_cols], out=core)
+            np.multiply(np.conj(bra[:, bra_cols]), ket[:, ket_cols], out=core)
         return h, core
 
     def frequency_step(self, w0, w1):
@@ -371,30 +368,33 @@ def _blas_local_threads_setter():
 
 def _phase_integral(ket, bra, omega0, omega1, n_groups, group, out):
     """The engine's one loop: out[idx] = I(w; c) for each centre group
-    (c0, c1, w0, w1, idx) = group(k), k < n_groups; returns out.  With
-    enough groups, pool threads take contiguous chunks and one evaluator
-    each (it holds a reflected ket, the c0 cache, the axis-1 spectra and
-    the last frequency step) and run BLAS on one thread each, so the pool
-    alone sets the parallelism; the calling thread keeps its BLAS threads."""
+    (c0, c1, w0, w1, idx) = group(k), k < n_groups; returns out.  One
+    evaluator per call reflects the ket once.  With enough groups, pool
+    threads take contiguous chunks, each with a shallow copy of it (the
+    field arrays shared, its caches its own and empty), and run BLAS on one
+    thread each, so the pool alone sets the parallelism; the calling thread
+    keeps its BLAS threads."""
     def run(lo, hi, evaluator):
         for k in range(lo, hi):
             c0, c1, w0, w1, idx = group(k)
             out[idx] = evaluator.eval_group(c0, c1, w0, w1)
 
-    new_evaluator = functools.partial(_GroupEvaluator, ket, bra, omega0, omega1)
+    if not n_groups:
+        return out
+    evaluator = _GroupEvaluator(ket, bra, omega0, omega1)
     workers = _worker_count()
     if workers > 1 and n_groups >= 64:
         chunk = -(-n_groups // workers)
         with ThreadPoolExecutor(max_workers=workers, initializer=_blas_local_threads_setter(),
                                 initargs=(1,)) as pool:
             futures = [
-                pool.submit(run, lo, min(lo + chunk, n_groups), new_evaluator())
+                pool.submit(run, lo, min(lo + chunk, n_groups), copy.copy(evaluator))
                 for lo in range(0, n_groups, chunk)
             ]
             for f in futures:
                 f.result()
-    elif n_groups:
-        run(0, n_groups, new_evaluator())
+    else:
+        run(0, n_groups, evaluator)
     return out
 
 

@@ -628,6 +628,9 @@ class TestInputContract:
          "--extent"),
         (["star", "vartheta", "--vartheta", "0.5", "--grid", "0"], "--grid"),
         (["limit", "--k1", "1", "--halvings", "-1"], "--halvings"),
+        *((["limit", "--k1", "1", "--tolerance", v], "--tolerance")
+          for v in ("nan", "-1", "0", "inf")),
+        (["verify", "--suite", "group_associativity", "--seed", "-1"], "--seed"),
         *(([*WIGNER["nc"], "--state", f"gaussian:{spec}"], "--state")
           for spec in ("a,0", "-1,0", "0,0,x,1", "0,0,nan,0")),
     ])

@@ -128,6 +128,9 @@ class TestShifts:
         frac = fractional_shift(f, 3 * h, -2 * h)
         integer = shift_field(f, 3 * h, -2 * h, mode="integer")
         assert np.max(np.abs(frac.values - integer.values)) <= 1e-10
+        ref = np.zeros_like(f.values)
+        ref[:-3, 2:] = f.values[3:, :-2]   # f(r + d) sits at index j + d/step
+        assert integer.values.tobytes() == ref.tobytes()
 
     def test_shift_round_trip(self):
         f = gaussian_field(128, 8.0)
@@ -136,8 +139,11 @@ class TestShifts:
 
     def test_integer_mode_rejects_off_grid(self):
         f = gaussian_field(32, 4.0)
-        with pytest.raises(ShiftOffGrid):
+        h = f.grid.axis0.step
+        with pytest.raises(ShiftOffGrid, match=r"\(0\.494, 0 steps\)"):
             shift_field(f, 0.1234, 0.0, mode="integer")
+        with pytest.raises(ShiftOffGrid, match=r"\(1, 0\.4 steps\)"):
+            shift_field(f, h, 0.4 * h, mode="integer")
         # the mode is always named; there is no automatic choice
         with pytest.raises(ValueError, match="unknown shift mode 'auto'"):
             shift_field(f, 0.0, 0.0, mode="auto")

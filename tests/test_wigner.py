@@ -671,6 +671,31 @@ class TestBlasThreads:
         monkeypatch.setattr(wigner, "_blas_local_threads_setter", lambda: None)
         assert wigner_nc(cloud_op, pts, generic_label).tobytes() == ref.tobytes()
 
+    def test_pool_shares_one_reflected_ket(self, generic_label, cloud_op, monkeypatch):
+        # one evaluator per call reflects the ket once; each chunk runs on a
+        # shallow copy that shares the field arrays
+        reflected, evaluators = [], set()
+        reflect_field = wigner.reflect_field
+        eval_group = wigner._GroupEvaluator.eval_group
+
+        def counted(f):
+            reflected.append(1)
+            return reflect_field(f)
+
+        def spy(self, c0, c1, w0, w1):
+            evaluators.add(self)
+            return eval_group(self, c0, c1, w0, w1)
+
+        monkeypatch.setattr(wigner, "reflect_field", counted)
+        monkeypatch.setattr(wigner._GroupEvaluator, "eval_group", spy)
+        monkeypatch.setattr(wigner, "_worker_count", lambda: 2)
+        pts = centre_cloud(np.random.default_rng(24), cloud_op.ket, 96, scattered=False)
+        wigner_nc(cloud_op, pts, generic_label)
+        assert len(reflected) == 1
+        first, second = evaluators
+        assert np.shares_memory(first.ket_refl, second.ket_refl)
+        assert np.shares_memory(first.bra, second.bra)
+
     def test_lookup_finds_a_setter_or_none(self):
         setter = wigner._blas_local_threads_setter()
         assert setter is None or callable(setter)
@@ -915,13 +940,18 @@ class TestDomainGridPath:
     def test_thread_count_invariance(self, generic_label, gauss_op, monkeypatch):
         axis = gauss_op.ket.grid.axis0
         f = aligned_frequency_grid(axis, -generic_label.k1 * generic_label.consts.alpha, 4)
-        c = Grid1D(8, -0.77, 0.19)   # 64 centres: the threaded branch
-        dom = nc_domain(q1nc=f, q2nc=f, p1nc=c, p2nc=c)
-        monkeypatch.setenv("NCWIG_THREADS", "1")
-        one = wigner_nc(gauss_op, dom, generic_label)
-        monkeypatch.setenv("NCWIG_THREADS", "2")
-        two = wigner_nc(gauss_op, dom, generic_label)
-        assert one.values.tobytes() == two.values.tobytes()
+        # 64 centres each: the threaded branch.  The second grid alternates
+        # whole and half state steps on both centre axes, so each chunk
+        # meets every window/Fourier pairing of (c0, c1)
+        for c in (Grid1D(8, -0.77, 0.19), Grid1D(8, -6 * axis.step, 1.5 * axis.step)):
+            dom = nc_domain(q1nc=f, q2nc=f, p1nc=c, p2nc=c)
+            monkeypatch.setenv("NCWIG_THREADS", "1")
+            one = wigner_nc(gauss_op, dom, generic_label)
+            monkeypatch.setenv("NCWIG_THREADS", "2")
+            two = wigner_nc(gauss_op, dom, generic_label)
+            assert one.values.tobytes() == two.values.tobytes()
+            assert two.values.tobytes() == wigner_nc(gauss_op, dom.points(),
+                                                     generic_label).tobytes()
 
     def test_frequency_step_runs_once_under_thread_stress(self, generic_label,
                                                          gauss_op, monkeypatch):
