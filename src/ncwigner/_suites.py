@@ -229,8 +229,7 @@ def suite_marginals(rng) -> list[VerificationReport]:
 
         pout = aligned_center_grid(phat.grid.axis0, 32, stride=1)
         qint = aligned_frequency_grid(phat.grid.axis0, a, 64, stride=2)
-        w4 = wigner_nc(op, nc_domain(q1nc=qint, q2nc=qint, p1nc=pout, p2nc=pout),
-                       label, max_axis_points=64)
+        w4 = wigner_nc(op, nc_domain(q1nc=qint, q2nc=qint, p1nc=pout, p2nc=pout), label)
         marg = marginal_momentum(w4, label)
         idx = np.round((pout.coords() - phat.grid.axis0.origin) / hs).astype(int)
         dens = np.abs(phat.values[np.ix_(idx, idx)]) ** 2

@@ -46,6 +46,8 @@ from .core import (
     PHASE_COORDS,
     RankOneOperator,
     SectorMismatch,
+    _require_bytes,
+    _square_is_normal,
     make_orbit_label,
     nc_domain,
     nc_params_from_label,
@@ -53,11 +55,11 @@ from .core import (
     orbit_to_nc,
 )
 from ._suites import VerifyConfig, iter_verification_suites, qm_limit_study
-from .numerics import _ALIGN_TOL
 from .oracles import format_report, gaussian_state, gaussian_state_momentum
 from .starprod import (_require_star4d_bytes, marginal_momentum, marginal_position, star_B,
                        star_general, star_hbar, star_vartheta)
 from .wigner import (
+    _require_result_bytes,
     cross_wigner_standard,
     wigner_generic,
     wigner_nc,
@@ -70,8 +72,10 @@ _FMT = "%.17g"
 _FIELD_MAGIC = "# ncwigner-field 1"
 _CSV_COLUMNS = "x0,x1,re,im"
 _GNUPLOT_COLUMNS = "x0 x1 re im (blank line between x0 blocks)"
-# points per axis up to which the CLI grows a built-in state's grid
-_STATE_GRID_CAP = 4096
+# a built-in state is charged at four complex arrays: 4096^2 points fit 2^30 bytes
+_STATE_POINT_BYTES = 4 * 16
+# largest |grid norm - 1| of a built-in state: beyond it the grid cuts it off
+_STATE_NORM_TOL = 1e-6
 
 
 def _fnum(x: float) -> str:
@@ -407,7 +411,7 @@ def _momentum_state_for_output(args, label: OrbitLabel, domain: Domain4D, state)
     enough to resolve every requested output phase."""
     if state[0] == "file":
         return _state_file(state[1], "momentum")
-    _, hermite, center = state
+    center = state[2]
     a = label.k1 * label.consts.alpha
     # frequency bound for the requested points
     if domain.names == ORBIT_COORDS:
@@ -420,26 +424,48 @@ def _momentum_state_for_output(args, label: OrbitLabel, domain: Domain4D, state)
     kmax = 2.0 * omega * max(float(np.max(np.abs(w0))),
                              float(np.max(np.abs(w1))), 1e-9)
     # extent covers the state's momentum support; the step is refined until
-    # the conjugate band covers every requested output phase
+    # the conjugate band covers every requested output phase (each doubling charged)
     extent = max(12.0, abs(center[2]) + 10.0, abs(center[3]) + 10.0) / abs(a)
     n = args.state_grid
-    while math.pi * n / (2.0 * extent) <= 1.05 * kmax and n < _STATE_GRID_CAP:
+    while math.pi * n / (2.0 * extent) <= 1.05 * kmax:
         n *= 2
-    if kmax * extent / math.pi > n / 2 + _ALIGN_TOL:
-        # the transform's Nyquist guard, checked before the state is built
-        raise GridTooCoarse(f"the output frequencies need more than {n} state points "
-                            "per axis; shrink the output extent")
-    grid = Grid1D.symmetric(n, extent)
-    return gaussian_state_momentum(Grid2D(grid, grid), a, center=center,
-                                   hermite=hermite)
+        _require_bytes(f"the output frequencies need more than {n // 2} state points per "
+                       f"axis; states on {n}x{n} points", _STATE_POINT_BYTES * n * n)
+    return _gaussian(state, "momentum", n, extent, a)
 
 
 def _position_state(args, state) -> ComplexField2D:
     if state[0] == "file":
         return _state_file(state[1], "position")
+    return _gaussian(state, "position", args.state_grid, args.state_extent, 1.0)
+
+
+def _gaussian(state, rep: str, n: int, extent: float, scale: float) -> ComplexField2D:
+    """A parsed gaussian spec on the n x n grid of half-extent ``extent``
+    (momentum samples at ``scale`` = k1 a), charged before it is built;
+    GridTooCoarse where floats or the grid cannot hold it."""
     _, hermite, center = state
-    grid = Grid2D.square(args.state_grid, args.state_extent)
-    return gaussian_state(grid, center=center, hermite=hermite)
+    _require_bytes(f"built-in states on {n}x{n} points", _STATE_POINT_BYTES * n * n)
+    grid = Grid2D.square(n, extent)
+    spec = "gaussian:{},{}".format(*hermite)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if rep == "momentum":
+                f = gaussian_state_momentum(grid, scale, center=center, hermite=hermite)
+            else:
+                f = gaussian_state(grid, center=center, hermite=hermite)
+    except (OverflowError, ValueError):
+        # 2^n n! overflows above Hermite index 170; a ValueError here is a
+        # non-finite sample, the spec having been validated already
+        raise GridTooCoarse(f"built-in state {spec} cannot be evaluated in floating point "
+                            f"on its {n}x{n} grid; lower the Hermite indices or the "
+                            "grid extent") from None
+    norm = f.norm()
+    if not abs(norm - 1.0) <= _STATE_NORM_TOL:
+        raise GridTooCoarse(f"built-in state {spec} has grid norm {norm:.6g} on its {n}x{n} "
+                            f"grid, more than {_STATE_NORM_TOL:g} away from 1; use a finer "
+                            "or wider state grid")
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +493,7 @@ def _cmd_wigner(args) -> int:
         label = _label_from_args(args)
         params = nc_params_from_label(label)
     domain = _build_domain(names, _parse_slice(args.slice, names), args.grid, args.extent)
+    _require_result_bytes(domain.shape)
     meta = _meta_lines(label, params, extra | {
         "state": args.state,
         "axes": ",".join(domain.varying),
@@ -501,7 +528,7 @@ def _cmd_marginal(args) -> int:
     dom = nc_domain(q1nc=q, q2nc=q, p1nc=p, p2nc=p)
     fhat = _momentum_state_for_output(args, label, dom, state)
     op = RankOneOperator(ket=fhat, bra=fhat)
-    w4 = wigner_nc(op, dom, label, max_axis_points=max(args.int_grid, args.grid))
+    w4 = wigner_nc(op, dom, label)
     marg = marginal(w4, label)
     meta = _meta_lines(label, params, {
         "transform": f"marginal-{args.which}",
@@ -533,31 +560,22 @@ def _cmd_star(args) -> int:
         if state[0] == "file":
             f = _state_file(state[1], "momentum" if need_mom else "position")
         else:
-            _, hermite, center = state
+            center = state[2]
             scale = 1.0 if label is None else label.k1 * label.consts.alpha
             # sample finely enough for the chirp guard
             coupling = params.bfield if need_mom else params.vartheta
-            kernel_scale = 2.0 / abs(coupling) if coupling != 0.0 else math.inf
             supp = max(abs(center[0]), abs(center[1])) + 8.0
-            if math.isfinite(kernel_scale):
-                h_needed = 0.45 * math.pi / (kernel_scale * (args.extent + supp))
-                # an extent near the float maximum sends h_needed to 0
+            n = args.state_grid
+            if coupling != 0.0:
+                h_needed = 0.45 * math.pi / (2.0 / abs(coupling) * (args.extent + supp))
+                # an extent near the float maximum or a subnormal coupling sends it to 0
                 need = 2 * (supp + 2) / h_needed if h_needed > 0 else math.inf
-                if need > _STATE_GRID_CAP:
-                    count = math.ceil(need) if need < 1e12 else f"{need:.3g}"
-                    raise GridTooLarge(
-                        f"star {kind}: the kernel chirp needs {count} state points per "
-                        f"axis, above the cap of {_STATE_GRID_CAP}; raise "
-                        f"|{'bfield' if need_mom else 'vartheta'}| or shrink --extent")
-                n = max(args.state_grid, math.ceil(need))
+                count = math.ceil(need) if need < 1e12 else f"{need:.3g}"
+                _require_bytes(f"star {kind}: the kernel chirp needs {count} state points per "
+                               "axis, which", _STATE_POINT_BYTES * need * need)
+                n = max(n, math.ceil(need))
                 n += n % 2
-            else:
-                n = args.state_grid
-            grid = Grid2D.square(n, supp + 2.0)
-            if need_mom:
-                f = gaussian_state_momentum(grid, scale, center=center, hermite=hermite)
-            else:
-                f = gaussian_state(grid, center=center, hermite=hermite)
+            f = _gaussian(state, "momentum" if need_mom else "position", n, supp + 2.0, scale)
         fc = f.with_values(np.conj(f.values))
         fn = star_vartheta if kind == "vartheta" else star_B
         res = fn(fc, f, params, out=Grid2D(out1d, out1d))
@@ -566,7 +584,7 @@ def _cmd_star(args) -> int:
         _require_star4d_bytes((args.grid,) * 4)
         dom = orbit_domain(k1s=out1d, k2s=out1d, k3s=out1d, k4s=out1d)
         psi = _position_state(args, state)
-        w = wigner_nc_params(psi, dom, params, max_axis_points=args.grid)
+        w = wigner_nc_params(psi, dom, params)
         fn = star_hbar if kind == "hbar" else star_general
         res = fn(w, w, params)
         # write the central 2D slice of the 4D result
@@ -644,6 +662,10 @@ _EXTENT = _checked(float, lambda v: 0 < v <= sys.float_info.max / 2,
 _NONZERO = _checked(float, lambda v: math.isfinite(v) and v != 0, "a finite nonzero number")
 _COUNT = _checked(int, lambda v: v >= 0, "a whole number >= 0")
 _POSITIVE = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
+# the test cross_wigner_standard applies to h
+_PLANCK_H = _checked(float, _square_is_normal,
+                     "a number whose square is a normal float (|h| from about 1.5e-154 "
+                     "to 1.3e154)")
 
 
 def _add_label_args(p, required=True):
@@ -676,7 +698,7 @@ def build_parser() -> argparse.ArgumentParser:
     pw = sub.add_parser("wigner", help="compute a Wigner transform slice")
     pw.add_argument("variant", choices=tuple(_WIGNER_VARIANTS))
     _add_label_args(pw, required=False)
-    pw.add_argument("--planck-h", type=_NONZERO, default=2.0 * math.pi,
+    pw.add_argument("--planck-h", type=_PLANCK_H, default=2.0 * math.pi,
                     help="Planck constant for the standard transform")
     _add_state_args(pw)
     pw.add_argument("--grid", type=_POINTS, default=128, help="output points per axis")
@@ -707,7 +729,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_state_args(ps)
     ps.add_argument("--grid", type=_POINTS, default=32,
                     help="output points per axis; hbar and general also per 4D "
-                         "axis, bounded by the star kernel's 1 GiB byte estimate")
+                         "axis, where the star kernel's estimate must fit the 1 GiB "
+                         "byte budget")
     ps.add_argument("--extent", type=_EXTENT, default=None,
                     help="output half-extent (default: 3.0 for vartheta and b, 2.5 for "
                          "hbar and general, where the 4D kernels' cell phase allows it)")
@@ -723,7 +746,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pl = sub.add_parser("limit", help="commutative-limit study")
     _add_label_args(pl, required=True)
-    pl.add_argument("--c", type=float, default=0.25, help="k2 = k3 = c * 2^-m")
+    pl.add_argument("--c", type=_NONZERO, default=0.25, help="k2 = k3 = c * 2^-m")
     pl.add_argument("--halvings", type=_COUNT, default=4)
     pl.add_argument("--tolerance", type=_POSITIVE, default=1e-3)
     _add_state_args(pl)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,7 +83,17 @@ class GridTooCoarse(NCWignerError):
 
 
 class GridTooLarge(NCWignerError):
-    """A four-dimensional grid exceeds the desk-scale size cap."""
+    """An array sized by the caller would exceed the byte budget ``_MAX_BYTES``."""
+
+
+_MAX_BYTES = 1 << 30  # the one size limit on arrays (or estimates) the caller sizes
+
+
+def _require_bytes(what: str, nbytes):
+    """Call before an allocation: GridTooLarge when nbytes > _MAX_BYTES."""
+    if nbytes > _MAX_BYTES:
+        n = int(nbytes) if nbytes < 1e18 else f"{nbytes:.3g}"
+        raise GridTooLarge(f"{what} need about {n} bytes, above the limit of {_MAX_BYTES} bytes")
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +152,11 @@ class OrbitLabel:
         return abs(self.discriminant)
 
 
+def _square_is_normal(x: float) -> bool:
+    """x * x is a normal float: not 0, subnormal, infinite or nan."""
+    return sys.float_info.min <= x * x <= sys.float_info.max
+
+
 def make_orbit_label(k1: float, k2: float, k3: float,
                      consts: DimensionalConstants | None = None) -> OrbitLabel:
     """Classify and validate an orbit label.
@@ -150,8 +166,10 @@ def make_orbit_label(k1: float, k2: float, k3: float,
     generic labels with explicitly small parameters.
 
     Raises InvalidLabel for k1 = 0, for the degenerate surface
-    k1^2 alpha^2 - k2 k3 beta gamma = 0, and for the uncovered pattern
-    k2 = 0 with k3 != 0.
+    k1^2 alpha^2 - k2 k3 beta gamma = 0, for the uncovered pattern
+    k2 = 0 with k3 != 0, and where the label's formulas leave the float
+    range: k1^2, alpha^2 or (k1 alpha)^2 not a normal float, or the
+    discriminant not finite.
     """
     consts = consts if consts is not None else DimensionalConstants()
     for name, v in (("k1", k1), ("k2", k2), ("k3", k3)):
@@ -161,8 +179,14 @@ def make_orbit_label(k1: float, k2: float, k3: float,
         raise InvalidLabel("k1 must be nonzero in every sector")
     if k2 == 0.0 and k3 != 0.0:
         raise InvalidLabel("labels with k2 = 0 but k3 != 0 are not covered")
+    if not all(map(_square_is_normal, (k1, consts.alpha, k1 * consts.alpha))):
+        raise InvalidLabel(f"k1 = {k1!r} with alpha = {consts.alpha!r} leaves the float "
+                           "range: k1^2, alpha^2 and (k1 alpha)^2 must be normal floats")
+    # k2 k3 beta gamma is a product: it may overflow, to +-inf, but not raise
+    disc = k1 ** 2 * consts.alpha ** 2 - k2 * k3 * consts.beta * consts.gamma
+    if not math.isfinite(disc):
+        raise InvalidLabel("k1^2 alpha^2 - k2 k3 beta gamma overflows")
     if k2 != 0.0 and k3 != 0.0:
-        disc = k1 ** 2 * consts.alpha ** 2 - k2 * k3 * consts.beta * consts.gamma
         if disc == 0.0:
             raise InvalidLabel(
                 "degenerate orbit: k1^2 alpha^2 - k2 k3 beta gamma = 0"
@@ -491,14 +515,6 @@ class Domain4D:
         """All sampled coordinates as an (M, 4) array in ``names`` order."""
         mesh = np.meshgrid(*self.axes(), indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
-
-
-def _require_axis_cap(domain: Domain4D, cap: int, what: str):
-    """Raise GridTooLarge when an axis of domain has more than cap points."""
-    for g in domain.grids:
-        if g.n > cap:
-            raise GridTooLarge(f"{what} are capped at {cap} points per axis "
-                               f"(got {g.n}); pass max_axis_points to override")
 
 
 def orbit_domain(**coords) -> Domain4D:

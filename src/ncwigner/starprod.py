@@ -18,8 +18,9 @@ common orbit grid; their quadratic phases are recorded in
 flops in BLAS for n points per axis, with n^4-element complex temporaries
 (the chirped factors and the products C, Q and K).  Their only size
 limit is :func:`_require_star4d_bytes`: a grid whose temporaries would
-exceed ``_STAR4D_MAX_BYTES`` (1 GiB, about 60 points per axis) raises
-GridTooLarge before any of them is allocated.
+exceed the byte budget ``core._MAX_BYTES`` (1 GiB, about 60 points per
+axis) raises GridTooLarge before any of them is allocated.  The 2D
+kernels check their result and kernel matrix against the same budget.
 
 The oscillatory quadratic phases are evaluated exactly per node and the
 integration is plain trapezoid over the fields' support, protected by a
@@ -41,12 +42,12 @@ from .core import (
     Grid1D,
     Grid2D,
     GridTooCoarse,
-    GridTooLarge,
     NCParams,
     NC_COORDS,
     ORBIT_COORDS,
     OrbitLabel,
     WignerField,
+    _require_bytes,
 )
 from .numerics import _axis_reflect, _axis_shifter, _axis_weights
 
@@ -67,7 +68,6 @@ _MAX_PHASE_PER_CELL = 0.5 * math.pi
 # peak working memory of one 4D star product: about five n0*n1*n2*n3
 # complex arrays are alive at once (tracemalloc: 5.00-5.01x from 16^4 to 32^4)
 _STAR4D_PEAK_ARRAYS = 5
-_STAR4D_MAX_BYTES = 1 << 30
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +181,7 @@ def _star_2d(fv: np.ndarray, gv: np.ndarray, grid: Grid2D, out: Grid2D,
     e1 = grid.axis1.coords()
     o0 = out.axis0.coords()
     o1 = out.axis1.coords()
+    _require_bytes(f"{what}'s result and kernel matrix", 16 * o0.size * (o1.size + e1.size))
     s0, s1 = _support_extent(np.maximum(np.abs(fv), np.abs(gv)), (e0, e1))
     _check_cell_phase(
         [abs(a) * (np.max(np.abs(o1)) + s1) * grid.axis0.step,
@@ -266,12 +267,9 @@ def star_general_phase_matrix(params: NCParams) -> np.ndarray:
 
 def _require_star4d_bytes(shape):
     """Raise GridTooLarge when a 4D star product on a grid of ``shape``
-    would need more than ``_STAR4D_MAX_BYTES`` of working memory."""
+    would need more working memory than the byte budget."""
     need = _STAR4D_PEAK_ARRAYS * np.dtype(np.complex128).itemsize * math.prod(shape)
-    if need > _STAR4D_MAX_BYTES:
-        raise GridTooLarge(f"4D star products on a {'x'.join(map(str, shape))} grid "
-                           f"need about {need} bytes, above the limit of "
-                           f"{_STAR4D_MAX_BYTES} bytes")
+    _require_bytes(f"4D star products on a {'x'.join(map(str, shape))} grid", need)
 
 
 def _star4d_setup(w1: WignerField, w2: WignerField):

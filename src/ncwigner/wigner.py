@@ -14,7 +14,8 @@ them) or one phase contraction (otherwise).  Along each axis, a centre a
 whole number of state steps away builds the product on the fields' overlap
 window alone, and any other centre Fourier-shifts the fields; the FFT's
 column pass covers the requested columns only.  A slower,
-structurally independent quadrature lives in :mod:`ncwigner.oracles`.
+structurally independent quadrature lives in :mod:`ncwigner.oracles`.  Results
+are charged to the byte budget ``core._MAX_BYTES`` before they are allocated.
 
 One loop, ``_phase_integral``, runs the centre groups and one enumerator,
 ``_centre_groups``, feeds it.  Each coordinate map sends four broadcastable
@@ -97,7 +98,8 @@ from .core import (
     Sector,
     SectorMismatch,
     WignerField,
-    _require_axis_cap,
+    _require_bytes,
+    _square_is_normal,
     DegenerateParams,
     Grid1D,
     duflo_moore_constant,
@@ -127,7 +129,6 @@ __all__ = [
 # k2 -> 0 limit; the two sectors carry different normalisation constants.
 TAU0_TO_QM_PREFACTOR_RATIO = math.sqrt(2.0 * math.pi)
 
-_DEFAULT_AXIS_CAP = 32
 # lattice frequencies at one centre from which the FFT replaces the contraction
 _FFT_MIN_POINTS = 16
 
@@ -481,8 +482,11 @@ def aligned_center_grid(state_axis: Grid1D, n: int, stride: int = 1) -> Grid1D:
 # Transforms
 # ---------------------------------------------------------------------------
 
-def _transform(ket, bra, rep, pts, names, waves, omegas, pref, label, sector,
-               max_axis_points):
+def _require_result_bytes(shape):  # a complex128 result
+    _require_bytes("transform results this large", 16 * math.prod(shape))
+
+
+def _transform(ket, bra, rep, pts, names, waves, omegas, pref, label, sector):
     """The runner behind every transform: pref * I(w; c) at pts.
 
     ket and bra must be tagged ``rep``, and ``label`` must come from
@@ -502,13 +506,12 @@ def _transform(ket, bra, rep, pts, names, waves, omegas, pref, label, sector,
     if domain is not None:
         if domain.names != names:
             raise ValueError(f"domain over {domain.names} passed where {names} expected")
-        if domain.is_full:
-            _require_axis_cap(domain, max_axis_points, "full 4D grids")
-        axes = domain.axes()
-        cols, vals = np.ix_(*axes), np.empty([a.size for a in axes], dtype=np.complex128)
+        cols = np.ix_(*domain.axes())
     else:
         cols = _as_points(pts).T
-        vals = np.empty(cols.shape[1], dtype=np.complex128)
+    shape = np.broadcast(*cols).shape
+    _require_result_bytes(shape)
+    vals = np.empty(shape, dtype=np.complex128)
     w0, w1, c0, c1 = waves(*cols)
     for c, g in ((c0, ket.grid.axis0), (c1, ket.grid.axis1)):
         # the engine counts centre offsets in state steps; refuse any count
@@ -530,7 +533,7 @@ def _p_waves(q1, q2, p1, p2):
     return p1, p2, q1, q2
 
 
-def _orbit_transform(op, pts, label, sector, max_axis_points):
+def _orbit_transform(op, pts, label, sector):
     """The orbit transforms: frequencies q^nc, centres p^nc / k1, and the
     prefactor d / ((2 pi)^(7/2) sqrt(rho)), with d the Duflo-Moore constant
     and rho the Plancherel density of the label's sector.
@@ -545,39 +548,37 @@ def _orbit_transform(op, pts, label, sector, max_axis_points):
     pref = duflo_moore_constant(label) / (
         (2.0 * math.pi) ** 3.5 * math.sqrt(plancherel_density(label)))
     return _transform(op.ket, op.bra, "momentum", pts, ORBIT_COORDS, waves,
-                      (label.consts.alpha,) * 2, pref, label, sector, max_axis_points)
+                      (label.consts.alpha,) * 2, pref, label, sector)
 
 
-def wigner_generic(op: RankOneOperator, pts, label: OrbitLabel,
-                   max_axis_points: int = _DEFAULT_AXIS_CAP):
+def wigner_generic(op: RankOneOperator, pts, label: OrbitLabel, max_axis_points=None):
     """Wigner transform of |ket><bra| on a generic 4D orbit.
 
     pts may be an orbit-coordinate Domain4D (returns a WignerField) or a
     sequence of CoadjointPoint / an (M, 4) array (returns complex values).
-    Both fields must be momentum-space samples.
+    Both fields must be momentum-space samples.  max_axis_points is ignored.
     """
-    return _orbit_transform(op, pts, label, Sector.GENERIC, max_axis_points)
+    return _orbit_transform(op, pts, label, Sector.GENERIC)
 
 
-def wigner_tau0(op: RankOneOperator, pts, label: OrbitLabel,
-                max_axis_points: int = _DEFAULT_AXIS_CAP):
+def wigner_tau0(op: RankOneOperator, pts, label: OrbitLabel, max_axis_points=None):
     """Wigner transform on the k3 = 0 family of 4D orbits.
 
     Same integral as the generic transform with k3 = 0 but its own sector
     normalisation 1/((2 pi)^(3/2) |k1|); in the k2 -> 0 limit it therefore
     exceeds :func:`wigner_qm_orbit` by TAU0_TO_QM_PREFACTOR_RATIO.
+    max_axis_points is ignored.
     """
-    return _orbit_transform(op, pts, label, Sector.TAU_ZERO, max_axis_points)
+    return _orbit_transform(op, pts, label, Sector.TAU_ZERO)
 
 
-def wigner_qm_orbit(op: RankOneOperator, pts, label: OrbitLabel,
-                    max_axis_points: int = _DEFAULT_AXIS_CAP):
+def wigner_qm_orbit(op: RankOneOperator, pts, label: OrbitLabel, max_axis_points=None):
     """Wigner transform on the commutative k2 = k3 = 0 orbits.
 
     Coincides with the textbook cross-Wigner transform under the convention
-    map documented in the module docstring.
+    map documented in the module docstring.  max_axis_points is ignored.
     """
-    return _orbit_transform(op, pts, label, Sector.SIGMA_TAU_ZERO, max_axis_points)
+    return _orbit_transform(op, pts, label, Sector.SIGMA_TAU_ZERO)
 
 
 def _nc_pref(label: OrbitLabel) -> float:
@@ -585,35 +586,35 @@ def _nc_pref(label: OrbitLabel) -> float:
     return k1a ** 3 / ((2.0 * math.pi) ** 2 * math.sqrt(label.abs_discriminant))
 
 
-def wigner_nc(op: RankOneOperator, pts, label: OrbitLabel,
-              max_axis_points: int = _DEFAULT_AXIS_CAP):
+def wigner_nc(op: RankOneOperator, pts, label: OrbitLabel, max_axis_points=None):
     """Noncommutative Wigner function over (q^nc, p^nc).
 
     Computed natively from its defining integral (phases exp(-i k1 a q.s),
     centres p^nc), not by resampling :func:`wigner_generic`; the two routes
     agree through the coordinate maps, which the tests exercise.
+    max_axis_points is ignored.
     """
     om = -label.k1 * label.consts.alpha
     return _transform(op.ket, op.bra, "momentum", pts, NC_COORDS, lambda *qp: qp, (om, om),
-                      _nc_pref(label), label, Sector.GENERIC, max_axis_points)
+                      _nc_pref(label), label, Sector.GENERIC)
 
 
 def wigner_nc_position(psi: ComplexField2D, phi: ComplexField2D, pts,
-                       label: OrbitLabel, max_axis_points: int = _DEFAULT_AXIS_CAP):
+                       label: OrbitLabel, max_axis_points=None):
     """Noncommutative Wigner function from position-space fields.
 
     W(q, p) = pref * int exp(i k1 a p.r) conj(psi)(r/2 + q) phi(-r/2 + q) d^2 r,
 
     the transform of |phi><psi|.  For phi = psi it equals :func:`wigner_nc`
     applied to the (k1 a)-scaled momentum representation of psi.
+    max_axis_points is ignored.
     """
     om = label.k1 * label.consts.alpha
     return _transform(phi, psi, "position", pts, NC_COORDS, _p_waves, (om, om),
-                      _nc_pref(label), label, Sector.GENERIC, max_axis_points)
+                      _nc_pref(label), label, Sector.GENERIC)
 
 
-def wigner_nc_params(psi: ComplexField2D, pts, params: NCParams,
-                     max_axis_points: int = _DEFAULT_AXIS_CAP):
+def wigner_nc_params(psi: ComplexField2D, pts, params: NCParams, max_axis_points=None):
     """Noncommutative Wigner function of |psi><psi| in (hbar, vartheta, bfield)
     form over orbit coordinates.
 
@@ -623,7 +624,7 @@ def wigner_nc_params(psi: ComplexField2D, pts, params: NCParams,
 
     with E = hbar^2 - B theta and u = (hbar^2 k1* + hbar theta k4*)/E.
     At vartheta = bfield = 0 this is the standard hbar-convention Wigner
-    transform over (k1*, k2*; k3*, k4*).
+    transform over (k1*, k2*; k3*, k4*).  max_axis_points is ignored.
     """
     e = params.det
     if e == 0.0:
@@ -635,22 +636,23 @@ def wigner_nc_params(psi: ComplexField2D, pts, params: NCParams,
 
     pref = 1.0 / (4.0 * math.pi ** 2 * abs(hb) * math.sqrt(abs(e)))
     return _transform(psi, psi, "position", pts, ORBIT_COORDS, waves, (1.0 / hb, 1.0),
-                      pref, None, None, max_axis_points)
+                      pref, None, None)
 
 
 def cross_wigner_standard(phi: ComplexField2D, psi: ComplexField2D, pts,
-                          h: float, max_axis_points: int = _DEFAULT_AXIS_CAP):
+                          h: float, max_axis_points=None):
     """Textbook cross-Wigner transform of |phi><psi| in the Planck-h convention.
 
     W(q, p) = h^(-2) int conj(psi)(q - x/2) exp(-2 pi i x.p / h) phi(q + x/2) d^2 x
 
-    for position-space fields on a common grid.
+    for position-space fields on a common grid; h^2 must be a normal float.
+    max_axis_points is ignored.
     """
-    if h == 0.0 or not math.isfinite(h):
-        raise ValueError("h must be finite and nonzero")
+    if not _square_is_normal(h):
+        raise ValueError("h must be finite and nonzero, with h^2 a normal float")
     om = 2.0 * math.pi / h
     return _transform(phi, psi, "position", pts, PHASE_COORDS, _p_waves, (om, om),
-                      1.0 / h ** 2, None, None, max_axis_points)
+                      1.0 / h ** 2, None, None)
 
 
 def qm_limit_check(psi: ComplexField2D, labels, pts) -> np.ndarray:

@@ -624,6 +624,10 @@ class TestInputContract:
         ([*MARGINAL, "--int-grid", "1"], "--int-grid"),
         ([*MARGINAL, "--int-extent", "0"], "--int-extent"),
         (["wigner", "standard", "--planck-h", "0"], "--planck-h"),
+        # h^2 underflows to 0 or overflows
+        (["wigner", "standard", "--planck-h", "1e-320"], "--planck-h"),
+        (["wigner", "standard", "--planck-h", "1e200"], "--planck-h"),
+        (["limit", "--k1", "1", "--c", "0"], "--c"),
         (["star", "hbar", "--vartheta", "0.5", "--bfield", "0.5", "--extent", "-1"],
          "--extent"),
         (["star", "vartheta", "--vartheta", "0.5", "--grid", "0"], "--grid"),
@@ -661,10 +665,59 @@ class TestInputContract:
             monkeypatch.setattr(cli, name, not_reached)
         self.expect_exit([*argv, "--out", str(tmp_path / "x.csv")], capsys, fragment, code=4)
 
-    def test_star_4d_memory_guard_exit_4(self, tmp_path, capsys, monkeypatch):
-        import ncwigner.starprod as starprod
+    @pytest.mark.parametrize("argv, budget, fragment", [
+        # the position state: 4 * 16 * 128^2 bytes
+        (["wigner", "standard", "--grid", "4", "--extent", "1", "--slice", "q2=0,p2=0"],
+         4 * 16 * 128 ** 2 - 1, "built-in states on 128x128 points need about 1048576 bytes"),
+        # the momentum state's first doubling, 128 -> 256 points
+        ([*WIGNER["nc"], "--grid", "4", "--extent", "10"], 4 * 16 * 128 ** 2,
+         "need more than 128 state points per axis; states on 256x256 points need about "
+         "4194304 bytes"),
+        # the star-2D kernel chirp, charged before it is rounded up
+        (["star", "vartheta", "--vartheta", "1", "--grid", "4"], 4 * 16 * 128 ** 2,
+         "the kernel chirp needs 312 state points per axis, which need about"),
+    ])
+    def test_state_byte_budget_exit_4_before_building(self, tmp_path, capsys, monkeypatch,
+                                                      argv, budget, fragment):
+        import ncwigner.core as core
 
-        monkeypatch.setattr(starprod, "_STAR4D_MAX_BYTES", 5 * 16 * 8 ** 4 - 1)
+        def not_reached(*args, **kwargs):
+            raise AssertionError("state built before its byte budget check")
+
+        for name in ("gaussian_state", "gaussian_state_momentum"):
+            monkeypatch.setattr(cli, name, not_reached)
+        monkeypatch.setattr(core, "_MAX_BYTES", budget)
+        self.expect_exit([*argv, "--out", str(tmp_path / "x.csv")], capsys, fragment, code=4)
+
+    @pytest.mark.parametrize("spec, fragment", [
+        ("171,0", "gaussian:171,0 cannot be evaluated in floating point"),
+        ("160,0", "gaussian:160,0 has grid norm 0 on its 128x128 grid"),
+        ("100,0", "gaussian:100,0 has grid norm 0.706"),
+    ])
+    def test_unresolved_builtin_state_exit_4(self, tmp_path, capsys, spec, fragment):
+        # the default 128^2 grid of half-extent 10 cannot hold these states
+        out = tmp_path / "x.csv"
+        self.expect_exit(["wigner", "standard", "--state", f"gaussian:{spec}", "--grid", "4",
+                          "--extent", "1", "--slice", "q2=0,p2=0", "--out", str(out)],
+                         capsys, fragment, code=4)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, fragment", [
+        ([*WIGNER["nc"], "--k1", "1e300"], "leaves the float range"),
+        ([*WIGNER["qm"], "--k1", "1e300"], "leaves the float range"),
+        # (k1 alpha)^2 underflows to 0
+        ([*WIGNER["nc"], "--k1", "1e-300"], "leaves the float range"),
+        ([*WIGNER["generic"], "--alpha", "1e-300"], "leaves the float range"),
+        ([*WIGNER["nc"], "--k2", "1e300", "--k3=-1e300"], "k2 k3 beta gamma overflows"),
+    ])
+    def test_out_of_range_label_exit_3(self, tmp_path, capsys, argv, fragment):
+        self.expect_exit([*argv, "--grid", "4", "--extent", "1",
+                          "--out", str(tmp_path / "x.csv")], capsys, fragment, code=3)
+
+    def test_star_4d_memory_guard_exit_4(self, tmp_path, capsys, monkeypatch):
+        import ncwigner.core as core
+
+        monkeypatch.setattr(core, "_MAX_BYTES", 5 * 16 * 8 ** 4 - 1)
         self.expect_exit(["star", "hbar", "--hbar", "2", "--vartheta", "0.5",
                           "--bfield", "0.25", "--state-grid", "64", "--state-extent", "8",
                           "--grid", "8", "--extent", "1.5", "--out", str(tmp_path / "s.csv")],
@@ -680,3 +733,25 @@ class TestInputContract:
             read_field_file(str(bad))
         self.expect_exit(self.standard(tmp_path, state=f"file:{bad}"), capsys,
                            "first line")
+
+
+def readme_commands():
+    """The ncwig commands of README's CLI block, continuation lines joined."""
+    import pathlib
+
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [ln.split()[1:] for ln in lines if ln.startswith("ncwig ")]
+
+
+@pytest.mark.parametrize("argv", [argv for argv in readme_commands()
+                                  if argv[:3] != ["verify", "--suite", "all"]],
+                         ids=lambda argv: " ".join(argv[:2]))
+def test_readme_examples_run(tmp_path, capsys, argv):
+    # every documented run passes the byte budget and the state norm guard
+    if "--out" in argv:
+        i = argv.index("--out") + 1
+        argv = [*argv[:i], str(tmp_path / argv[i]), *argv[i + 1:]]
+    assert main(argv) == 0
+    assert "Traceback" not in capsys.readouterr().err

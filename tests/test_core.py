@@ -43,6 +43,18 @@ class TestOrbitLabel:
         with pytest.raises(InvalidLabel):
             make_orbit_label(1.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("k1, k2, k3, alpha", [
+        (1e300, -1.0, 1.0, 1.0),    # (k1 alpha)^2 overflows
+        (1e300, 0.0, 0.0, 1.0),
+        (1e-300, -1.0, 1.0, 1.0),   # (k1 alpha)^2 underflows to 0
+        (1.0, -1.0, 1.0, 1e-300),
+        (1e160, 1.0, 0.0, 1e-160),  # k1^2 overflows although k1 alpha = 1
+        (1.0, 1e300, -1e300, 1.0),  # the discriminant overflows
+    ])
+    def test_out_of_float_range_rejected(self, k1, k2, k3, alpha):
+        with pytest.raises(InvalidLabel):
+            make_orbit_label(k1, k2, k3, DimensionalConstants(alpha=alpha))
+
     def test_constants_validated(self):
         with pytest.raises(InvalidLabel):
             DimensionalConstants(alpha=0.0)

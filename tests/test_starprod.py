@@ -28,6 +28,7 @@ from ncwigner import (
     star_vartheta,
     wigner_nc,
 )
+import ncwigner.core as core
 import ncwigner.starprod as starprod
 from ncwigner.core import nc_domain, orbit_domain
 from ncwigner.numerics import _axis_reflect, _axis_shift
@@ -54,6 +55,27 @@ class TestStar2D:
         assert np.all(star_vartheta(z, fine_gaussian, params_11, out=out).values == 0)
         assert np.all(star_B(z, fine_gaussian.with_rep("momentum"), params_11,
                              out=out).values == 0)
+
+    def test_byte_budget_runs_before_any_2d_array(self, params_11, monkeypatch):
+        # each kernel charges its result and its (n_out x N) k1-eta2 matrix,
+        # 16 * n_out0 * (n_out1 + N) bytes, before numpy builds anything
+        class NoArrays:
+            ascontiguousarray = staticmethod(np.ascontiguousarray)  # star_B's transposes
+
+            def __getattr__(self, name):
+                raise AssertionError(f"np.{name} called before the byte budget check")
+
+        f = gaussian_state(default_state_grid(32, 6.0))
+        out = Grid2D(Grid1D.symmetric(8, 2.0), Grid1D.symmetric(12, 2.0))
+        need_v, need_b = 16 * 8 * (12 + 32), 16 * 12 * (8 + 32)
+        monkeypatch.setattr(core, "_MAX_BYTES", need_v - 1)
+        monkeypatch.setattr(starprod, "np", NoArrays())
+        for fn, f_, what, need in ((star_vartheta, f, "star_vartheta", need_v),
+                                   (star_B, f.with_rep("momentum"), "star_B", need_b)):
+            with pytest.raises(GridTooLarge, match=rf"^{what}'s result and kernel matrix need "
+                               rf"about {need} bytes, above the limit of {need_v - 1} "
+                               r"bytes$"):
+                fn(f_, f_, params_11, out=out)
 
     def test_singular_kernels_rejected(self, fine_gaussian):
         with pytest.raises(DegenerateParams, match="singular"):
@@ -299,7 +321,7 @@ class TestStar4D:
         def not_reached(*args, **kwargs):
             raise AssertionError("a 4D temporary was allocated before the memory guard")
 
-        monkeypatch.setattr(starprod, "_STAR4D_MAX_BYTES", need - 1)
+        monkeypatch.setattr(core, "_MAX_BYTES", need - 1)
         monkeypatch.setattr(starprod, "_axis_weights", not_reached)
         for fn in (star_hbar, star_general):
             with pytest.raises(GridTooLarge, match=rf"^4D star products on a 8x8x8x8 grid need "
@@ -323,7 +345,7 @@ class TestStar4D:
             finally:
                 tracemalloc.stop()
             assert 0.95 * need <= peak <= 1.05 * need
-        assert 5 * 16 * 32 ** 4 < starprod._STAR4D_MAX_BYTES
+        assert 5 * 16 * 32 ** 4 < core._MAX_BYTES
 
     def test_degenerate_general_rejected(self, star4d_setup):
         dom, w1, w2 = star4d_setup

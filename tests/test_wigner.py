@@ -34,7 +34,7 @@ from ncwigner import (
 from ncwigner.core import (NC_COORDS, ORBIT_COORDS, PHASE_COORDS, ComplexField2D, Domain4D,
                            Grid1D, Grid2D, NCParams, nc_domain, orbit_domain, orbit_to_nc,
                            phase_space_domain)
-from ncwigner import wigner
+from ncwigner import core, wigner
 from ncwigner.numerics import _axis_shift, _axis_shifter
 from ncwigner.oracles import direct_wigner_oracle, random_hermite_gaussian
 from ncwigner.wigner import (
@@ -70,6 +70,10 @@ def engine_paths(monkeypatch, evaluate):
         values.append(evaluate())
         assert bool(calls) == (least == 0)
     return values
+
+
+def not_allocated(*args, **kwargs):
+    raise AssertionError("an array was allocated before the byte budget check")
 
 
 def zero_op(grid):
@@ -146,12 +150,26 @@ class TestWignerGeneric:
                               generic_label)
         assert np.all(vals == 0)
 
-    def test_full4d_cap(self, generic_label, gauss_op):
+    def test_full4d_cap(self, generic_label, gauss_op, monkeypatch):
+        # no axis cap: a full 4D result is bounded by the byte budget alone,
+        # checked before the result array exists
         g = Grid1D.symmetric(64, 2.0)
         dom = orbit_domain(k1s=g, k2s=g, k3s=g, k4s=g)
-        with pytest.raises(GridTooLarge, match=r"^full 4D grids are capped at 32 points "
-                           r"per axis \(got 64\); pass max_axis_points to override$"):
+        need = 16 * 64 ** 4
+        monkeypatch.setattr(core, "_MAX_BYTES", need - 1)
+        monkeypatch.setattr(np, "empty", not_allocated)
+        with pytest.raises(GridTooLarge, match=rf"^transform results this large need about "
+                           rf"{need} bytes, above the limit of {need - 1} bytes$"):
             wigner_generic(gauss_op, dom, generic_label)
+
+    def test_point_results_within_the_byte_budget(self, generic_label, gauss_op, monkeypatch):
+        pts = np.zeros((1000, 4))
+        monkeypatch.setattr(core, "_MAX_BYTES", 16 * 1000)
+        assert wigner_generic(gauss_op, pts, generic_label).shape == (1000,)
+        monkeypatch.setattr(core, "_MAX_BYTES", 16 * 1000 - 1)
+        monkeypatch.setattr(np, "empty", not_allocated)
+        with pytest.raises(GridTooLarge, match="need about 16000 bytes"):
+            wigner_generic(gauss_op, pts, generic_label)
 
 
 class TestWignerNC:
@@ -350,6 +368,13 @@ class TestSectorTransforms:
 
 
 class TestCrossWignerStandard:
+    @pytest.mark.parametrize("h", [0.0, math.inf, math.nan, 1e-320, 1e-160, 1e200])
+    def test_h_squared_must_be_a_normal_float(self, state_grid, h):
+        # h^2 underflows to 0 or a subnormal (1/h^2 overflows), or overflows
+        psi = gaussian_state(state_grid)
+        with pytest.raises(ValueError, match="h must be finite and nonzero"):
+            cross_wigner_standard(psi, psi, np.zeros((1, 4)), h=h)
+
     def test_marginal_and_orthogonality(self, state_grid):
         psi = gaussian_state(state_grid)
         # sum over an aligned p grid recovers |psi(q)|^2
@@ -932,10 +957,13 @@ class TestDomainGridPath:
             for pts in (dom, dom.points()):
                 with pytest.raises(GridTooCoarse):
                     wigner_nc(gauss_op, pts, generic_label)
-        g = Grid1D.symmetric(33, 2.0)
-        with pytest.raises(GridTooLarge):
-            wigner_nc(gauss_op, nc_domain(q1nc=g, q2nc=g, p1nc=g, p2nc=g),
-                      generic_label)
+        # the result budget refuses the domain and its points alike
+        monkeypatch.setattr(core, "_MAX_BYTES", 16 * 4 ** 4 - 1)
+        inputs = (dom, dom.points())
+        monkeypatch.setattr(np, "empty", not_allocated)
+        for pts in inputs:
+            with pytest.raises(GridTooLarge, match="need about 4096 bytes"):
+                wigner_nc(gauss_op, pts, generic_label)
 
     def test_thread_count_invariance(self, generic_label, gauss_op, monkeypatch):
         axis = gauss_op.ket.grid.axis0
