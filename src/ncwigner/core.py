@@ -89,9 +89,14 @@ class GridTooLarge(NCWignerError):
 _MAX_BYTES = 1 << 30  # the one size limit on arrays (or estimates) the caller sizes
 
 
+def _fits_bytes(nbytes) -> bool:
+    """Whether nbytes stays inside the byte budget _MAX_BYTES."""
+    return nbytes <= _MAX_BYTES
+
+
 def _require_bytes(what: str, nbytes):
     """Call before an allocation: GridTooLarge when nbytes > _MAX_BYTES."""
-    if nbytes > _MAX_BYTES:
+    if not _fits_bytes(nbytes):
         n = int(nbytes) if nbytes < 1e18 else f"{nbytes:.3g}"
         raise GridTooLarge(f"{what} need about {n} bytes, above the limit of {_MAX_BYTES} bytes")
 

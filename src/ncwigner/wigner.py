@@ -13,7 +13,13 @@ frequencies land on the conjugate lattice, at least ``_FFT_MIN_POINTS`` of
 them) or one phase contraction (otherwise).  Along each axis, a centre a
 whole number of state steps away builds the product on the fields' overlap
 window alone, and any other centre Fourier-shifts the fields; the FFT's
-column pass covers the requested columns only.  A slower,
+column pass covers the requested columns only.  When every centre's c0 is a
+whole number of state steps, each call shifts the fields along axis 1 once
+per off-lattice c1 that two or more groups share, over every row, into one
+table that every group and pool thread reads (32 n0 n1 bytes per c1,
+charged with the result to the byte budget and skipped when it would not
+fit); otherwise a c0's rows and their axis-1 FFTs are kept for the run of
+equal c0.  A slower,
 structurally independent quadrature lives in :mod:`ncwigner.oracles`.  Results
 are charged to the byte budget ``core._MAX_BYTES`` before they are allocated.
 
@@ -74,6 +80,7 @@ over the orbit to ||ket||^2 ||bra||^2): 1/a^2 on the generic sector,
 
 from __future__ import annotations
 
+import collections
 import copy
 import ctypes
 import functools
@@ -98,10 +105,12 @@ from .core import (
     Sector,
     SectorMismatch,
     WignerField,
+    _fits_bytes,
     _require_bytes,
     _square_is_normal,
     DegenerateParams,
     Grid1D,
+    InvalidLabel,
     duflo_moore_constant,
     nc_to_orbit,
     orbit_to_nc,
@@ -203,6 +212,10 @@ class _GroupEvaluator:
         # centre groups arrive sorted with c0 slowest: keep the last c0's
         # field rows and their axis-1 spectra (_integrand)
         self._rows = None
+        # off-lattice c1 -> (conj(bra), ket_refl) Fourier-shifted along axis
+        # 1 by (+c1, -c1) over every row; filled once per call, before any
+        # copy, and read-only after (share_c1_shifts)
+        self.c1_shifts = {}
         # consecutive groups mostly repeat their frequency set (a product
         # grid's always do); keep the last (w0, w1, step) eval_group built
         self._group_step = None
@@ -219,6 +232,28 @@ class _GroupEvaluator:
             )
         return m0, m1
 
+    def share_c1_shifts(self, c0, c1, result_bytes):
+        """Fill c1_shifts for the group centres (c0, c1) when every c0 is a
+        whole number of state steps, so that each group reads its window
+        rows of the table.  It holds each off-lattice c1 that two or more
+        groups share (a c1 of one group gains nothing from it) at 32 n0 n1
+        bytes, charged with the result's ``result_bytes`` to the byte
+        budget; a table that would not fit is skipped, and the groups then
+        shift their own rows."""
+        if any(_lattice_steps(c, self.g0.step) is None for c in set(c0.tolist())):
+            return
+        step = self.g1.step
+        off = [c for c, k in collections.Counter(c1.tolist()).items()
+               if k > 1 and _lattice_steps(c, step) is None]
+        if not off or not _fits_bytes(result_bytes + 32 * self.bra.size * len(off)):
+            return
+        bra_spec = np.fft.fft(self.bra, axis=1)
+        ket_spec = np.fft.fft(self.ket_refl, axis=1)
+        for c in off:
+            delta = c / step
+            self.c1_shifts[c] = (np.conj(_shift_spectrum(bra_spec, delta, 1)),
+                                 _shift_spectrum(ket_spec, -delta, 1))
+
     def _integrand(self, c0, c1):
         """(h, core): the integrand conj(B)(t + c) A(-t + c) on the state
         grid and the view of h that can be nonzero, or (None, None) where h
@@ -226,35 +261,40 @@ class _GroupEvaluator:
         takes the overlap window [|r|, n - |r|) of bra[j + r] and
         ket_refl[j - r] along it, any other the Fourier shift of every
         sample, so h holds the bits of the zero-filled shifted copies
-        without building them."""
+        without building them.  An off-lattice c1 in c1_shifts reads its
+        window rows there; each row's axis-1 shift is the same bits."""
         n0, n1 = self.g0.n, self.g1.n
         if self._rows is None or self._rows[0] != c0:
             # axis 0, once per c0: the rows of h that can be nonzero and the
             # field rows that fill them (none for an empty window), with
             # their axis-1 FFTs taken when an off-lattice c1 first asks
             r0 = _lattice_steps(c0, self.g0.step)
-            if r0 is None:
-                rows = slice(None)
+            if r0 is None:  # every row, shifted: no c1_shifts for such a call
+                rows, bra_rows, ket_rows = slice(None), None, None
                 bra = _axis_shift(self.bra, c0, self.g0.step, axis=0)
                 ket = _axis_shift(self.ket_refl, -c0, self.g0.step, axis=0)
             elif 2 * abs(r0) < n0:
                 rows, bra_rows, ket_rows = _overlap(r0, n0)
                 bra, ket = self.bra[bra_rows], self.ket_refl[ket_rows]
             else:
-                rows = bra = ket = None
+                rows = bra_rows = ket_rows = bra = ket = None
             spectra = functools.cache(lambda b=bra, k=ket: (np.fft.fft(b, axis=1),
                                                             np.fft.fft(k, axis=1)))
-            self._rows = (c0, rows, bra, ket, spectra)
-        _, rows, bra, ket, spectra = self._rows
+            self._rows = (c0, rows, bra_rows, ket_rows, bra, ket, spectra)
+        _, rows, bra_rows, ket_rows, bra, ket, spectra = self._rows
         # axis 1, per centre
         r1 = _lattice_steps(c1, self.g1.step)
         if rows is None or (r1 is not None and 2 * abs(r1) >= n1):
             return None, None
         h = np.zeros((n0, n1), dtype=np.complex128)
         if r1 is None:
+            core = h[rows]
+            shifted = self.c1_shifts.get(c1)
+            if shifted is not None:
+                np.multiply(shifted[0][bra_rows], shifted[1][ket_rows], out=core)
+                return h, core
             bra_spec, ket_spec = spectra()
             delta = c1 / self.g1.step
-            core = h[rows]
             np.multiply(np.conj(_shift_spectrum(bra_spec, delta, 1)),
                         _shift_spectrum(ket_spec, -delta, 1), out=core)
         else:
@@ -367,12 +407,14 @@ def _blas_local_threads_setter():
     return None
 
 
-def _phase_integral(ket, bra, omega0, omega1, n_groups, group, out):
+def _phase_integral(ket, bra, omega0, omega1, n_groups, group, out, centres):
     """The engine's one loop: out[idx] = I(w; c) for each centre group
-    (c0, c1, w0, w1, idx) = group(k), k < n_groups; returns out.  One
-    evaluator per call reflects the ket once.  With enough groups, pool
-    threads take contiguous chunks, each with a shallow copy of it (the
-    field arrays shared, its caches its own and empty), and run BLAS on one
+    (c0, c1, w0, w1, idx) = group(k), k < n_groups; returns out.
+    ``centres`` holds the groups' (c0, c1) as two arrays.  One evaluator per
+    call reflects the ket once and builds its table of axis-1 shifts
+    (``share_c1_shifts``).  With enough groups, pool threads take
+    contiguous chunks, each with a shallow copy of it (the field arrays and
+    the table shared, its caches its own and empty), and run BLAS on one
     thread each, so the pool alone sets the parallelism; the calling thread
     keeps its BLAS threads."""
     def run(lo, hi, evaluator):
@@ -383,6 +425,7 @@ def _phase_integral(ket, bra, omega0, omega1, n_groups, group, out):
     if not n_groups:
         return out
     evaluator = _GroupEvaluator(ket, bra, omega0, omega1)
+    evaluator.share_c1_shifts(*centres, out.nbytes)
     workers = _worker_count()
     if workers > 1 and n_groups >= 64:
         chunk = -(-n_groups // workers)
@@ -400,8 +443,8 @@ def _phase_integral(ket, bra, omega0, omega1, n_groups, group, out):
 
 
 def _centre_groups(w0, w1, c0, c1, out):
-    """(n_groups, group, view) for _phase_integral: the centre groups of
-    out, to which the four arrays broadcast.
+    """(n_groups, group, view, centres) for _phase_integral: the centre
+    groups of out, to which the four arrays broadcast, and their (c0, c1).
 
     The centre axes (those c0 or c1 spans) lead in view.  Their nodes are
     sorted stably on the complex key c0 + i c1 (lexicographic, as
@@ -450,7 +493,9 @@ def _centre_groups(w0, w1, c0, c1, out):
             idx = tuple(u[a:b] for u in units)
         return s0[a], s1[a], f0(idx), f1(idx), idx
 
-    return (bounds.size - 1 if c0.size else 0), group, out.transpose(perm)
+    n_groups = bounds.size - 1 if c0.size else 0
+    first = bounds[:n_groups]
+    return n_groups, group, out.transpose(perm), (s0[first], s1[first])
 
 
 # ---------------------------------------------------------------------------
@@ -582,8 +627,14 @@ def wigner_qm_orbit(op: RankOneOperator, pts, label: OrbitLabel, max_axis_points
 
 
 def _nc_pref(label: OrbitLabel) -> float:
+    """|k1 a|^3 / ((2 pi)^2 sqrt|D|); InvalidLabel where it leaves the float range."""
     k1a = abs(label.k1 * label.consts.alpha)
-    return k1a ** 3 / ((2.0 * math.pi) ** 2 * math.sqrt(label.abs_discriminant))
+    pref = k1a * k1a * k1a / ((2.0 * math.pi) ** 2 * math.sqrt(label.abs_discriminant))
+    if not math.isfinite(pref):
+        raise InvalidLabel(f"k1 = {label.k1!r} with alpha = {label.consts.alpha!r} leaves the "
+                           "float range: the nc prefactor |k1 alpha|^3 / ((2 pi)^2 sqrt|D|) "
+                           "is not finite")
+    return pref
 
 
 def wigner_nc(op: RankOneOperator, pts, label: OrbitLabel, max_axis_points=None):

@@ -709,10 +709,25 @@ class TestInputContract:
         ([*WIGNER["nc"], "--k1", "1e-300"], "leaves the float range"),
         ([*WIGNER["generic"], "--alpha", "1e-300"], "leaves the float range"),
         ([*WIGNER["nc"], "--k2", "1e300", "--k3=-1e300"], "k2 k3 beta gamma overflows"),
+        # (k1 alpha)^2 is normal, |k1 alpha|^3 is not
+        ([*WIGNER["nc"], "--k1", "1e150"], "the nc prefactor"),
     ])
     def test_out_of_range_label_exit_3(self, tmp_path, capsys, argv, fragment):
         self.expect_exit([*argv, "--grid", "4", "--extent", "1",
                           "--out", str(tmp_path / "x.csv")], capsys, fragment, code=3)
+
+    def test_non_finite_nc_prefactor_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        import ncwigner.cli as cli
+
+        def not_written(*args, **kwargs):
+            raise AssertionError("write_field_file reached with a non-finite prefactor")
+
+        monkeypatch.setattr(cli, "write_field_file", not_written)
+        out = tmp_path / "a.csv"
+        self.expect_exit(["wigner", "nc", "--k1", "1e150", "--k2", "-1", "--k3", "1",
+                          "--slice", "q2nc=0,p2nc=0", "--grid", "8", "--out", str(out)],
+                         capsys, "the nc prefactor", code=3)
+        assert not out.exists()
 
     def test_star_4d_memory_guard_exit_4(self, tmp_path, capsys, monkeypatch):
         import ncwigner.core as core

@@ -782,6 +782,173 @@ class TestFrequencyStepReuse:
         assert wigner_nc_params(gauss_position, pts, params).tobytes() == vals.tobytes()
 
 
+def theta_case(seed, n=48, extra=np.empty((0, 4))):
+    """A seeded theta-side Prop-4.2 case on a state grid of step 0.25:
+    every c0 a whole number of state steps, every k2* = c1 off them; the
+    ``extra`` points follow the cloud."""
+    grid = default_state_grid(n, n / 8.0)
+    psi = random_hermite_gaussian(np.random.default_rng(seed), grid)
+    params = nc_params_from_label(make_orbit_label(1.0, -1.0, 1.0))
+    pts = theta_cloud(params, Grid1D(16, -1.9, 0.23), Grid1D.symmetric(8, 3.0),
+                      Grid1D(12, -3.0, 0.5))
+    pts = np.concatenate([pts, extra])
+    return lambda: wigner_nc_params(psi, pts, params), pts[:, 1], grid.axis1.step
+
+
+def k3_slice_case(seed):
+    """A seeded wigner_generic (k3*, k4*) slice: k3* on the state lattice,
+    so every c0 = k3*/k1 is too, and every node is its own centre, with
+    16 distinct off-lattice c1 = (k4* - k1*)/2."""
+    grid = default_state_grid(48, 6.0)
+    rng = np.random.default_rng(seed)
+    op = RankOneOperator(*(random_hermite_gaussian(rng, grid, rep="momentum")
+                           for _ in range(2)))
+    label = make_orbit_label(1.0, -1.0, 1.0)
+    k4 = Grid1D.symmetric(16, 2.0)
+    dom = orbit_domain(k1s=0.1, k2s=0.2, k3s=aligned_center_grid(grid.axis0, 16), k4s=k4)
+    return (lambda: wigner_generic(op, dom, label).values, (k4.coords() - 0.1) / 2.0,
+            grid.axis1.step)
+
+
+def off_lattice(c, step):
+    """The distinct values of c that are not whole numbers of step."""
+    u = np.unique(c)
+    return u[np.abs(u / step - np.round(u / step)) > 1e-9]
+
+
+def spy_tables(monkeypatch):
+    """List that gains the evaluator of each engine call once its c1-shift
+    table is built (or skipped)."""
+    built = []
+    share = wigner._GroupEvaluator.share_c1_shifts
+
+    def spy(self, *args):
+        share(self, *args)
+        built.append(self)
+    monkeypatch.setattr(wigner._GroupEvaluator, "share_c1_shifts", spy)
+    return built
+
+
+def count_axis1_shifts(monkeypatch):
+    """List that gains one entry per Fourier shift the engine takes along axis 1."""
+    calls = []
+    shift = wigner._shift_spectrum
+
+    def counted(spec, delta, axis):
+        assert axis == 1
+        calls.append(delta)
+        return shift(spec, delta, axis)
+    monkeypatch.setattr(wigner, "_shift_spectrum", counted)
+    return calls
+
+
+class TestC1ShiftTable:
+    """With every c0 on the state lattice, one table per call holds both
+    fields shifted along axis 1 by each distinct off-lattice c1, and the
+    groups read their window rows of it: the bits of shifting per group."""
+
+    CASES = {"theta_cloud": lambda: theta_case(3), "k3_slice": lambda: k3_slice_case(4)}
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_cached_matches_uncached_bitwise(self, case, monkeypatch):
+        evaluate, c1, step = self.CASES[case]()
+        built = spy_tables(monkeypatch)
+        shifts = count_axis1_shifts(monkeypatch)
+        cached = evaluate()
+        n_off = off_lattice(c1, step).size
+        assert n_off >= 12 and len(built[0].c1_shifts) == n_off
+        assert len(shifts) == 2 * n_off
+        # a budget just above the result leaves no room for the table
+        built.clear()
+        shifts.clear()
+        monkeypatch.setattr(core, "_MAX_BYTES", cached.nbytes + 1)
+        uncached = evaluate()
+        assert not built[0].c1_shifts and len(shifts) > 2 * n_off
+        assert cached.tobytes() == uncached.tobytes()
+
+    def test_thread_count_invariance_on_the_cached_path(self, monkeypatch):
+        evaluate, _, _ = theta_case(5)
+        built = spy_tables(monkeypatch)
+        monkeypatch.setenv("NCWIG_THREADS", "1")
+        one = evaluate()
+        monkeypatch.setenv("NCWIG_THREADS", "2")
+        two = evaluate()
+        # more workers than cores and a short switch interval: every worker
+        # reads the one table and writes the bits of a single thread
+        monkeypatch.setattr(wigner, "_worker_count", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            many = evaluate()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(built) == 3 and all(ev.c1_shifts for ev in built)
+        assert one.tobytes() == two.tobytes() == many.tobytes()
+
+    def test_pool_copies_share_one_table_built_once(self, monkeypatch):
+        evaluate, c1, step = theta_case(6)
+        built = spy_tables(monkeypatch)
+        shifts = count_axis1_shifts(monkeypatch)
+        evaluators = set()
+        eval_group = wigner._GroupEvaluator.eval_group
+
+        def spy(self, c0, c1, w0, w1):
+            evaluators.add(self)
+            return eval_group(self, c0, c1, w0, w1)
+
+        monkeypatch.setattr(wigner._GroupEvaluator, "eval_group", spy)
+        monkeypatch.setattr(wigner, "_worker_count", lambda: 2)
+        evaluate()
+        assert len(built) == 1 and len(shifts) == 2 * off_lattice(c1, step).size
+        first, second = evaluators
+        assert first.c1_shifts is second.c1_shifts is built[0].c1_shifts
+        for c, (bra, ket) in first.c1_shifts.items():
+            assert np.shares_memory(bra, second.c1_shifts[c][0])
+            assert np.shares_memory(ket, second.c1_shifts[c][1])
+
+    def test_any_off_lattice_c0_builds_no_table(self, monkeypatch):
+        params = nc_params_from_label(make_orbit_label(1.0, -1.0, 1.0))
+        # the same (k1*, k2*, k3*) points at c0 = 0.1 and 0.6: 0.4 and 2.4 state steps
+        off = theta_cloud(params, Grid1D(16, -1.9, 0.23), Grid1D.symmetric(8, 3.0),
+                          Grid1D(2, 0.1, 0.5))
+        alone, c1, _ = theta_case(7)
+        mixed, _, _ = theta_case(7, extra=off)
+        built = spy_tables(monkeypatch)
+        with_off = mixed()
+        assert not built[0].c1_shifts
+        # the lattice centres read the table alone and give the same bits
+        assert with_off[:c1.size].tobytes() == alone().tobytes()
+        assert built[1].c1_shifts
+
+    def test_a_c1_of_one_group_is_left_out(self, monkeypatch):
+        evaluate, c1, step = theta_case(9)
+        # one more point with a lattice c0 = 0.5 and a c1 no other group has
+        lone, _, _ = theta_case(9, extra=np.array([[0.3, 0.1234, 0.5, 0.7]]))
+        built = spy_tables(monkeypatch)
+        shifts = count_axis1_shifts(monkeypatch)
+        evaluate()
+        shifts.clear()
+        lone()
+        ref, table = (ev.c1_shifts for ev in built)
+        assert 0.1234 not in table and table.keys() == ref.keys()
+        assert len(shifts) == 2 * off_lattice(c1, step).size + 2  # its group shifts its rows
+
+    def test_theta_cloud_peak_holds_one_table(self, monkeypatch):
+        # 96^2 state: 15 off-lattice c1 make a 4.4 MB table against a 0.39 MB
+        # result; the slack covers the cloud's mapped columns and sort index
+        # (three results) and the engine's per-worker rows (2 MiB)
+        evaluate, c1, step = theta_case(8, n=96)
+        monkeypatch.setattr(wigner, "_worker_count", lambda: 2)
+        table = 32 * 96 ** 2 * off_lattice(c1, step).size
+        tracemalloc.start()
+        try:
+            vals = evaluate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= vals.nbytes + table + 3 * vals.nbytes + (2 << 20)
+
+
 class TestLatticeWindows:
     """Lattice centres build the integrand on its overlap window, and the
     lattice FFT runs its axis-0 pass over the requested columns only; both
@@ -1109,6 +1276,21 @@ class TestTransformContract:
         pts = np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, *centre]])
         with pytest.raises(GridTooCoarse, match="^centre offsets reach inf state steps"):
             wigner_nc(gauss_op, pts, generic_label)
+
+    def test_non_finite_nc_prefactor_refused_before_any_group(self, gauss_op,
+                                                               gauss_position, monkeypatch):
+        # (k1 alpha)^2 = 1e300 passes the label check; |k1 alpha|^3 overflows
+        label = make_orbit_label(1e150, -1.0, 1.0)
+
+        def not_reached(*args):
+            raise AssertionError("a transform ran with a non-finite prefactor")
+
+        monkeypatch.setattr(wigner, "_transform", not_reached)
+        pts = np.zeros((1, 4))
+        with pytest.raises(core.InvalidLabel, match="nc prefactor .* is not finite"):
+            wigner_nc(gauss_op, pts, label)
+        with pytest.raises(core.InvalidLabel, match="nc prefactor .* is not finite"):
+            wigner_nc_position(gauss_position, gauss_position, pts, label)
 
     @pytest.mark.parametrize("trip", [(1.0, 1.0, 0.0), (1.0, 0.0, 0.0)])
     def test_nc_forms_need_a_generic_label(self, gauss_op, gauss_position, trip):
