@@ -9,11 +9,15 @@ identical flags and seed.  Non-finite values are refused on writing.
 :func:`read_field_file` reads all three formats, bit for bit with signed
 zeros, and ends every malformed file in one ValueError line.
 
+Each ``wigner`` variant and ``star`` kind has its own parser with only the
+flags it reads; ``star`` takes (hbar, vartheta, B) from the orbit label when
+``--k1`` is given, else from ``--hbar/--vartheta/--bfield``.
+
 Exit codes: 0 success; 2 argument errors, an --out path that cannot be
-written among them; 3 invalid labels, sector mismatches and singular
-parameters; 4 grid guards (too coarse, too large).  Every run prints the
-resolved label, the derived noncommutativity parameters and grid metadata
-to standard error.
+written and a flag the command does not read among them; 3 invalid labels,
+sector mismatches and singular parameters; 4 grid guards (too coarse, too
+large).  Every run prints the resolved label, the derived noncommutativity
+parameters and grid metadata to standard error.
 """
 
 from __future__ import annotations
@@ -76,6 +80,8 @@ _GNUPLOT_COLUMNS = "x0 x1 re im (blank line between x0 blocks)"
 _STATE_POINT_BYTES = 4 * 16
 # largest |grid norm - 1| of a built-in state: beyond it the grid cuts it off
 _STATE_NORM_TOL = 1e-6
+# the orbit-label flags after --k1 and their defaults
+_LABEL_DEFAULTS = {"k2": 0.0, "k3": 0.0, "alpha": 1.0, "beta": 1.0, "gamma": 1.0}
 
 
 def _fnum(x: float) -> str:
@@ -352,6 +358,8 @@ def _parse_slice(spec: str | None, names) -> dict[str, float]:
             v = math.nan
         if not math.isfinite(v):
             raise _CliFailure(2, f"--slice: {name}={val!r} is not a finite number")
+        if name in fixed:
+            raise _CliFailure(2, f"--slice: {name} is pinned twice")
         fixed[name] = v
     return fixed
 
@@ -542,16 +550,19 @@ def _cmd_marginal(args) -> int:
 
 
 def _cmd_star(args) -> int:
-    if args.k1 is not None:
-        label = _label_from_args(args)
-        params = nc_params_from_label(label)
-    else:
-        label = None
-        params = NCParams(hbar=args.hbar, vartheta=args.vartheta, bfield=args.bfield)
+    # --k1 reads the label flags, else the parameter flags; the others must be unset
+    with_k1 = args.k1 is not None
+    sets = (_LABEL_DEFAULTS, {"hbar": 1.0, "vartheta": 0.0, "bfield": 0.0})
+    read, unread = sets if with_k1 else sets[::-1]
+    given = [f"--{name}" for name in unread if name in vars(args)]
+    if given:
+        raise _CliFailure(2, f"{', '.join(given)}: not read with{'' if with_k1 else 'out'} --k1")
+    args = argparse.Namespace(**(read | vars(args)))  # the defaults of those not given
+    label = _label_from_args(args) if with_k1 else None
+    params = (nc_params_from_label(label) if with_k1
+              else NCParams(args.hbar, args.vartheta, args.bfield))
     state = _parse_state_spec(args.state)
     kind = args.kind
-    if args.extent is None:
-        args.extent = 3.0 if kind in ("vartheta", "b") else 2.5
     out1d = Grid1D.symmetric(args.grid, args.extent)
     meta = _meta_lines(label, params, {"transform": f"star-{kind}", "state": args.state})
     _log_run(meta)
@@ -668,20 +679,20 @@ _PLANCK_H = _checked(float, _square_is_normal,
                      "to 1.3e154)")
 
 
-def _add_label_args(p, required=True):
-    p.add_argument("--k1", type=float, required=required, default=None)
-    p.add_argument("--k2", type=float, default=0.0)
-    p.add_argument("--k3", type=float, default=0.0)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--gamma", type=float, default=1.0)
+def _add_label_args(p, names=tuple(_LABEL_DEFAULTS), unset=False):
+    # unset: --k1 optional, and the other flags absent from args unless given
+    p.add_argument("--k1", type=float, required=not unset, default=None)
+    for name in names:
+        p.add_argument(f"--{name}", type=float,
+                       default=argparse.SUPPRESS if unset else _LABEL_DEFAULTS[name])
 
 
-def _add_state_args(p):
+def _add_state_args(p, extent=True):
     p.add_argument("--state", default="gaussian:0,0",
                    help="gaussian:n0,n1[,q01,q02,p01,p02] or file:<path>")
     p.add_argument("--state-grid", type=_POINTS, default=128)
-    p.add_argument("--state-extent", type=_EXTENT, default=10.0)
+    if extent:
+        p.add_argument("--state-extent", type=_EXTENT, default=10.0)
 
 
 def _add_output_args(p):
@@ -695,23 +706,26 @@ def build_parser() -> argparse.ArgumentParser:
                                              "products on coadjoint orbits")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    pw = sub.add_parser("wigner", help="compute a Wigner transform slice")
-    pw.add_argument("variant", choices=tuple(_WIGNER_VARIANTS))
-    _add_label_args(pw, required=False)
-    pw.add_argument("--planck-h", type=_PLANCK_H, default=2.0 * math.pi,
-                    help="Planck constant for the standard transform")
-    _add_state_args(pw)
-    pw.add_argument("--grid", type=_POINTS, default=128, help="output points per axis")
-    pw.add_argument("--extent", type=_EXTENT, default=10.0, help="output half-extent")
-    pw.add_argument("--slice", default=None,
-                    help="fixed coordinates, e.g. k3s=0,k4s=0")
-    _add_output_args(pw)
-    pw.set_defaults(func=_cmd_wigner)
+    variants = sub.add_parser("wigner", help="compute a Wigner transform slice")
+    variants = variants.add_subparsers(dest="variant", required=True)
+    for variant in _WIGNER_VARIANTS:
+        pw = variants.add_parser(variant)
+        if variant == "standard":
+            pw.add_argument("--planck-h", type=_PLANCK_H, default=2.0 * math.pi)
+        else:
+            _add_label_args(pw)
+        # the label variants size the state grid to the output frequencies
+        _add_state_args(pw, extent=variant == "standard")
+        pw.add_argument("--grid", type=_POINTS, default=128, help="output points per axis")
+        pw.add_argument("--extent", type=_EXTENT, default=10.0, help="output half-extent")
+        pw.add_argument("--slice", help="fixed coordinates, e.g. k3s=0,k4s=0")
+        _add_output_args(pw)
+        pw.set_defaults(func=_cmd_wigner)
 
     pm = sub.add_parser("marginal", help="marginal distribution of the nc Wigner function")
     pm.add_argument("which", choices=("momentum", "position"))
     _add_label_args(pm)
-    _add_state_args(pm)
+    _add_state_args(pm, extent=False)
     pm.add_argument("--grid", type=_POINTS, default=32)
     pm.add_argument("--extent", type=_EXTENT, default=5.0)
     pm.add_argument("--int-grid", type=_POINTS, default=64,
@@ -720,22 +734,22 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_args(pm)
     pm.set_defaults(func=_cmd_marginal)
 
-    ps = sub.add_parser("star", help="star products")
-    ps.add_argument("kind", choices=("vartheta", "b", "hbar", "general"))
-    _add_label_args(ps, required=False)
-    ps.add_argument("--hbar", type=float, default=1.0)
-    ps.add_argument("--vartheta", type=float, default=0.0)
-    ps.add_argument("--bfield", type=float, default=0.0)
-    _add_state_args(ps)
-    ps.add_argument("--grid", type=_POINTS, default=32,
-                    help="output points per axis; hbar and general also per 4D "
-                         "axis, where the star kernel's estimate must fit the 1 GiB "
-                         "byte budget")
-    ps.add_argument("--extent", type=_EXTENT, default=None,
-                    help="output half-extent (default: 3.0 for vartheta and b, 2.5 for "
-                         "hbar and general, where the 4D kernels' cell phase allows it)")
-    _add_output_args(ps)
-    ps.set_defaults(func=_cmd_star)
+    kinds = sub.add_parser("star", help="star products")
+    kinds = kinds.add_subparsers(dest="kind", required=True)
+    for kind in ("vartheta", "b", "hbar", "general"):
+        ps = kinds.add_parser(kind)
+        four = kind in ("hbar", "general")
+        _add_label_args(ps, unset=True)
+        for name in ("--hbar", "--vartheta", "--bfield"):
+            ps.add_argument(name, type=float, default=argparse.SUPPRESS)
+        _add_state_args(ps, extent=four)  # the 2D kinds size it to the kernel chirp
+        ps.add_argument("--grid", type=_POINTS, default=32, help="output points per axis" + (
+            " and per 4D axis, within the 1 GiB byte budget" if four else ""))
+        # 2.5 keeps the 4D kernels' cell phase inside its limit
+        ps.add_argument("--extent", type=_EXTENT, default=2.5 if four else 3.0,
+                        help="output half-extent")
+        _add_output_args(ps)
+        ps.set_defaults(func=_cmd_star)
 
     pv = sub.add_parser("verify", help="run the verification suites")
     pv.add_argument("--suite", default="all",
@@ -745,7 +759,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.set_defaults(func=_cmd_verify)
 
     pl = sub.add_parser("limit", help="commutative-limit study")
-    _add_label_args(pl, required=True)
+    _add_label_args(pl, names=("alpha", "beta", "gamma"))
     pl.add_argument("--c", type=_NONZERO, default=0.25, help="k2 = k3 = c * 2^-m")
     pl.add_argument("--halvings", type=_COUNT, default=4)
     pl.add_argument("--tolerance", type=_POSITIVE, default=1e-3)

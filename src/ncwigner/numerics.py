@@ -4,14 +4,14 @@ This module is the one home of the per-axis grid primitives: quadrature
 weights (:func:`_axis_weights`), index and Fourier shifts
 (:func:`_axis_integer_shift`, :func:`_shift_spectrum` and the choice
 between them, :func:`_axis_shifter`, which shifts one field by many
-offsets at the cost of one forward FFT, and its one-off form
-:func:`_axis_shift`), the reflection x -> -x on a symmetric grid with its
-symmetry check (:func:`_axis_reflect`), and the lattice test
-:func:`_lattice_steps` with its alignment tolerance ``_ALIGN_TOL``.  It
-is also the one home of the continuous Fourier transform: :func:`_cont_ft`
-over one axis or both is the body of :func:`cont_ft_2d` and
-:func:`cont_ft_axis`, and its scaled form :func:`_scaled_ft` the body of
-:func:`momentum_representation` and :func:`position_representation`.
+offsets for one forward FFT and makes all the engine's Fourier shifts,
+and its one-off form :func:`_axis_shift`), the reflection x -> -x on a
+symmetric grid with its symmetry check (:func:`_axis_reflect`), and the
+lattice test :func:`_lattice_steps` with its tolerance ``_ALIGN_TOL``.
+It is also the one home of the continuous Fourier transform:
+:func:`_cont_ft` over one axis or both is the body of :func:`cont_ft_2d`
+and :func:`cont_ft_axis`, and its scaled form :func:`_scaled_ft` the body
+of :func:`momentum_representation` and :func:`position_representation`.
 
 Fourier convention: unitary, kernel (2 pi)^(-1/2) exp(-i s r) per coordinate
 for the forward (sign = -1) direction.  This makes the unit Gaussian

@@ -12,16 +12,16 @@ each centre the whole frequency batch is one FFT (when the requested
 frequencies land on the conjugate lattice, at least ``_FFT_MIN_POINTS`` of
 them) or one phase contraction (otherwise).  Along each axis, a centre a
 whole number of state steps away builds the product on the fields' overlap
-window alone, and any other centre Fourier-shifts the fields; the FFT's
-column pass covers the requested columns only.  When every centre's c0 is a
-whole number of state steps, each call shifts the fields along axis 1 once
-per off-lattice c1 that two or more groups share, over every row, into one
-table that every group and pool thread reads (32 n0 n1 bytes per c1,
-charged with the result to the byte budget and skipped when it would not
-fit); otherwise a c0's rows and their axis-1 FFTs are kept for the run of
-equal c0.  A slower,
-structurally independent quadrature lives in :mod:`ncwigner.oracles`.  Results
-are charged to the byte budget ``core._MAX_BYTES`` before they are allocated.
+window alone, and any other centre Fourier-shifts the fields through
+:func:`ncwigner.numerics._axis_shifter`; the FFT's column pass covers the
+requested columns only.  When every centre's c0 is a whole number of state
+steps, each call shifts the fields along axis 1 once per off-lattice c1 that
+two or more groups share, over every row, into one table that every group
+and pool thread reads (32 n0 n1 bytes per c1, charged with the result to the
+byte budget and skipped when it would not fit); otherwise a c0's rows and
+their axis-1 shifters are kept for the run of equal c0.  A slower, structurally
+independent quadrature lives in :mod:`ncwigner.oracles`.  Results are
+charged to the byte budget ``core._MAX_BYTES`` before they are allocated.
 
 One loop, ``_phase_integral``, runs the centre groups and one enumerator,
 ``_centre_groups``, feeds it.  Each coordinate map sends four broadcastable
@@ -116,8 +116,8 @@ from .core import (
     orbit_to_nc,
     plancherel_density,
 )
-from .numerics import (_ALIGN_TOL, _axis_shift, _lattice_steps, _shift_spectrum, conjugate_grid,
-                       reflect_field)
+from .numerics import (_ALIGN_TOL, _axis_reflect, _axis_shift, _axis_shifter, _lattice_steps,
+                       conjugate_grid)
 
 __all__ = [
     "wigner_generic",
@@ -201,7 +201,7 @@ class _GroupEvaluator:
         self.omega0 = omega0
         self.omega1 = omega1
         self.bra = bra.values
-        self.ket_refl = reflect_field(ket).values
+        self.ket_refl = _axis_reflect(_axis_reflect(ket.values, self.g0, 0), self.g1, 1)
         self.cell = self.g0.step * self.g1.step
         self.dk0 = conjugate_grid(self.g0).step
         self.dk1 = conjugate_grid(self.g1).step
@@ -210,7 +210,7 @@ class _GroupEvaluator:
         # from the resolution guard
         self.tail_cut = 1e-13 * float(np.max(np.abs(self.bra)) * np.max(np.abs(self.ket_refl)))
         # centre groups arrive sorted with c0 slowest: keep the last c0's
-        # field rows and their axis-1 spectra (_integrand)
+        # field rows and their axis-1 shifters (_integrand)
         self._rows = None
         # off-lattice c1 -> (conj(bra), ket_refl) Fourier-shifted along axis
         # 1 by (+c1, -c1) over every row; filled once per call, before any
@@ -247,12 +247,9 @@ class _GroupEvaluator:
                if k > 1 and _lattice_steps(c, step) is None]
         if not off or not _fits_bytes(result_bytes + 32 * self.bra.size * len(off)):
             return
-        bra_spec = np.fft.fft(self.bra, axis=1)
-        ket_spec = np.fft.fft(self.ket_refl, axis=1)
+        bra, ket = _axis_shifter(self.bra, step, 1), _axis_shifter(self.ket_refl, step, 1)
         for c in off:
-            delta = c / step
-            self.c1_shifts[c] = (np.conj(_shift_spectrum(bra_spec, delta, 1)),
-                                 _shift_spectrum(ket_spec, -delta, 1))
+            self.c1_shifts[c] = (np.conj(bra(c)), ket(-c))
 
     def _integrand(self, c0, c1):
         """(h, core): the integrand conj(B)(t + c) A(-t + c) on the state
@@ -266,8 +263,8 @@ class _GroupEvaluator:
         n0, n1 = self.g0.n, self.g1.n
         if self._rows is None or self._rows[0] != c0:
             # axis 0, once per c0: the rows of h that can be nonzero and the
-            # field rows that fill them (none for an empty window), with
-            # their axis-1 FFTs taken when an off-lattice c1 first asks
+            # field rows that fill them (none for an empty window), with their
+            # axis-1 shifters, which run their FFT when an off-lattice c1 asks
             r0 = _lattice_steps(c0, self.g0.step)
             if r0 is None:  # every row, shifted: no c1_shifts for such a call
                 rows, bra_rows, ket_rows = slice(None), None, None
@@ -278,10 +275,9 @@ class _GroupEvaluator:
                 bra, ket = self.bra[bra_rows], self.ket_refl[ket_rows]
             else:
                 rows = bra_rows = ket_rows = bra = ket = None
-            spectra = functools.cache(lambda b=bra, k=ket: (np.fft.fft(b, axis=1),
-                                                            np.fft.fft(k, axis=1)))
-            self._rows = (c0, rows, bra_rows, ket_rows, bra, ket, spectra)
-        _, rows, bra_rows, ket_rows, bra, ket, spectra = self._rows
+            self._rows = (c0, rows, bra_rows, ket_rows, bra, ket,
+                          _axis_shifter(bra, self.g1.step, 1), _axis_shifter(ket, self.g1.step, 1))
+        _, rows, bra_rows, ket_rows, bra, ket, bra_shift, ket_shift = self._rows
         # axis 1, per centre
         r1 = _lattice_steps(c1, self.g1.step)
         if rows is None or (r1 is not None and 2 * abs(r1) >= n1):
@@ -292,11 +288,8 @@ class _GroupEvaluator:
             shifted = self.c1_shifts.get(c1)
             if shifted is not None:
                 np.multiply(shifted[0][bra_rows], shifted[1][ket_rows], out=core)
-                return h, core
-            bra_spec, ket_spec = spectra()
-            delta = c1 / self.g1.step
-            np.multiply(np.conj(_shift_spectrum(bra_spec, delta, 1)),
-                        _shift_spectrum(ket_spec, -delta, 1), out=core)
+            else:
+                np.multiply(np.conj(bra_shift(c1)), ket_shift(-c1), out=core)
         else:
             cols, bra_cols, ket_cols = _overlap(r1, n1)
             core = h[rows, cols]
@@ -596,32 +589,31 @@ def _orbit_transform(op, pts, label, sector):
                       (label.consts.alpha,) * 2, pref, label, sector)
 
 
-def wigner_generic(op: RankOneOperator, pts, label: OrbitLabel, max_axis_points=None):
+def wigner_generic(op: RankOneOperator, pts, label: OrbitLabel):
     """Wigner transform of |ket><bra| on a generic 4D orbit.
 
     pts may be an orbit-coordinate Domain4D (returns a WignerField) or a
     sequence of CoadjointPoint / an (M, 4) array (returns complex values).
-    Both fields must be momentum-space samples.  max_axis_points is ignored.
+    Both fields must be momentum-space samples.
     """
     return _orbit_transform(op, pts, label, Sector.GENERIC)
 
 
-def wigner_tau0(op: RankOneOperator, pts, label: OrbitLabel, max_axis_points=None):
+def wigner_tau0(op: RankOneOperator, pts, label: OrbitLabel):
     """Wigner transform on the k3 = 0 family of 4D orbits.
 
     Same integral as the generic transform with k3 = 0 but its own sector
     normalisation 1/((2 pi)^(3/2) |k1|); in the k2 -> 0 limit it therefore
     exceeds :func:`wigner_qm_orbit` by TAU0_TO_QM_PREFACTOR_RATIO.
-    max_axis_points is ignored.
     """
     return _orbit_transform(op, pts, label, Sector.TAU_ZERO)
 
 
-def wigner_qm_orbit(op: RankOneOperator, pts, label: OrbitLabel, max_axis_points=None):
+def wigner_qm_orbit(op: RankOneOperator, pts, label: OrbitLabel):
     """Wigner transform on the commutative k2 = k3 = 0 orbits.
 
     Coincides with the textbook cross-Wigner transform under the convention
-    map documented in the module docstring.  max_axis_points is ignored.
+    map documented in the module docstring.
     """
     return _orbit_transform(op, pts, label, Sector.SIGMA_TAU_ZERO)
 
@@ -643,29 +635,27 @@ def wigner_nc(op: RankOneOperator, pts, label: OrbitLabel, max_axis_points=None)
     Computed natively from its defining integral (phases exp(-i k1 a q.s),
     centres p^nc), not by resampling :func:`wigner_generic`; the two routes
     agree through the coordinate maps, which the tests exercise.
-    max_axis_points is ignored.
+    max_axis_points is ignored; ``perfbench/workloads.py`` still passes it.
     """
     om = -label.k1 * label.consts.alpha
     return _transform(op.ket, op.bra, "momentum", pts, NC_COORDS, lambda *qp: qp, (om, om),
                       _nc_pref(label), label, Sector.GENERIC)
 
 
-def wigner_nc_position(psi: ComplexField2D, phi: ComplexField2D, pts,
-                       label: OrbitLabel, max_axis_points=None):
+def wigner_nc_position(psi: ComplexField2D, phi: ComplexField2D, pts, label: OrbitLabel):
     """Noncommutative Wigner function from position-space fields.
 
     W(q, p) = pref * int exp(i k1 a p.r) conj(psi)(r/2 + q) phi(-r/2 + q) d^2 r,
 
     the transform of |phi><psi|.  For phi = psi it equals :func:`wigner_nc`
     applied to the (k1 a)-scaled momentum representation of psi.
-    max_axis_points is ignored.
     """
     om = label.k1 * label.consts.alpha
     return _transform(phi, psi, "position", pts, NC_COORDS, _p_waves, (om, om),
                       _nc_pref(label), label, Sector.GENERIC)
 
 
-def wigner_nc_params(psi: ComplexField2D, pts, params: NCParams, max_axis_points=None):
+def wigner_nc_params(psi: ComplexField2D, pts, params: NCParams):
     """Noncommutative Wigner function of |psi><psi| in (hbar, vartheta, bfield)
     form over orbit coordinates.
 
@@ -675,7 +665,7 @@ def wigner_nc_params(psi: ComplexField2D, pts, params: NCParams, max_axis_points
 
     with E = hbar^2 - B theta and u = (hbar^2 k1* + hbar theta k4*)/E.
     At vartheta = bfield = 0 this is the standard hbar-convention Wigner
-    transform over (k1*, k2*; k3*, k4*).  max_axis_points is ignored.
+    transform over (k1*, k2*; k3*, k4*).
     """
     e = params.det
     if e == 0.0:
@@ -690,14 +680,12 @@ def wigner_nc_params(psi: ComplexField2D, pts, params: NCParams, max_axis_points
                       pref, None, None)
 
 
-def cross_wigner_standard(phi: ComplexField2D, psi: ComplexField2D, pts,
-                          h: float, max_axis_points=None):
+def cross_wigner_standard(phi: ComplexField2D, psi: ComplexField2D, pts, h: float):
     """Textbook cross-Wigner transform of |phi><psi| in the Planck-h convention.
 
     W(q, p) = h^(-2) int conj(psi)(q - x/2) exp(-2 pi i x.p / h) phi(q + x/2) d^2 x
 
     for position-space fields on a common grid; h^2 must be a normal float.
-    max_axis_points is ignored.
     """
     if not _square_is_normal(h):
         raise ValueError("h must be finite and nonzero, with h^2 a normal float")

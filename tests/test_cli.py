@@ -315,6 +315,22 @@ WIGNER = {
     "qm": ["wigner", "qm", "--k1", "1", "--slice", "k3s=0,k4s=0"],
 }
 MARGINAL = ["marginal", "momentum", *NC_LABEL]
+LABEL_FLAGS = ["--k2", "--k3", "--alpha", "--beta", "--gamma"]
+PARAM_FLAGS = ["--hbar", "--vartheta", "--bfield"]
+STAR_KINDS = ["vartheta", "b", "hbar", "general"]
+# (command, flag) pairs where the command does not read the flag
+UNREAD_FLAGS = [
+    *((["wigner", "standard", "--slice", "q2=0,p2=0", flag, "1"], flag)
+      for flag in ["--k1", *LABEL_FLAGS]),
+    *(([*WIGNER[v], flag, "1"], flag)
+      for v in WIGNER for flag in ("--planck-h", "--state-extent")),
+    ([*MARGINAL, "--state-extent", "1"], "--state-extent"),
+    *((["star", kind, "--state-extent", "1"], "--state-extent") for kind in ("vartheta", "b")),
+    *((["star", kind, *NC_LABEL, flag, "1"], flag) for kind in STAR_KINDS for flag in PARAM_FLAGS),
+    *((["star", kind, flag, "1"], flag) for kind in STAR_KINDS for flag in LABEL_FLAGS),
+    # the limit study sets k2 = k3 = c 2^-m itself
+    *((["limit", "--k1", "1", flag, "1"], flag) for flag in ("--k2", "--k3")),
+]
 
 
 class TestInputContract:
@@ -354,6 +370,10 @@ class TestInputContract:
     def test_slice_pinning_one_coordinate(self, tmp_path, capsys):
         self.expect_exit(self.standard(tmp_path, slice_="q1=0"), capsys,
                            "two or four coordinates")
+
+    def test_slice_pinning_a_coordinate_twice(self, tmp_path, capsys):
+        self.expect_exit(self.standard(tmp_path, slice_="q2=0,q2=1,p2=0"), capsys,
+                         "--slice: q2 is pinned twice")
 
     def test_nc_commands_do_not_materialise_points(self, tmp_path, monkeypatch):
         def no_points(self):
@@ -637,10 +657,33 @@ class TestInputContract:
         (["verify", "--suite", "group_associativity", "--seed", "-1"], "--seed"),
         *(([*WIGNER["nc"], "--state", f"gaussian:{spec}"], "--state")
           for spec in ("a,0", "-1,0", "0,0,x,1", "0,0,nan,0")),
+        # the label variants require --k1
+        *((["wigner", v], "--k1") for v in WIGNER),
     ])
     def test_bad_numeric_argument_exit_2(self, tmp_path, capsys, argv, flag):
         # argparse refuses a bad flag value with its usage and one error
         # line; --state specs fail in the command with one 'ncwig: error:'
+        out = [] if argv[0] == "limit" else ["--out", str(tmp_path / "x.csv")]
+        try:
+            code = main([*argv, *out])
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        errors = [ln for ln in err.splitlines() if "error:" in ln]
+        assert code == 2
+        assert len(errors) == 1 and flag in errors[0]
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, flag", UNREAD_FLAGS,
+                             ids=[" ".join(argv) for argv, _ in UNREAD_FLAGS])
+    def test_unread_flag_exit_2_before_any_state(self, tmp_path, capsys, monkeypatch,
+                                                 argv, flag):
+        # every flag a command takes acts: one it does not read is refused
+        def not_reached(*args, **kwargs):
+            raise AssertionError("state built before the flag check")
+
+        for name in ("_gaussian", "_state_file", "gaussian_state", "gaussian_state_momentum"):
+            monkeypatch.setattr(cli, name, not_reached)
         out = [] if argv[0] == "limit" else ["--out", str(tmp_path / "x.csv")]
         try:
             code = main([*argv, *out])

@@ -152,7 +152,7 @@ class TestIsometryRatio:
         mean = float(dict(rep.details)["mean_ratio"])
         g = Grid1D.symmetric(16, 4.0)
         dom = orbit_domain(k1s=g, k2s=g, k3s=g, k4s=g)
-        w = wigner_generic(op, dom, generic_label, max_axis_points=16)
+        w = wigner_generic(op, dom, generic_label)
         total = np.abs(w.values) ** 2
         for gax in reversed(dom.grids):
             wt = np.full(gax.n, gax.step)

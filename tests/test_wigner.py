@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 import sys
@@ -34,7 +35,7 @@ from ncwigner import (
 from ncwigner.core import (NC_COORDS, ORBIT_COORDS, PHASE_COORDS, ComplexField2D, Domain4D,
                            Grid1D, Grid2D, NCParams, nc_domain, orbit_domain, orbit_to_nc,
                            phase_space_domain)
-from ncwigner import core, wigner
+from ncwigner import core, numerics, wigner
 from ncwigner.numerics import _axis_shift, _axis_shifter
 from ncwigner.oracles import direct_wigner_oracle, random_hermite_gaussian
 from ncwigner.wigner import (
@@ -383,7 +384,7 @@ class TestCrossWignerStandard:
         from ncwigner.core import phase_space_domain
 
         dom = phase_space_domain(q1=qg, q2=qg, p1=pg, p2=pg)
-        w = cross_wigner_standard(psi, psi, dom, h=2 * math.pi, max_axis_points=48)
+        w = cross_wigner_standard(psi, psi, dom, h=2 * math.pi)
         wt = np.full(pg.n, pg.step)
         wt[0] *= 0.5
         wt[-1] *= 0.5
@@ -697,26 +698,26 @@ class TestBlasThreads:
         assert wigner_nc(cloud_op, pts, generic_label).tobytes() == ref.tobytes()
 
     def test_pool_shares_one_reflected_ket(self, generic_label, cloud_op, monkeypatch):
-        # one evaluator per call reflects the ket once; each chunk runs on a
-        # shallow copy that shares the field arrays
+        # one evaluator per call reflects the ket once, one pass per axis;
+        # each chunk runs on a shallow copy that shares the field arrays
         reflected, evaluators = [], set()
-        reflect_field = wigner.reflect_field
+        reflect = wigner._axis_reflect
         eval_group = wigner._GroupEvaluator.eval_group
 
-        def counted(f):
-            reflected.append(1)
-            return reflect_field(f)
+        def counted(values, g, axis):
+            reflected.append(axis)
+            return reflect(values, g, axis)
 
         def spy(self, c0, c1, w0, w1):
             evaluators.add(self)
             return eval_group(self, c0, c1, w0, w1)
 
-        monkeypatch.setattr(wigner, "reflect_field", counted)
+        monkeypatch.setattr(wigner, "_axis_reflect", counted)
         monkeypatch.setattr(wigner._GroupEvaluator, "eval_group", spy)
         monkeypatch.setattr(wigner, "_worker_count", lambda: 2)
         pts = centre_cloud(np.random.default_rng(24), cloud_op.ket, 96, scattered=False)
         wigner_nc(cloud_op, pts, generic_label)
-        assert len(reflected) == 1
+        assert reflected == [0, 1]
         first, second = evaluators
         assert np.shares_memory(first.ket_refl, second.ket_refl)
         assert np.shares_memory(first.bra, second.bra)
@@ -832,13 +833,13 @@ def spy_tables(monkeypatch):
 def count_axis1_shifts(monkeypatch):
     """List that gains one entry per Fourier shift the engine takes along axis 1."""
     calls = []
-    shift = wigner._shift_spectrum
+    shift = numerics._shift_spectrum
 
     def counted(spec, delta, axis):
         assert axis == 1
         calls.append(delta)
         return shift(spec, delta, axis)
-    monkeypatch.setattr(wigner, "_shift_spectrum", counted)
+    monkeypatch.setattr(numerics, "_shift_spectrum", counted)
     return calls
 
 
@@ -1312,6 +1313,14 @@ class TestTransformContract:
                 cross_wigner_standard(f, g, pts, h=2 * math.pi)
         with pytest.raises(ValueError):
             wigner_nc_params(gauss_momentum, pts, params)
+
+    def test_only_wigner_nc_keeps_the_ignored_keyword(self):
+        # wigner_nc keeps max_axis_points for a caller that still passes it
+        takes = {f.__name__ for f in (wigner_generic, wigner_tau0, wigner_qm_orbit, wigner_nc,
+                                      wigner_nc_position, wigner_nc_params,
+                                      cross_wigner_standard)
+                 if "max_axis_points" in inspect.signature(f).parameters}
+        assert takes == {"wigner_nc"}
 
     @pytest.mark.parametrize("trip, transform", [
         ((1.0, 1.0, 1.0), wigner_generic),
