@@ -21,7 +21,6 @@ from .core import (
     RankOneOperator,
     Sector,
     SectorMismatch,
-    ShiftOffGrid,
     WignerField,
     duflo_moore_constant,
     make_orbit_label,
@@ -38,7 +37,6 @@ from .numerics import (
     cont_ft_2d,
     cont_ft_axis,
     default_state_grid,
-    fractional_shift,
     integrate_2d,
     momentum_representation,
     position_representation,

@@ -59,6 +59,8 @@ from .wigner import (
     wigner_tau0,
 )
 
+__all__ = ["VerifyConfig", "iter_verification_suites", "qm_limit_study", "run_verification_suite"]
+
 
 def _rep(name, metric, tolerance, **details) -> VerificationReport:
     det = tuple((str(k), str(v)) for k, v in details.items())

@@ -313,7 +313,7 @@ def _state_file(path: str, rep: str) -> ComplexField2D:
 
 
 def _parse_state_spec(spec: str):
-    """'gaussian:n0,n1[,q01,q02,p01,p02]' or 'file:<path>'."""
+    """'gaussian:n0,n1[,q01,p01|,q01,q02,p01,p02]' or 'file:<path>'."""
     kind, _, rest = spec.partition(":")
     if kind == "file":
         if not rest:
@@ -321,7 +321,7 @@ def _parse_state_spec(spec: str):
         return ("file", rest)
     if kind != "gaussian":
         raise _CliFailure(2, f"--state: unknown source {kind!r} (use gaussian: or file:)")
-    parts = [p for p in rest.split(",") if p != ""]
+    parts = rest.split(",")
     if len(parts) not in (2, 4, 6):
         raise _CliFailure(2, "--state gaussian: needs n0,n1[,q01,p01|,q01,q02,p01,p02]")
     try:
@@ -689,7 +689,7 @@ def _add_label_args(p, names=tuple(_LABEL_DEFAULTS), unset=False):
 
 def _add_state_args(p, extent=True):
     p.add_argument("--state", default="gaussian:0,0",
-                   help="gaussian:n0,n1[,q01,q02,p01,p02] or file:<path>")
+                   help="gaussian:n0,n1[,q01,p01|,q01,q02,p01,p02] or file:<path>")
     p.add_argument("--state-grid", type=_POINTS, default=128)
     if extent:
         p.add_argument("--state-extent", type=_EXTENT, default=10.0)

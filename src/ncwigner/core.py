@@ -26,7 +26,6 @@ __all__ = [
     "InvalidLabel",
     "SectorMismatch",
     "DegenerateParams",
-    "ShiftOffGrid",
     "GridTooCoarse",
     "GridTooLarge",
     "Sector",
@@ -45,6 +44,9 @@ __all__ = [
     "ORBIT_COORDS",
     "NC_COORDS",
     "PHASE_COORDS",
+    "orbit_domain",
+    "nc_domain",
+    "phase_space_domain",
     "make_orbit_label",
     "nc_params_from_label",
     "orbit_to_nc",
@@ -72,10 +74,6 @@ class SectorMismatch(NCWignerError):
 
 class DegenerateParams(NCWignerError):
     """Noncommutativity parameters make the requested kernel singular."""
-
-
-class ShiftOffGrid(NCWignerError):
-    """A required translation is not an integer number of grid steps."""
 
 
 class GridTooCoarse(NCWignerError):
@@ -362,8 +360,8 @@ class Grid1D:
     step: float
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"grid needs n >= 2, got {self.n}")
+        if not hasattr(self.n, "__index__") or self.n < 2:
+            raise ValueError(f"grid needs a whole n >= 2, got {self.n}")
         if not (math.isfinite(self.origin) and math.isfinite(self.step)):
             raise ValueError(f"grid origin and step must be finite, got {self.origin}, "
                              f"{self.step}")

@@ -10,7 +10,8 @@ dot product a.b = a1 b1 + a2 b2 and the wedge a^b = a1 b2 - a2 b1:
 
 The two representation actions below realise the sector labelled
 (k1, k2, k3) on sampled fields: one on the mixed (r1, s2) carrier space,
-one on the fully momentum-space (s1, s2) carrier space.
+one on the fully momentum-space (s1, s2) carrier space.  Both translate
+by :func:`~ncwigner.numerics.shift_field`, index or Fourier per axis.
 """
 
 from __future__ import annotations
@@ -71,8 +72,7 @@ def group_inverse(g: GroupElement) -> GroupElement:
                         (-g.q[0], -g.q[1]), (-g.p[0], -g.p[1]))
 
 
-def uir_apply(g: GroupElement, f: ComplexField2D, label: OrbitLabel,
-              interpolation: bool = False) -> ComplexField2D:
+def uir_apply(g: GroupElement, f: ComplexField2D, label: OrbitLabel) -> ComplexField2D:
     """Representation action on the mixed (r1, s2) carrier space.
 
     (U(g) f)(r1, s2) = exp(i k1 (theta + a q2 s2 + a p1 r1 + a q1 p1/2 - a q2 p2/2))
@@ -80,17 +80,17 @@ def uir_apply(g: GroupElement, f: ComplexField2D, label: OrbitLabel,
                      * exp(i k3 (psi + g q2 r1 + g q2 q1/2))
                      * f(r1 + q1, s2 - p2)
 
-    with (a, b, g) the dimensional constants.  The translation uses index
-    shifts with zero fill by default (the carrier space is L^2(R^2), not a
-    torus); pass interpolation=True for band-limited Fourier shifts when
-    q1, p2 are off-grid.  Raises ShiftOffGrid otherwise.
+    with (a, b, g) the dimensional constants.  The translation is
+    :func:`~ncwigner.numerics.shift_field`: per axis, an index shift with
+    zero fill (the carrier space is L^2(R^2), not a torus) when the offset
+    is a whole number of steps, else a band-limited Fourier shift.
     """
     if f.rep != "landau":
         raise ValueError("uir_apply expects a field tagged rep='landau' (r1, s2 axes)")
     c = label.consts
     q1, q2 = g.q
     p1, p2 = g.p
-    shifted = shift_field(f, q1, -p2, mode="fourier" if interpolation else "integer")
+    shifted = shift_field(f, q1, -p2)
     r1 = f.grid.axis0.coords()[:, None]
     s2 = f.grid.axis1.coords()[None, :]
     phase = (
@@ -102,8 +102,7 @@ def uir_apply(g: GroupElement, f: ComplexField2D, label: OrbitLabel,
     return f.with_values(np.exp(1j * phase) * shifted.values)
 
 
-def uir_apply_ft(g: GroupElement, fhat: ComplexField2D, label: OrbitLabel,
-                 interpolation: bool = False) -> ComplexField2D:
+def uir_apply_ft(g: GroupElement, fhat: ComplexField2D, label: OrbitLabel) -> ComplexField2D:
     """Representation action on the momentum-space (s1, s2) carrier space.
 
     (U^(g) fhat)(s1, s2) =
@@ -112,7 +111,8 @@ def uir_apply_ft(g: GroupElement, fhat: ComplexField2D, label: OrbitLabel,
       * exp(-i k3 (psi - g q1 q2/2))
       * fhat(s1 - p1 - (k3 g/(k1 a)) q2, s2 - p2)
 
-    Same shift semantics as :func:`uir_apply`.  This action and the mixed
+    Same per-axis shift rule as :func:`uir_apply`: an off-lattice mixed
+    offset is Fourier-shifted on its own axis.  This action and the mixed
     one are exchanged by the scaled partial Fourier transform in the first
     coordinate combined with complex conjugation; see the tests for the
     numerically verified intertwining identity.
@@ -123,7 +123,7 @@ def uir_apply_ft(g: GroupElement, fhat: ComplexField2D, label: OrbitLabel,
     q1, q2 = g.q
     p1, p2 = g.p
     shift1 = p1 + (label.k3 * c.gamma / (label.k1 * c.alpha)) * q2
-    shifted = shift_field(fhat, -shift1, -p2, mode="fourier" if interpolation else "integer")
+    shifted = shift_field(fhat, -shift1, -p2)
     s1 = fhat.grid.axis0.coords()[:, None]
     s2 = fhat.grid.axis1.coords()[None, :]
     phase = -(

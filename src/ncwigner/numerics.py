@@ -2,12 +2,13 @@
 
 This module is the one home of the per-axis grid primitives: quadrature
 weights (:func:`_axis_weights`), index and Fourier shifts
-(:func:`_axis_integer_shift`, :func:`_shift_spectrum` and the choice
-between them, :func:`_axis_shifter`, which shifts one field by many
-offsets for one forward FFT and makes all the engine's Fourier shifts,
-and its one-off form :func:`_axis_shift`), the reflection x -> -x on a
-symmetric grid with its symmetry check (:func:`_axis_reflect`), and the
-lattice test :func:`_lattice_steps` with its tolerance ``_ALIGN_TOL``.
+(:func:`_axis_integer_shift`, :func:`_shift_spectrum` and the one rule
+that picks between them per axis from the offset, :func:`_axis_shifter`,
+which shifts one field by many offsets for one forward FFT, its one-off
+form :func:`_axis_shift` and its two-axis form :func:`shift_field`), the
+reflection x -> -x on a symmetric grid with its symmetry check
+(:func:`_axis_reflect`), and the lattice test :func:`_lattice_steps`
+with its tolerance ``_ALIGN_TOL``.
 It is also the one home of the continuous Fourier transform:
 :func:`_cont_ft` over one axis or both is the body of :func:`cont_ft_2d`
 and :func:`cont_ft_axis`, and its scaled form :func:`_scaled_ft` the body
@@ -28,7 +29,7 @@ import math
 
 import numpy as np
 
-from .core import ComplexField2D, Grid1D, Grid2D, ShiftOffGrid
+from .core import ComplexField2D, Grid1D, Grid2D
 
 __all__ = [
     "default_state_grid",
@@ -36,9 +37,7 @@ __all__ = [
     "integrate_2d",
     "cont_ft_2d",
     "cont_ft_axis",
-    "fractional_shift",
     "shift_field",
-    "reflect_field",
     "momentum_representation",
     "position_representation",
 ]
@@ -171,38 +170,13 @@ def _axis_shift(values: np.ndarray, d: float, step: float, axis: int) -> np.ndar
     return _axis_shifter(values, step, axis)(d)
 
 
-def fractional_shift(f: ComplexField2D, d0: float, d1: float) -> ComplexField2D:
-    """Samples of f(r0 + d0, r1 + d1) by Fourier-phase multiplication.
-
-    Exact for band-limited fields; the shift is circular, so callers must
-    keep the field supported well inside the grid.  An axis with a zero
-    shift is left untouched.
-    """
-    out = f.values
-    for axis, (d, g) in enumerate(((d0, f.grid.axis0), (d1, f.grid.axis1))):
-        if d != 0.0:
-            out = _shift_spectrum(np.fft.fft(out, axis=axis), d / g.step, axis)
-    return f.with_values(out)
-
-
-def shift_field(f: ComplexField2D, d0: float, d1: float, mode: str) -> ComplexField2D:
-    """Shifted samples f(r + d) by index translation or Fourier phases.
-
-    mode "integer": require d/step to be an integer within 1e-9 (else
-    ShiftOffGrid) and translate indices with zero fill.  mode "fourier":
-    the band-limited circular shift of :func:`fractional_shift`.
-    """
-    if mode == "fourier":
-        return fractional_shift(f, d0, d1)
-    if mode != "integer":
-        raise ValueError(f"unknown shift mode {mode!r}")
-    s0, s1 = f.grid.axis0.step, f.grid.axis1.step
-    r0, r1 = _lattice_steps(d0, s0), _lattice_steps(d1, s1)
-    if r0 is None or r1 is None:
-        raise ShiftOffGrid(f"shift ({d0}, {d1}) is not an integer number of grid steps "
-                           f"({d0 / s0:.3g}, {d1 / s1:.3g} steps)")
-    # f(r + d) sits at index j + d/step
-    return f.with_values(_axis_integer_shift(_axis_integer_shift(f.values, r0, 0), r1, 1))
+def shift_field(f: ComplexField2D, d0: float, d1: float) -> ComplexField2D:
+    """Samples of f(r0 + d0, r1 + d1) by :func:`_axis_shift` on axis 0, then
+    axis 1: on each axis a whole number of steps is an index shift with zero
+    fill, any other offset the circular Fourier shift, which needs the field
+    to vanish at the grid's edges."""
+    out = _axis_shift(f.values, d0, f.grid.axis0.step, 0)
+    return f.with_values(_axis_shift(out, d1, f.grid.axis1.step, 1))
 
 
 def _axis_reflect(values: np.ndarray, g: Grid1D, axis: int) -> np.ndarray:
@@ -214,12 +188,6 @@ def _axis_reflect(values: np.ndarray, g: Grid1D, axis: int) -> np.ndarray:
     if abs(g.origin + 0.5 * g.n * g.step) > _ALIGN_TOL * g.step:
         raise ValueError("reflection requires a symmetric grid [-L, L - step]")
     return np.roll(np.flip(values, axis=axis), 1, axis=axis)
-
-
-def reflect_field(f: ComplexField2D) -> ComplexField2D:
-    """Samples of f(-r0, -r1) on the same symmetric grid."""
-    out = _axis_reflect(f.values, f.grid.axis0, 0)
-    return f.with_values(_axis_reflect(out, f.grid.axis1, 1))
 
 
 def _scaled_ft(f: ComplexField2D, scale: float, sign: int, rep: str) -> ComplexField2D:

@@ -81,6 +81,14 @@ class TestWignerCommand:
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert "--state" in capsys.readouterr().err
+        # an empty field is refused, not dropped with the later fields moved left
+        for spec in ("gaussian:1,,0,0.5,0.2", "gaussian:,1,0", "gaussian:1,,0.5,0.2"):
+            code = main(["wigner", "standard", "--grid", "8", "--extent", "2",
+                         "--slice", "q2=0,p2=0", "--state", spec,
+                         "--out", str(tmp_path / "a.csv")])
+            err = capsys.readouterr().err
+            assert code == 2 and "--state" in err and err.count("\n") == 1, spec
+        assert not (tmp_path / "a.csv").exists()
 
     def test_argparse_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,8 +1,13 @@
+import ast
+import importlib
 import math
+import pathlib
+import pkgutil
 
 import numpy as np
 import pytest
 
+import ncwigner
 from ncwigner import (
     ComplexField2D,
     CoadjointPoint,
@@ -21,6 +26,7 @@ from ncwigner import (
     plancherel_density,
 )
 from ncwigner.core import Domain4D, ORBIT_COORDS, WignerField, orbit_domain
+from ncwigner.numerics import conjugate_grid
 
 
 class TestOrbitLabel:
@@ -178,6 +184,24 @@ class TestFieldTypes:
             Grid1D(1, 0.0, 0.1)
         with pytest.raises(ValueError):
             Grid1D(8, 0.0, 0.0)
+
+    def test_grid_needs_whole_n(self):
+        with pytest.raises(ValueError, match=r"^grid needs a whole n >= 2, got 4\.5$"):
+            Grid1D(4.5, -1.0, 0.5)
+        g = Grid1D(np.int64(4), -1.0, 0.5)
+        assert g.coords().shape == (4,) and conjugate_grid(g).n == 4
+
+    def test_package_names_match_all(self):
+        # every name the package imports from a module is in its __all__,
+        # and every __all__ name resolves
+        for node in ast.parse(pathlib.Path(ncwigner.__file__).read_text()).body:
+            if isinstance(node, ast.ImportFrom):
+                mod = importlib.import_module(f"ncwigner.{node.module}")
+                assert {a.name for a in node.names} <= set(mod.__all__), node.module
+        for info in pkgutil.iter_modules(ncwigner.__path__):
+            mod = importlib.import_module(f"ncwigner.{info.name}")
+            for name in getattr(mod, "__all__", ()):
+                assert hasattr(mod, name), f"{info.name}.{name}"
 
     def test_field_shape_checked(self):
         g = Grid2D.square(8, 2.0)

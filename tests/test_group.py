@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ from ncwigner import (
     DimensionalConstants,
     Grid2D,
     GroupElement,
-    ShiftOffGrid,
     default_state_grid,
     group_inverse,
     group_multiply,
@@ -147,13 +147,31 @@ class TestRepresentationActions:
             back = uir_apply(group_inverse(g), uir_apply(g, landau_field, label), label)
             assert float(np.max(np.abs(back.values - landau_field.values))) / fmax <= 1e-12
 
-    def test_off_grid_shift_raises(self, label, landau_field):
+    def test_off_grid_shift_is_unitary(self, label, landau_field):
         g = GroupElement(q=(0.1234567, 0.0), p=(0.0, 0.0))
-        with pytest.raises(ShiftOffGrid):
-            uir_apply(g, landau_field, label)
-        # the interpolating mode accepts the same element
-        out = uir_apply(g, landau_field, label, interpolation=True)
+        out = uir_apply(g, landau_field, label)
         assert abs(out.norm() / landau_field.norm() - 1.0) <= 1e-10
+
+    def test_mixed_shift_off_the_lattice(self):
+        # constants (1, 0.7, -1.3) make the axis-0 offset p1 + (k3 g/(k1 a)) q2
+        # of a lattice element with q2 != 0 fall between samples, while the
+        # axis-1 offset p2 stays on the lattice: each axis picks its own shift
+        label = make_orbit_label(1.0, -1.0, 1.0, DimensionalConstants(1.0, 0.7, -1.3))
+        rng = np.random.default_rng(9)
+        field = random_hermite_gaussian(rng, default_state_grid(128, 10.0),
+                                        max_order=1, rep="momentum")
+        h = field.grid.axis0.step
+        fmax = float(np.max(np.abs(field.values)))
+        for _ in range(10):
+            g1, g2 = (dataclasses.replace(g, q=(g.q[0], g.q[1] or h))
+                      for g in (grid_element(rng, h), grid_element(rng, h)))
+            a1 = uir_apply_ft(g1, field, label)
+            assert abs(a1.norm() / field.norm() - 1.0) <= 1e-12
+            lhs = uir_apply_ft(g1, uir_apply_ft(g2, field, label), label)
+            rhs = uir_apply_ft(group_multiply(g1, g2, label.consts), field, label)
+            assert float(np.max(np.abs(lhs.values - rhs.values))) / fmax <= 1e-10
+            back = uir_apply_ft(group_inverse(g1), a1, label)
+            assert float(np.max(np.abs(back.values - field.values))) / fmax <= 1e-12
 
     def test_rep_tags_enforced(self, label, landau_field, momentum_field):
         with pytest.raises(ValueError):
@@ -189,7 +207,7 @@ class TestFourierIntertwining:
             g = grid_element(rng, landau_field.grid.axis0.step)
             lhs = self._scaled_ft_axis0(uir_apply(g, landau_field, label), a)
             conj_in = Ff.with_values(np.conj(Ff.values))
-            rhs = np.conj(uir_apply_ft(g, conj_in, label, interpolation=True).values)
+            rhs = np.conj(uir_apply_ft(g, conj_in, label).values)
             assert float(np.max(np.abs(lhs.values - rhs))) / fmax <= 1e-8
 
     def test_plain_intertwining_fails(self, label, landau_field):
@@ -198,7 +216,7 @@ class TestFourierIntertwining:
         Ff = self._scaled_ft_axis0(landau_field, a)
         g = grid_element(rng, landau_field.grid.axis0.step)
         lhs = self._scaled_ft_axis0(uir_apply(g, landau_field, label), a)
-        rhs = uir_apply_ft(g, Ff, label, interpolation=True)
+        rhs = uir_apply_ft(g, Ff, label)
         rel = float(np.max(np.abs(lhs.values - rhs.values))
                     / np.max(np.abs(Ff.values)))
         assert rel > 1e-2  # conjugate central characters: not the same action

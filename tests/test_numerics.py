@@ -7,17 +7,15 @@ from ncwigner import (
     ComplexField2D,
     Grid1D,
     Grid2D,
-    ShiftOffGrid,
     cont_ft_2d,
     cont_ft_axis,
     default_state_grid,
-    fractional_shift,
     integrate_2d,
     momentum_representation,
     position_representation,
     shift_field,
 )
-from ncwigner.numerics import conjugate_grid, reflect_field
+from ncwigner.numerics import _axis_reflect, _shift_spectrum, conjugate_grid
 
 
 def gaussian_field(n=256, extent=10.0, width=1.0):
@@ -119,38 +117,39 @@ class TestAxisFT:
 class TestShifts:
     def test_zero_shift_identity(self):
         f = gaussian_field(64, 6.0)
-        out = fractional_shift(f, 0.0, 0.0)
+        out = shift_field(f, 0.0, 0.0)
         assert np.max(np.abs(out.values - f.values)) <= 1e-14
 
     def test_integer_shift_matches_index_translation(self):
         f = gaussian_field(128, 8.0)
         h = f.grid.axis0.step
-        frac = fractional_shift(f, 3 * h, -2 * h)
-        integer = shift_field(f, 3 * h, -2 * h, mode="integer")
-        assert np.max(np.abs(frac.values - integer.values)) <= 1e-10
+        out = shift_field(f, 3 * h, -2 * h)
         ref = np.zeros_like(f.values)
         ref[:-3, 2:] = f.values[3:, :-2]   # f(r + d) sits at index j + d/step
-        assert integer.values.tobytes() == ref.tobytes()
+        assert out.values.tobytes() == ref.tobytes()
+        spec = _shift_spectrum(np.fft.fft(f.values, axis=0), 3.0, 0)
+        spec = _shift_spectrum(np.fft.fft(spec, axis=1), -2.0, 1)
+        assert np.max(np.abs(spec - out.values)) <= 1e-10
+
+    def test_each_axis_chooses_alone(self):
+        # a whole number of steps on axis 0 is an index shift even when
+        # axis 1 is off the lattice, and axis 1 is Fourier-shifted alone
+        f = gaussian_field(32, 4.0)
+        h = f.grid.axis0.step
+        out = shift_field(f, 3 * h, 0.4 * h)
+        ref = np.zeros_like(f.values)
+        ref[:-3, :] = f.values[3:, :]
+        ref = _shift_spectrum(np.fft.fft(ref, axis=1), 0.4, 1)
+        assert out.values.tobytes() == ref.tobytes()
 
     def test_shift_round_trip(self):
         f = gaussian_field(128, 8.0)
-        out = fractional_shift(fractional_shift(f, 0.37, -0.81), -0.37, 0.81)
+        out = shift_field(shift_field(f, 0.37, -0.81), -0.37, 0.81)
         assert np.max(np.abs(out.values - f.values)) <= 1e-10
-
-    def test_integer_mode_rejects_off_grid(self):
-        f = gaussian_field(32, 4.0)
-        h = f.grid.axis0.step
-        with pytest.raises(ShiftOffGrid, match=r"\(0\.494, 0 steps\)"):
-            shift_field(f, 0.1234, 0.0, mode="integer")
-        with pytest.raises(ShiftOffGrid, match=r"\(1, 0\.4 steps\)"):
-            shift_field(f, h, 0.4 * h, mode="integer")
-        # the mode is always named; there is no automatic choice
-        with pytest.raises(ValueError, match="unknown shift mode 'auto'"):
-            shift_field(f, 0.0, 0.0, mode="auto")
 
     def test_shift_values_are_samples_of_translated_function(self):
         f = gaussian_field(256, 10.0)
-        out = fractional_shift(f, 0.3, -0.7)
+        out = shift_field(f, 0.3, -0.7)
         x0, x1 = f.grid.meshgrid()
         expect = np.exp(-((x0 + 0.3) ** 2 + (x1 - 0.7) ** 2) / 2)
         assert np.max(np.abs(out.values - expect)) <= 1e-12
@@ -158,11 +157,13 @@ class TestShifts:
     def test_reflection(self):
         g = Grid2D.square(64, 7.0)
         x0, x1 = g.meshgrid()
-        f = ComplexField2D(g, np.exp(-((x0 - 0.5) ** 2 + (x1 + 1.0) ** 2)))
-        r = reflect_field(f)
+        f = np.exp(-((x0 - 0.5) ** 2 + (x1 + 1.0) ** 2))
+        r = _axis_reflect(_axis_reflect(f, g.axis0, 0), g.axis1, 1)
         expect = np.exp(-((-x0 - 0.5) ** 2 + (-x1 + 1.0) ** 2))
         # the lost +L edge row carries only tail mass
-        assert np.max(np.abs(r.values - expect)) <= 1e-12
+        assert np.max(np.abs(r - expect)) <= 1e-12
+        with pytest.raises(ValueError, match="symmetric grid"):
+            _axis_reflect(f, Grid1D(64, -6.9, 7.0 / 32), 0)
 
 
 class TestScaledRepresentations:
