@@ -9,7 +9,9 @@ R^4 three times.  An irreducible sector is labelled by a real triple
 of the Lie algebra carries coordinates (k1*, k2*, k3*, k4*).
 
 Everything in this module is an immutable value object or a pure function;
-concurrent use needs no synchronisation.
+concurrent use needs no synchronisation.  The one mutable part, a field's
+memo of values derived from it (:meth:`ComplexField2D._derived`), keeps the
+first value stored for each key, so it needs none either.
 """
 
 from __future__ import annotations
@@ -258,6 +260,13 @@ class GroupElement:
     q: tuple[float, float] = (0.0, 0.0)
     p: tuple[float, float] = (0.0, 0.0)
 
+    def __post_init__(self):
+        for name, v in (("theta", self.theta), ("phi", self.phi), ("psi", self.psi),
+                        ("q1", self.q[0]), ("q2", self.q[1]), ("p1", self.p[0]),
+                        ("p2", self.p[1])):
+            if not math.isfinite(v):
+                raise ValueError(f"group element component {name} must be finite, got {v!r}")
+
 
 @dataclass(frozen=True)
 class CoadjointPoint:
@@ -410,6 +419,12 @@ class ComplexField2D:
     mixed (r1, s2) carrier space of the group representation.  The flat file
     layout enumerates axis0 fastest; in memory values[i0, i1] indexes
     (axis0, axis1).
+
+    Values are copied and made read-only on construction, so anything
+    derived from them stays valid while the field lives: :meth:`_derived`
+    keeps such results (the engine's reflected ket and peak |f|) in the
+    instance ``__dict__``, outside the dataclass fields, so equality and
+    repr ignore it.
     """
 
     grid: Grid2D
@@ -427,6 +442,19 @@ class ComplexField2D:
         v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
+
+    def _derived(self, key: str, build):
+        """The value build() returns for key, built at the first call on this
+        field and kept while it lives; an array is kept read-only.  build
+        runs outside any lock, so concurrent first calls may each build, and
+        all get the first value stored; a build that raises stores nothing."""
+        memo = self.__dict__.setdefault("_memo", {})
+        if key not in memo:
+            value = build()
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            memo.setdefault(key, value)
+        return memo[key]
 
     def with_values(self, values: np.ndarray, rep: str | None = None) -> "ComplexField2D":
         return ComplexField2D(self.grid, values, rep if rep is not None else self.rep)

@@ -175,6 +175,9 @@ def shift_field(f: ComplexField2D, d0: float, d1: float) -> ComplexField2D:
     axis 1: on each axis a whole number of steps is an index shift with zero
     fill, any other offset the circular Fourier shift, which needs the field
     to vanish at the grid's edges."""
+    for name, d in (("d0", d0), ("d1", d1)):
+        if not math.isfinite(d):
+            raise ValueError(f"shift_field needs a finite {name}, got {d!r}")
     out = _axis_shift(f.values, d0, f.grid.axis0.step, 0)
     return f.with_values(_axis_shift(out, d1, f.grid.axis1.step, 1))
 

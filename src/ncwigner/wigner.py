@@ -22,6 +22,10 @@ byte budget and skipped when it would not fit); otherwise a c0's rows and
 their axis-1 shifters are kept for the run of equal c0.  A slower, structurally
 independent quadrature lives in :mod:`ncwigner.oracles`.  Results are
 charged to the byte budget ``core._MAX_BYTES`` before they are allocated.
+Work that depends on a field alone is done once per field, not once per
+call: the ket's reflection (16 n0 n1 bytes, charged before it is built and
+held while the ket lives) and each field's peak |f|, for the tail cut, are
+kept in the field's memo (``ComplexField2D._derived``).
 
 One loop, ``_phase_integral``, runs the centre groups and one enumerator,
 ``_centre_groups``, feeds it.  Each coordinate map sends four broadcastable
@@ -143,7 +147,9 @@ _FFT_MIN_POINTS = 16
 
 
 def _worker_count() -> int:
-    """Engine threads: NCWIG_THREADS, else min(4, cpus); never above the cpus."""
+    """Engine threads: NCWIG_THREADS, else min(4, cpus); never above the cpus.
+    Read afresh at each pooled engine call (os.cpu_count() reads the system
+    each time), so calls with fewer than 64 groups skip it."""
     cpus = os.cpu_count() or 1
     raw = os.environ.get("NCWIG_THREADS", "0")
     try:
@@ -187,6 +193,22 @@ def _lattice_fft(h, i0, cols, i1):
     return np.fft.ifft(a, axis=0)[i0, i1] * h.size
 
 
+def _reflected(ket: ComplexField2D) -> np.ndarray:
+    """The ket's samples at -t on its symmetric grid, built once per field
+    (16 n0 n1 bytes, charged to the byte budget before the build) and held
+    while the field lives."""
+    def build():
+        g0, g1 = ket.grid.axis0, ket.grid.axis1
+        _require_bytes(f"reflected kets on {g0.n}x{g1.n} points", 16 * g0.n * g1.n)
+        return _axis_reflect(_axis_reflect(ket.values, g0, 0), g1, 1)
+    return ket._derived("reflected", build)
+
+
+def _peak(f: ComplexField2D) -> float:
+    """max |f| over the field's samples, once per field."""
+    return f._derived("peak", lambda: float(np.max(np.abs(f.values))))
+
+
 class _GroupEvaluator:
     """Evaluates the phase integral for batches of points sharing a centre."""
 
@@ -201,14 +223,15 @@ class _GroupEvaluator:
         self.omega0 = omega0
         self.omega1 = omega1
         self.bra = bra.values
-        self.ket_refl = _axis_reflect(_axis_reflect(ket.values, self.g0, 0), self.g1, 1)
+        self.ket_refl = _reflected(ket)
         self.cell = self.g0.step * self.g1.step
         self.dk0 = conjugate_grid(self.g0).step
         self.dk1 = conjugate_grid(self.g1).step
         # integrand magnitudes below this carry no quadrature information;
         # such centre groups integrate to (numerical) zero and are exempt
-        # from the resolution guard
-        self.tail_cut = 1e-13 * float(np.max(np.abs(self.bra)) * np.max(np.abs(self.ket_refl)))
+        # from the resolution guard.  The reflection permutes the ket's
+        # samples, so its peak is the ket's own.
+        self.tail_cut = 1e-13 * (_peak(bra) * _peak(ket))
         # centre groups arrive sorted with c0 slowest: keep the last c0's
         # field rows and their axis-1 shifters (_integrand)
         self._rows = None
@@ -327,8 +350,12 @@ class _GroupEvaluator:
         else:
             kap0 = 2.0 * self.omega0 * np.asarray(w0)
             kap1 = 2.0 * self.omega1 * np.asarray(w1)
-            u0, inv0 = np.unique(kap0, return_inverse=True)
-            u1, inv1 = np.unique(kap1, return_inverse=True)
+            if size == 1:  # one pair: np.unique's answer, without its sort
+                u0, u1 = kap0.reshape(1), kap1.reshape(1)
+                inv0 = inv1 = np.zeros(1, dtype=np.intp)
+            else:
+                u0, inv0 = np.unique(kap0, return_inverse=True)
+                u1, inv1 = np.unique(kap1, return_inverse=True)
             if u0.size * u1.size <= 4 * size:
                 # pairs (near-)fill a product grid, as a product grid's
                 # always do: separable contraction
@@ -404,12 +431,14 @@ def _phase_integral(ket, bra, omega0, omega1, n_groups, group, out, centres):
     """The engine's one loop: out[idx] = I(w; c) for each centre group
     (c0, c1, w0, w1, idx) = group(k), k < n_groups; returns out.
     ``centres`` holds the groups' (c0, c1) as two arrays.  One evaluator per
-    call reflects the ket once and builds its table of axis-1 shifts
-    (``share_c1_shifts``).  With enough groups, pool threads take
-    contiguous chunks, each with a shallow copy of it (the field arrays and
-    the table shared, its caches its own and empty), and run BLAS on one
-    thread each, so the pool alone sets the parallelism; the calling thread
-    keeps its BLAS threads."""
+    call reads the ket's reflection and both fields' peaks from the fields'
+    memos (built at the first call on each field) and builds its table of
+    axis-1 shifts (``share_c1_shifts``).  With at least 64 groups, and only
+    then is the worker count read, pool threads take contiguous chunks,
+    each with a shallow copy of it (the field arrays and the table shared,
+    its caches its own and empty), and run BLAS on one thread each, so the
+    pool alone sets the parallelism; the calling thread keeps its BLAS
+    threads."""
     def run(lo, hi, evaluator):
         for k in range(lo, hi):
             c0, c1, w0, w1, idx = group(k)
@@ -419,8 +448,8 @@ def _phase_integral(ket, bra, omega0, omega1, n_groups, group, out, centres):
         return out
     evaluator = _GroupEvaluator(ket, bra, omega0, omega1)
     evaluator.share_c1_shifts(*centres, out.nbytes)
-    workers = _worker_count()
-    if workers > 1 and n_groups >= 64:
+    workers = _worker_count() if n_groups >= 64 else 1
+    if workers > 1:
         chunk = -(-n_groups // workers)
         with ThreadPoolExecutor(max_workers=workers, initializer=_blas_local_threads_setter(),
                                 initargs=(1,)) as pool:

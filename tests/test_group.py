@@ -173,6 +173,20 @@ class TestRepresentationActions:
             back = uir_apply_ft(group_inverse(g1), a1, label)
             assert float(np.max(np.abs(back.values - field.values))) / fmax <= 1e-12
 
+    @pytest.mark.parametrize("component", ["theta", "phi", "psi", "q1", "q2", "p1", "p2"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_component_refused(self, label, landau_field, component, value):
+        args = dict.fromkeys(("theta", "phi", "psi", "q1", "q2", "p1", "p2"), 0.0)
+        args[component] = value
+        with pytest.raises(ValueError, match=f"^group element component {component} must "
+                           "be finite") as exc:
+            GroupElement(args["theta"], args["phi"], args["psi"], (args["q1"], args["q2"]),
+                         (args["p1"], args["p2"]))
+        assert "\n" not in str(exc.value)
+        # the UIR action used to end in int(inf) inside the lattice test
+        with pytest.raises(ValueError, match="^group element component q1"):
+            uir_apply(GroupElement(q=(value, 0.0)), landau_field, label)
+
     def test_rep_tags_enforced(self, label, landau_field, momentum_field):
         with pytest.raises(ValueError):
             uir_apply(identity_element(), momentum_field, label)

@@ -154,6 +154,14 @@ class TestShifts:
         expect = np.exp(-((x0 + 0.3) ** 2 + (x1 - 0.7) ** 2) / 2)
         assert np.max(np.abs(out.values - expect)) <= 1e-12
 
+    @pytest.mark.parametrize("d0, d1, name", [(math.nan, 0.0, "d0"), (0.0, math.inf, "d1"),
+                                              (-math.inf, 0.5, "d0")])
+    def test_non_finite_offset_refused(self, d0, d1, name):
+        f = gaussian_field(16, 4.0)
+        with pytest.raises(ValueError, match=f"^shift_field needs a finite {name}, got") as exc:
+            shift_field(f, d0, d1)
+        assert "\n" not in str(exc.value)
+
     def test_reflection(self):
         g = Grid2D.square(64, 7.0)
         x0, x1 = g.meshgrid()

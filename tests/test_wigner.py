@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 import os
@@ -698,8 +699,11 @@ class TestBlasThreads:
         assert wigner_nc(cloud_op, pts, generic_label).tobytes() == ref.tobytes()
 
     def test_pool_shares_one_reflected_ket(self, generic_label, cloud_op, monkeypatch):
-        # one evaluator per call reflects the ket once, one pass per axis;
+        # the first call on a fresh operator reflects its ket once, one pass
+        # per axis, and later calls read the reflection from the ket's memo;
         # each chunk runs on a shallow copy that shares the field arrays
+        op = RankOneOperator(cloud_op.ket.with_values(cloud_op.ket.values),
+                             cloud_op.bra.with_values(cloud_op.bra.values))
         reflected, evaluators = [], set()
         reflect = wigner._axis_reflect
         eval_group = wigner._GroupEvaluator.eval_group
@@ -715,12 +719,15 @@ class TestBlasThreads:
         monkeypatch.setattr(wigner, "_axis_reflect", counted)
         monkeypatch.setattr(wigner._GroupEvaluator, "eval_group", spy)
         monkeypatch.setattr(wigner, "_worker_count", lambda: 2)
-        pts = centre_cloud(np.random.default_rng(24), cloud_op.ket, 96, scattered=False)
-        wigner_nc(cloud_op, pts, generic_label)
+        pts = centre_cloud(np.random.default_rng(24), op.ket, 96, scattered=False)
+        wigner_nc(op, pts, generic_label)
         assert reflected == [0, 1]
         first, second = evaluators
         assert np.shares_memory(first.ket_refl, second.ket_refl)
         assert np.shares_memory(first.bra, second.bra)
+        reflected.clear()
+        wigner_nc(op, pts, generic_label)
+        assert reflected == []
 
     def test_lookup_finds_a_setter_or_none(self):
         setter = wigner._blas_local_threads_setter()
@@ -1340,3 +1347,137 @@ class TestTransformContract:
         fast = transform(op, pts, label)
         slow = np.array([direct_wigner_oracle(op, CoadjointPoint(*p), label) for p in pts])
         assert sup_rel(fast, slow) <= 1e-8
+
+
+def memo_transforms(label):
+    """name -> (call(ket, bra, pts), field rep, domain coordinates) for every
+    transform; wigner_nc_params reads the ket alone."""
+    params = NCParams(hbar=1.0, vartheta=0.3, bfield=-0.2)
+    orbit = {"wigner_generic": (wigner_generic, label),
+             "wigner_tau0": (wigner_tau0, make_orbit_label(1.0, -1.0, 0.0)),
+             "wigner_qm_orbit": (wigner_qm_orbit, make_orbit_label(1.0, 0.0, 0.0))}
+    return {
+        **{name: (lambda k, b, pts, f=f, lab=lab: f(RankOneOperator(k, b), pts, lab),
+                  "momentum", ORBIT_COORDS)
+           for name, (f, lab) in orbit.items()},
+        "wigner_nc": (lambda k, b, pts: wigner_nc(RankOneOperator(k, b), pts, label),
+                      "momentum", NC_COORDS),
+        "wigner_nc_position": (lambda k, b, pts: wigner_nc_position(b, k, pts, label),
+                               "position", NC_COORDS),
+        "wigner_nc_params": (lambda k, b, pts: wigner_nc_params(k, pts, params),
+                             "position", ORBIT_COORDS),
+        "cross_wigner_standard": (
+            lambda k, b, pts: cross_wigner_standard(k, b, pts, h=2.0 * math.pi),
+            "position", PHASE_COORDS),
+    }
+
+
+def fresh(f):
+    """A copy of field f with an empty memo."""
+    return f.with_values(f.values)
+
+
+class TestPreparedFields:
+    """The ket's reflection and each field's peak |f| are built once per
+    field, kept in its memo, and give the bits a fresh field gives."""
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("name", list(memo_transforms(make_orbit_label(1.0, -1.0, 1.0))))
+    def test_memoised_fields_give_the_fresh_bits(self, generic_label, monkeypatch, name,
+                                                 threads):
+        monkeypatch.setenv("NCWIG_THREADS", threads)
+        call, rep, names = memo_transforms(generic_label)[name]
+        rng = np.random.default_rng(31)
+        grid = default_state_grid(32, 6.0)
+        ket, bra = (random_hermite_gaussian(rng, grid, rep=rep) for _ in range(2))
+        g = Grid1D.symmetric(8, 1.0)
+        dom = Domain4D.build(names, **dict(zip(names, (0.1, -0.2, g, g))))
+        pts = rng.uniform(-1.0, 1.0, size=(80, 4))  # 80 centres: pooled at 2 threads
+        for where in (pts, dom):
+            call(ket, bra, where)
+            assert "reflected" in ket.__dict__["_memo"]
+            memo = call(ket, bra, where)
+            new = call(fresh(ket), fresh(bra), where)
+            assert getattr(memo, "values", memo).tobytes() == \
+                getattr(new, "values", new).tobytes()
+
+    def test_memo_arrays_are_read_only(self, generic_label, gauss_op):
+        ket = fresh(gauss_op.ket)
+        before = repr(ket)
+        wigner_generic(RankOneOperator(ket, ket), np.zeros((1, 4)), generic_label)
+        refl = wigner._reflected(ket)
+        assert not refl.flags.writeable
+        with pytest.raises(ValueError):
+            refl[0, 0] = 0.0
+        # the memo is no dataclass field: repr and equality ignore it
+        assert repr(ket) == before
+        assert "_memo" not in {f.name for f in dataclasses.fields(ket)}
+        built = []
+        first = ket._derived("probe", lambda: built.append(1) or np.zeros(3))
+        assert ket._derived("probe", lambda: built.append(1) or np.ones(3)) is first
+        assert built == [1] and not first.flags.writeable
+
+    def test_non_symmetric_grid_raises_on_every_call(self, generic_label):
+        g = Grid1D(32, -5.0, 0.375)
+        f = ComplexField2D(Grid2D(g, g), np.ones((32, 32)), rep="momentum")
+        for _ in range(2):
+            with pytest.raises(ValueError, match="symmetric grid"):
+                wigner_generic(RankOneOperator(f, f), np.zeros((1, 4)), generic_label)
+        assert "reflected" not in f.__dict__["_memo"]
+
+    def test_reflection_charged_before_its_first_build(self, generic_label, gauss_op,
+                                                       monkeypatch):
+        ket = fresh(gauss_op.ket)
+        n0, n1 = ket.grid.shape
+        op = RankOneOperator(ket, ket)
+        monkeypatch.setattr(core, "_MAX_BYTES", 16 * n0 * n1 - 1)
+        with pytest.raises(GridTooLarge, match="^reflected kets on 128x128 points need"):
+            wigner_generic(op, np.zeros((1, 4)), generic_label)
+        assert "reflected" not in ket.__dict__["_memo"]
+        monkeypatch.undo()
+        assert wigner_generic(op, np.zeros((1, 4)), generic_label).shape == (1,)
+
+    @pytest.mark.parametrize("transform", [wigner_nc, wigner_generic])
+    def test_one_point_call_skips_unique(self, generic_label, gauss_op, monkeypatch,
+                                         transform):
+        calls = []
+        unique = np.unique
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", spy)
+        for p in np.random.default_rng(26).uniform(-1.0, 1.0, size=(8, 4)):
+            calls.clear()
+            one = transform(gauss_op, p[None], generic_label)
+            assert calls == []
+            two = transform(gauss_op, np.stack([p, p]), generic_label)
+            assert calls  # the pair's group takes np.unique
+            assert one.tobytes() == two[:1].tobytes()
+
+    def test_repeated_call_builds_nothing(self, generic_label, monkeypatch):
+        rng = np.random.default_rng(27)
+        grid = default_state_grid(32, 6.0)
+        op = RankOneOperator(*(random_hermite_gaussian(rng, grid, rep="momentum")
+                               for _ in range(2)))
+        builds, reflected = [], []
+        derived = ComplexField2D._derived
+        reflect = wigner._axis_reflect
+
+        def spy(self, key, build):
+            return derived(self, key, lambda: builds.append(key) or build())
+
+        def counted(values, g, axis):
+            reflected.append(axis)
+            return reflect(values, g, axis)
+
+        monkeypatch.setattr(ComplexField2D, "_derived", spy)
+        monkeypatch.setattr(wigner, "_axis_reflect", counted)
+        pt = np.array([[0.3, -0.2, 0.1, 0.4]])
+        first = wigner_generic(op, pt, generic_label)
+        assert sorted(builds) == ["peak", "peak", "reflected"] and reflected == [0, 1]
+        builds.clear()
+        reflected.clear()
+        assert wigner_generic(op, pt, generic_label).tobytes() == first.tobytes()
+        assert builds == [] and reflected == []
