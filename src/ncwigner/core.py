@@ -456,6 +456,15 @@ class ComplexField2D:
             memo.setdefault(key, value)
         return memo[key]
 
+    def __getstate__(self):
+        """Copies and pickles carry the dataclass fields alone, never the
+        memo: a deep copy or an unpickled field starts with an empty one."""
+        return {k: v for k, v in self.__dict__.items() if k != "_memo"}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.values.flags.writeable = False  # a deep copy or unpickle made it writeable
+
     def with_values(self, values: np.ndarray, rep: str | None = None) -> "ComplexField2D":
         return ComplexField2D(self.grid, values, rep if rep is not None else self.rep)
 

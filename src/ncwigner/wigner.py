@@ -35,7 +35,13 @@ depends on.  The centre axes are those that c0 or c1 spans; a stable sort
 of their nodes on c0 + i c1 makes each group the nodes that share a centre,
 times the remaining (frequency) axes.  Groups run with c0 slowest, then c1,
 each group's nodes in input order, so a domain and its points give the same
-bits, and an nc or phase-space grid is one group per centre.
+bits, and an nc or phase-space grid is one group per centre.  The loop takes
+them in row runs: consecutive one-node groups at one c0, on the same
+frequency-array objects and next to each other along the output's last
+centre axis, up to a whole row.  A longer run fills a result block of
+``_RUN_BYTES`` per evaluator, one centre at a time through one reused
+integrand buffer, and writes it into the output at once; any other group is
+a run of one, evaluated alone with a fresh integrand.
 
 Each transform below is one call of the runner ``_transform`` with its
 entry of this coordinate dictionary (k1, k2, k3 label the sector; a, b, g
@@ -145,6 +151,9 @@ TAU0_TO_QM_PREFACTOR_RATIO = math.sqrt(2.0 * math.pi)
 # lattice frequencies at one centre from which the FFT replaces the contraction
 _FFT_MIN_POINTS = 16
 
+# bytes of each evaluator's result block for row runs (_phase_integral)
+_RUN_BYTES = 2 << 20
+
 
 def _worker_count() -> int:
     """Engine threads: NCWIG_THREADS, else min(4, cpus); never above the cpus.
@@ -233,8 +242,13 @@ class _GroupEvaluator:
         # samples, so its peak is the ket's own.
         self.tail_cut = 1e-13 * (_peak(bra) * _peak(ket))
         # centre groups arrive sorted with c0 slowest: keep the last c0's
-        # field rows and their axis-1 shifters (_integrand)
+        # field rows and their axis-1 shifters (_integrand), and the
+        # conjugate of its bra rows once a row run's lattice c1 asks for it
         self._rows = None
+        self._conj_rows = None
+        # row runs longer than one (eval_run): one integrand buffer and one
+        # result block of _RUN_BYTES, built at the first such run
+        self._h = self._block = None
         # off-lattice c1 -> (conj(bra), ket_refl) Fourier-shifted along axis
         # 1 by (+c1, -c1) over every row; filled once per call, before any
         # copy, and read-only after (share_c1_shifts)
@@ -274,7 +288,7 @@ class _GroupEvaluator:
         for c in off:
             self.c1_shifts[c] = (np.conj(bra(c)), ket(-c))
 
-    def _integrand(self, c0, c1):
+    def _integrand(self, c0, c1, h=None):
         """(h, core): the integrand conj(B)(t + c) A(-t + c) on the state
         grid and the view of h that can be nonzero, or (None, None) where h
         vanishes.  Each axis chooses alone: an offset of r whole state steps
@@ -282,7 +296,13 @@ class _GroupEvaluator:
         ket_refl[j - r] along it, any other the Fourier shift of every
         sample, so h holds the bits of the zero-filled shifted copies
         without building them.  An off-lattice c1 in c1_shifts reads its
-        window rows there; each row's axis-1 shift is the same bits."""
+        window rows there; each row's axis-1 shift is the same bits.
+
+        Without ``h`` each centre fills a fresh array and a lattice c1
+        conjugates its window of the bra rows.  A row run passes its reused
+        buffer as ``h``, zeroed here, and a lattice c1 then reads the
+        columns of the c0's conjugated bra rows, built once per c0 (a copy:
+        the axis-1 shifters keep reading the rows themselves)."""
         n0, n1 = self.g0.n, self.g1.n
         if self._rows is None or self._rows[0] != c0:
             # axis 0, once per c0: the rows of h that can be nonzero and the
@@ -300,12 +320,17 @@ class _GroupEvaluator:
                 rows = bra_rows = ket_rows = bra = ket = None
             self._rows = (c0, rows, bra_rows, ket_rows, bra, ket,
                           _axis_shifter(bra, self.g1.step, 1), _axis_shifter(ket, self.g1.step, 1))
+            self._conj_rows = None
         _, rows, bra_rows, ket_rows, bra, ket, bra_shift, ket_shift = self._rows
         # axis 1, per centre
         r1 = _lattice_steps(c1, self.g1.step)
         if rows is None or (r1 is not None and 2 * abs(r1) >= n1):
             return None, None
-        h = np.zeros((n0, n1), dtype=np.complex128)
+        in_run = h is not None
+        if in_run:
+            h.fill(0)
+        else:
+            h = np.zeros((n0, n1), dtype=np.complex128)
         if r1 is None:
             core = h[rows]
             shifted = self.c1_shifts.get(c1)
@@ -316,7 +341,13 @@ class _GroupEvaluator:
         else:
             cols, bra_cols, ket_cols = _overlap(r1, n1)
             core = h[rows, cols]
-            np.multiply(np.conj(bra[:, bra_cols]), ket[:, ket_cols], out=core)
+            if not in_run:
+                conj_bra = np.conj(bra[:, bra_cols])
+            else:
+                if self._conj_rows is None:
+                    self._conj_rows = np.conj(bra)
+                conj_bra = self._conj_rows[:, bra_cols]
+            np.multiply(conj_bra, ket[:, ket_cols], out=core)
         return h, core
 
     def frequency_step(self, w0, w1):
@@ -382,16 +413,17 @@ class _GroupEvaluator:
             return scale * (transform(h) * phase)
         return contract
 
-    def eval_group(self, c0, c1, w0, w1):
+    def eval_group(self, c0, c1, w0, w1, h=None):
         """I(w; c) for all (w0, w1) pairs at one centre (c0, c1), or 0.0
-        when the integrand lies below the tail cut.
+        when the integrand lies below the tail cut; ``h`` is a row run's
+        integrand buffer (_integrand).
 
         The frequency step is built only for centres above the cut, so its
         guards fire only where the integrand carries mass.  It is reused
         from the last group that built one when both frequency arrays are
         that group's, or equal to them.
         """
-        h, core = self._integrand(float(c0), float(c1))
+        h, core = self._integrand(float(c0), float(c1), h)
         if h is None or np.max(np.abs(core)) <= self.tail_cut:
             return 0.0
         last = self._group_step
@@ -399,6 +431,22 @@ class _GroupEvaluator:
                                 and (last[1] is w1 or np.array_equal(last[1], w1))):
             last = self._group_step = (w0, w1, self.frequency_step(w0, w1))
         return last[2](h)
+
+    def eval_run(self, c0, c1s, w0, w1, shape):
+        """I(w; c) at the centres (c0, c1), c1 in c1s, of a row run: groups
+        on the frequency arrays w0 and w1, whose values fill ``shape`` each.
+        A run of one is eval_group's value.  A longer run fills the first
+        len(c1s) rows of the result block, one per centre in order, through
+        the one integrand buffer, and returns them."""
+        if len(c1s) == 1:
+            return self.eval_group(c0, c1s[0], w0, w1)
+        if self._block is None:
+            self._h = np.empty((self.g0.n, self.g1.n), dtype=np.complex128)
+            self._block = np.empty(_RUN_BYTES // 16, dtype=np.complex128)
+        block = self._block[:len(c1s) * math.prod(shape)].reshape(len(c1s), *shape)
+        for row, c1 in zip(block, c1s):
+            row[...] = self.eval_group(c0, c1, w0, w1, self._h)
+        return block
 
 
 @functools.cache
@@ -438,11 +486,38 @@ def _phase_integral(ket, bra, omega0, omega1, n_groups, group, out, centres):
     each with a shallow copy of it (the field arrays and the table shared,
     its caches its own and empty), and run BLAS on one thread each, so the
     pool alone sets the parallelism; the calling thread keeps its BLAS
-    threads."""
+    threads.
+
+    ``run`` takes the groups of its chunk in row runs, so no run crosses a
+    chunk boundary: the next groups at the same c0 on the same frequency
+    arrays (objects, not equal values), each one node, one slice further
+    along the view's last centre axis, while the run's values fit the
+    ``_RUN_BYTES`` block.  One write stores each run's values
+    (``eval_run``): a run of one writes its group's value at the group's
+    idx, a longer one the block rows over the run's slice."""
     def run(lo, hi, evaluator):
-        for k in range(lo, hi):
-            c0, c1, w0, w1, idx = group(k)
-            out[idx] = evaluator.eval_group(c0, c1, w0, w1)
+        pending = group(lo)
+        shape = out.shape[len(pending[4]):]
+        cap = _RUN_BYTES // (out.itemsize * math.prod(shape))
+        k = lo + 1
+        while pending is not None:
+            c0, c1, w0, w1, idx = pending
+            c1s, pending = [c1], None
+            # a row run: the next groups at this c0 on these frequency
+            # arrays, one node each, along the view's last centre axis
+            while k < hi:
+                pending = group(k)
+                k += 1
+                b0, b1, v0, v1, nidx = pending
+                if (len(c1s) >= cap or b0 != c0 or v0 is not w0 or v1 is not w1
+                        or type(idx[-1]) is not slice or type(nidx[-1]) is not slice
+                        or nidx[:-1] != idx[:-1] or nidx[-1].start != idx[-1].start + len(c1s)):
+                    break
+                c1s.append(b1)
+                pending = None
+            if len(c1s) > 1:
+                idx = idx[:-1] + (slice(idx[-1].start, idx[-1].start + len(c1s)),)
+            out[idx] = evaluator.eval_run(c0, c1s, w0, w1, shape)
 
     if not n_groups:
         return out

@@ -1,7 +1,9 @@
+import copy
 import dataclasses
 import inspect
 import math
 import os
+import pickle
 import sys
 import threading
 import time
@@ -1481,3 +1483,140 @@ class TestPreparedFields:
         reflected.clear()
         assert wigner_generic(op, pt, generic_label).tobytes() == first.tobytes()
         assert builds == [] and reflected == []
+
+
+class TestFieldCopies:
+    """A copy or an unpickled field carries the fields alone: its values stay
+    read-only and its memo starts empty, so a transform on it gives the bits
+    of a fresh field."""
+
+    COPIES = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+              "pickle": lambda f: pickle.loads(pickle.dumps(f))}
+
+    @pytest.mark.parametrize("how", sorted(COPIES))
+    def test_copy_drops_the_memo_and_stays_read_only(self, generic_label, how):
+        rng = np.random.default_rng(41)
+        grid = default_state_grid(16, 4.0)
+        k, h = (random_hermite_gaussian(rng, grid, rep="momentum") for _ in range(2))
+        pts = rng.uniform(-1.0, 1.0, size=(6, 4))
+        size = len(pickle.dumps(k))
+        wigner_generic(RankOneOperator(k, h), pts, generic_label)
+        assert "reflected" in k.__dict__["_memo"]
+        assert len(pickle.dumps(k)) == size
+        dup = self.COPIES[how](k)
+        assert "_memo" not in dup.__dict__
+        assert not dup.values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            dup.values[:] = h.values
+        assert (dup.grid, dup.rep) == (k.grid, k.rep)
+        assert dup.values.tobytes() == k.values.tobytes()
+        got = wigner_generic(RankOneOperator(dup, h), pts, generic_label)
+        ref = wigner_generic(RankOneOperator(fresh(k), h), pts, generic_label)
+        assert got.tobytes() == ref.tobytes()
+
+
+def run_lengths(monkeypatch):
+    """List that gains the centre count of each row run the engine evaluates."""
+    lengths = []
+    eval_run = wigner._GroupEvaluator.eval_run
+
+    def spy(self, c0, c1s, w0, w1, shape):
+        lengths.append(len(c1s))
+        return eval_run(self, c0, c1s, w0, w1, shape)
+    monkeypatch.setattr(wigner._GroupEvaluator, "eval_run", spy)
+    return lengths
+
+
+class TestRowRuns:
+    """Groups of a product grid that share c0 and the frequency arrays run
+    along the view's last centre axis as one block: the bits of evaluating
+    each centre alone."""
+
+    @pytest.fixture(scope="class")
+    def op(self):
+        rng = np.random.default_rng(43)
+        grid = default_state_grid(32, 6.0)
+        return RankOneOperator(*(random_hermite_gaussian(rng, grid, rep="momentum")
+                                 for _ in range(2)))
+
+    @pytest.mark.parametrize("aligned", [True, False])
+    def test_runs_keep_the_bits_across_chunks_and_inputs(self, generic_label, op,
+                                                         monkeypatch, aligned):
+        axis = op.ket.grid.axis0
+        s = axis.step
+        q = (aligned_frequency_grid(axis, -1.0, 8) if aligned
+             else Grid1D(5, -0.7, 0.31))
+        # 33 x 31 centres: with two workers the chunk boundary (group 512)
+        # falls inside row 16.  Each row runs from 17 steps below the origin,
+        # whose windows are empty, through tail-cut centres near the edge
+        p1, p2 = Grid1D(33, -16 * s, s), Grid1D(31, -17 * s, s)
+        dom = nc_domain(q1nc=q, q2nc=q, p1nc=p1, p2nc=p2)
+        lengths = run_lengths(monkeypatch)
+        monkeypatch.setenv("NCWIG_THREADS", "1")
+        one = wigner_nc(op, dom, generic_label).values
+        assert lengths.count(31) == 33
+        monkeypatch.setenv("NCWIG_THREADS", "2")
+        two = wigner_nc(op, dom, generic_label).values
+        pts = wigner_nc(op, dom.points(), generic_label)
+        assert one.tobytes() == two.tobytes() == pts.tobytes()
+        # the row at c0 = 14 steps holds both kinds of zero: cells of empty
+        # windows and of centres under the tail cut
+        ev = wigner._GroupEvaluator(op.ket, op.bra, -1.0, -1.0)
+        c0 = p1.coords()[30]
+        empty, cut = [], []
+        for j, c1 in enumerate(p2.coords()):
+            h, core = ev._integrand(c0, c1)
+            if h is None:
+                empty.append(j)
+            elif np.max(np.abs(core)) <= ev.tail_cut:
+                cut.append(j)
+        assert empty and cut
+        for j in empty + cut:
+            assert not one[:, :, 30, j].any()
+
+    def test_a_row_of_centres_writes_one_block(self, generic_label, op, monkeypatch):
+        axis = op.ket.grid.axis0
+        q = aligned_frequency_grid(axis, -1.0, 8)
+        p = aligned_center_grid(axis, 32)
+        dom = nc_domain(q1nc=q, q2nc=q, p1nc=p, p2nc=p)
+        monkeypatch.setenv("NCWIG_THREADS", "1")
+        lengths = run_lengths(monkeypatch)
+        writes = []
+        eval_run = wigner._GroupEvaluator.eval_run
+
+        def spy(self, c0, c1s, w0, w1, shape):
+            block = eval_run(self, c0, c1s, w0, w1, shape)
+            writes.append(np.shape(block))
+            return block
+        monkeypatch.setattr(wigner._GroupEvaluator, "eval_run", spy)
+        w = wigner_nc(op, dom, generic_label)
+        assert lengths == [32] * 32 and writes == [(32, 8, 8)] * 32
+        # the points of the same grid are groups of 64 nodes: runs of one
+        lengths.clear()
+        assert wigner_nc(op, dom.points(), generic_label).tobytes() == w.values.tobytes()
+        assert lengths == [1] * 1024
+
+    @pytest.mark.parametrize("case", ["table", "no_table", "off_lattice_c0"])
+    def test_conjugated_rows_serve_lattice_c1_alone(self, generic_label, op, monkeypatch,
+                                                    case):
+        # along each row: a lattice c1 (window), an off-lattice c1 (Fourier
+        # shift: from the c1 table, or from the rows when it is skipped),
+        # and a lattice c1 again, which must read the conjugated rows while
+        # the shifters kept reading the rows themselves
+        s = op.ket.grid.axis0.step
+        q = aligned_frequency_grid(op.ket.grid.axis0, -1.0, 8)
+        p1 = Grid1D(3, -s, 1.5 * s) if case == "off_lattice_c0" else Grid1D(3, -s, s)
+        p2 = Grid1D(3, -2 * s, 1.5 * s)
+        dom = nc_domain(q1nc=q, q2nc=q, p1nc=p1, p2nc=p2)
+        built = spy_tables(monkeypatch)
+        lengths = run_lengths(monkeypatch)
+        if case == "no_table":
+            monkeypatch.setattr(core, "_MAX_BYTES", 16 * 8 ** 2 * 3 ** 2 + 1)
+        w = wigner_nc(op, dom, generic_label).values
+        assert lengths == [3] * 3
+        assert bool(built[0].c1_shifts) == (case == "table")
+        for i, c0 in enumerate(p1.coords()):
+            for j, c1 in enumerate(p2.coords()):
+                alone = wigner_nc(op, nc_domain(q1nc=q, q2nc=q, p1nc=c0, p2nc=c1),
+                                  generic_label).values
+                assert alone.tobytes() == w[:, :, i, j].tobytes()

@@ -14,8 +14,20 @@ The output holds every run's final JSON line, nproc, the ``# env`` line of
 the first run and, per workload and end-to-end metric of BENCHMARK.json, the
 first quartile, median and third quartile of each side (linear
 interpolation), the pairs the change won (ties count for neither), the
-change's median over the parent's less one, and the parent's IQR over its
-median.
+change's median over the parent's less one, the parent's IQR over its
+median and a verdict against the metric's bound:
+
+    gain            the change wins at least 9 in 10 pairs, and its median
+                    is better than the parent's by more than the parent's IQR
+    worse           the change's median is worse than the parent's by more
+                    than the bound
+    unresolved      the parent's IQR over its median exceeds the bound, and
+                    the change does not win every pair
+    within bound    anything else
+
+A run that exits non-zero is kept with its exit code and the tail of its
+stderr, and its pair is left out of the metrics; the file is still written,
+and the script then exits 1.
 """
 
 from __future__ import annotations
@@ -34,13 +46,17 @@ ROOT = os.getcwd()
 
 
 def _run(tree: str, workload: str, seed: int, seconds: float):
-    """(final JSON result, env line) of one perfbench run in tree."""
+    """(record, env line) of one perfbench run in tree: the record holds the
+    exit code and, for a run that exits 0, its final JSON result, else the
+    tail of its stderr."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", repr(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True)
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     env = next((ln[len("# env "):] for ln in lines if ln.startswith("# env ")), "")
-    return json.loads(lines[-1]), env
+    if proc.returncode:
+        return {"exit_code": proc.returncode, "stderr_tail": proc.stderr[-2000:]}, env
+    return {"exit_code": 0, "result": json.loads(lines[-1])}, env
 
 
 def _quartiles(xs):
@@ -48,31 +64,49 @@ def _quartiles(xs):
     return {"q1": float(q1), "median": float(med), "q3": float(q3)}
 
 
+def _verdict(entry, bound, pairs):
+    """The verdict (module docstring) on one metric's summary entry."""
+    sign = 1.0 if entry["better"] == "lower" else -1.0
+    par, chg, wins = entry["parent"], entry["change"], entry["change_wins"]
+    if wins >= 0.9 * pairs and sign * (par["median"] - chg["median"]) > par["q3"] - par["q1"]:
+        return "gain"
+    if sign * entry["median_change_rel"] > bound:
+        return "worse"
+    if entry["parent_iqr_rel"] > bound and wins < pairs:
+        return "unresolved"
+    return "within bound"
+
+
 def _summary(runs, metrics):
-    """Per-metric quartiles, wins and spread over one workload's pairs."""
-    pairs = sorted({r["pair"] for r in runs})
-    side = {(r["pair"], r["side"]): r["result"] for r in runs}
+    """Per-metric quartiles, wins, spread and verdict over one workload's
+    pairs; a pair with a failed run counts in ``failed_runs`` alone."""
+    failed = [r for r in runs if r["exit_code"]]
+    pairs = sorted({r["pair"] for r in runs} - {r["pair"] for r in failed})
+    side = {(r["pair"], r["side"]): r["result"] for r in runs if not r["exit_code"]}
     out = {
         "pairs": len(pairs),
+        "failed_runs": len(failed),
         "seeds": sorted({r["seed"] for r in runs}),
         **{f"{k}_{s}": sum(side[p, s][k] for p in pairs)
            for k in ("failed", "attempted") for s in ("parent", "change")},
         "metrics": {},
     }
     for name, m in metrics.items():
-        if any(name not in side[p, s]["metrics"] for p in pairs for s in ("parent", "change")):
+        if not pairs or any(name not in side[p, s]["metrics"]
+                            for p in pairs for s in ("parent", "change")):
             continue
         vals = {s: [side[p, s]["metrics"][name]["value"] for p in pairs]
                 for s in ("parent", "change")}
         sign = 1.0 if m["better"] == "lower" else -1.0
         diffs = [sign * (a - b) for a, b in zip(vals["parent"], vals["change"])]
         par, chg = _quartiles(vals["parent"]), _quartiles(vals["change"])
-        out["metrics"][name] = {
+        entry = out["metrics"][name] = {
             "unit": m["unit"], "better": m["better"], "parent": par, "change": chg,
             "change_wins": sum(d > 0 for d in diffs), "ties": sum(d == 0 for d in diffs),
             "median_change_rel": chg["median"] / par["median"] - 1.0,
             "parent_iqr_rel": (par["q3"] - par["q1"]) / par["median"],
         }
+        entry["verdict"] = _verdict(entry, m["bound"], len(pairs))
     return out
 
 
@@ -105,12 +139,13 @@ def main(argv=None) -> int:
                 seed = args.first_seed + pair
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
                 for s in order:
-                    result, line = _run(trees[s], workload, seed, args.seconds)
+                    record, line = _run(trees[s], workload, seed, args.seconds)
                     env = env or line
                     runs.append({"workload": workload, "seed": seed, "pair": pair, "side": s,
-                                 "result": result})
-                    print(f"{workload} seed {seed} {s}: " + " ".join(
-                        f"{k}={v['value']:.4g}" for k, v in result["metrics"].items()),
+                                 **record})
+                    print(f"{workload} seed {seed} {s}: " + (" ".join(
+                        f"{k}={v['value']:.4g}" for k, v in record["result"]["metrics"].items())
+                        if not record["exit_code"] else f"exit {record['exit_code']}"),
                         file=sys.stderr, flush=True)
     workloads = list(dict.fromkeys(r["workload"] for r in runs))
     doc = {
@@ -121,8 +156,9 @@ def main(argv=None) -> int:
         "note": "parent and change ran as alternating pairs on the same machine, one run at "
                 "a time, with the parent first in even pairs; \"runs\" holds every run's final "
                 "JSON line; per metric: quartiles and median per side over the pairs, the "
-                "pairs the change won (ties count for neither) and the parent's own IQR "
-                "relative to its median",
+                "pairs the change won (ties count for neither), the parent's own IQR "
+                "relative to its median and a verdict against the metric's bound; a pair "
+                "with a failed run is left out of the metrics",
         "parent": {"commit": commit},
         "change": {"commit": "the commit that adds this file"},
         "summary": {w: _summary([r for r in runs if r["workload"] == w], metrics)
@@ -132,7 +168,7 @@ def main(argv=None) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
-    return 0
+    return 1 if any(r["exit_code"] for r in runs) else 0
 
 
 if __name__ == "__main__":
