@@ -39,9 +39,10 @@ bits, and an nc or phase-space grid is one group per centre.  The loop takes
 them in row runs: consecutive one-node groups at one c0, on the same
 frequency-array objects and next to each other along the output's last
 centre axis, up to a whole row.  A longer run fills a result block of
-``_RUN_BYTES`` per evaluator, one centre at a time through one reused
-integrand buffer, and writes it into the output at once; any other group is
-a run of one, evaluated alone with a fresh integrand.
+``_RUN_BYTES`` per evaluator, one centre at a time, and writes it into the
+output at once; any other group is a run of one, written alone.  Every
+centre fills the evaluator's one integrand buffer, and every lattice c1
+after a c0's first reads the conjugate of its c0's bra rows, taken once.
 
 Each transform below is one call of the runner ``_transform`` with its
 entry of this coordinate dictionary (k1, k2, k3 label the sector; a, b, g
@@ -242,12 +243,14 @@ class _GroupEvaluator:
         # samples, so its peak is the ket's own.
         self.tail_cut = 1e-13 * (_peak(bra) * _peak(ket))
         # centre groups arrive sorted with c0 slowest: keep the last c0's
-        # field rows and their axis-1 shifters (_integrand), and the
-        # conjugate of its bra rows once a row run's lattice c1 asks for it
+        # field rows and their axis-1 shifters, and the conjugate of its bra
+        # rows once a second lattice c1 asks for it (_integrand; False after
+        # the first)
         self._rows = None
         self._conj_rows = None
-        # row runs longer than one (eval_run): one integrand buffer and one
-        # result block of _RUN_BYTES, built at the first such run
+        # one integrand buffer (_integrand) and one result block of
+        # _RUN_BYTES for row runs longer than one (eval_run), each built at
+        # its first use, so a shallow copy made before any group builds its own
         self._h = self._block = None
         # off-lattice c1 -> (conj(bra), ket_refl) Fourier-shifted along axis
         # 1 by (+c1, -c1) over every row; filled once per call, before any
@@ -288,7 +291,7 @@ class _GroupEvaluator:
         for c in off:
             self.c1_shifts[c] = (np.conj(bra(c)), ket(-c))
 
-    def _integrand(self, c0, c1, h=None):
+    def _integrand(self, c0, c1):
         """(h, core): the integrand conj(B)(t + c) A(-t + c) on the state
         grid and the view of h that can be nonzero, or (None, None) where h
         vanishes.  Each axis chooses alone: an offset of r whole state steps
@@ -298,11 +301,14 @@ class _GroupEvaluator:
         without building them.  An off-lattice c1 in c1_shifts reads its
         window rows there; each row's axis-1 shift is the same bits.
 
-        Without ``h`` each centre fills a fresh array and a lattice c1
-        conjugates its window of the bra rows.  A row run passes its reused
-        buffer as ``h``, zeroed here, and a lattice c1 then reads the
-        columns of the c0's conjugated bra rows, built once per c0 (a copy:
-        the axis-1 shifters keep reading the rows themselves)."""
+        Every centre fills the evaluator's one integrand buffer, zeroed
+        here for every centre after the first, so h holds until the next
+        centre.  A c0's first lattice c1
+        conjugates its window of the bra rows; every later one reads its
+        window columns from the c0's conjugated bra rows, built at the
+        second (a copy: the axis-1 shifters keep reading the rows
+        themselves).  A call of one centre per c0 thus conjugates no more
+        than its window."""
         n0, n1 = self.g0.n, self.g1.n
         if self._rows is None or self._rows[0] != c0:
             # axis 0, once per c0: the rows of h that can be nonzero and the
@@ -326,11 +332,11 @@ class _GroupEvaluator:
         r1 = _lattice_steps(c1, self.g1.step)
         if rows is None or (r1 is not None and 2 * abs(r1) >= n1):
             return None, None
-        in_run = h is not None
-        if in_run:
-            h.fill(0)
+        h = self._h
+        if h is None:
+            h = self._h = np.zeros((n0, n1), dtype=np.complex128)
         else:
-            h = np.zeros((n0, n1), dtype=np.complex128)
+            h.fill(0)
         if r1 is None:
             core = h[rows]
             shifted = self.c1_shifts.get(c1)
@@ -341,12 +347,14 @@ class _GroupEvaluator:
         else:
             cols, bra_cols, ket_cols = _overlap(r1, n1)
             core = h[rows, cols]
-            if not in_run:
+            conj_rows = self._conj_rows
+            if conj_rows is None:  # the c0's first lattice c1: its window alone
+                self._conj_rows = False
                 conj_bra = np.conj(bra[:, bra_cols])
             else:
-                if self._conj_rows is None:
-                    self._conj_rows = np.conj(bra)
-                conj_bra = self._conj_rows[:, bra_cols]
+                if conj_rows is False:
+                    conj_rows = self._conj_rows = np.conj(bra)
+                conj_bra = conj_rows[:, bra_cols]
             np.multiply(conj_bra, ket[:, ket_cols], out=core)
         return h, core
 
@@ -413,17 +421,16 @@ class _GroupEvaluator:
             return scale * (transform(h) * phase)
         return contract
 
-    def eval_group(self, c0, c1, w0, w1, h=None):
+    def eval_group(self, c0, c1, w0, w1):
         """I(w; c) for all (w0, w1) pairs at one centre (c0, c1), or 0.0
-        when the integrand lies below the tail cut; ``h`` is a row run's
-        integrand buffer (_integrand).
+        when the integrand lies below the tail cut.
 
         The frequency step is built only for centres above the cut, so its
         guards fire only where the integrand carries mass.  It is reused
         from the last group that built one when both frequency arrays are
         that group's, or equal to them.
         """
-        h, core = self._integrand(float(c0), float(c1), h)
+        h, core = self._integrand(float(c0), float(c1))
         if h is None or np.max(np.abs(core)) <= self.tail_cut:
             return 0.0
         last = self._group_step
@@ -436,16 +443,15 @@ class _GroupEvaluator:
         """I(w; c) at the centres (c0, c1), c1 in c1s, of a row run: groups
         on the frequency arrays w0 and w1, whose values fill ``shape`` each.
         A run of one is eval_group's value.  A longer run fills the first
-        len(c1s) rows of the result block, one per centre in order, through
-        the one integrand buffer, and returns them."""
+        len(c1s) rows of the result block, one per centre in order, and
+        returns them."""
         if len(c1s) == 1:
             return self.eval_group(c0, c1s[0], w0, w1)
         if self._block is None:
-            self._h = np.empty((self.g0.n, self.g1.n), dtype=np.complex128)
             self._block = np.empty(_RUN_BYTES // 16, dtype=np.complex128)
         block = self._block[:len(c1s) * math.prod(shape)].reshape(len(c1s), *shape)
         for row, c1 in zip(block, c1s):
-            row[...] = self.eval_group(c0, c1, w0, w1, self._h)
+            row[...] = self.eval_group(c0, c1, w0, w1)
         return block
 
 

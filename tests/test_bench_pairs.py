@@ -51,6 +51,13 @@ def test_gain_needs_nine_wins_in_ten_and_the_parent_iqr():
     assert verdicts(PARENT, [v - 0.001 for v in PARENT])["run_s"] == "within bound"
 
 
+def test_gain_needs_ten_pairs():
+    change = [v * 0.8 for v in PARENT]
+    assert verdicts(PARENT[:9], change[:9]) == {"run_s": "within bound",
+                                                "outputs_per_s": "within bound"}
+    assert verdicts(PARENT[:5], change[:5])["run_s"] == "within bound"
+
+
 def test_worse_beyond_the_bound_in_either_direction():
     change = [v * 1.4 for v in PARENT]
     assert verdicts(PARENT, change) == {"run_s": "worse", "outputs_per_s": "worse"}
@@ -60,17 +67,22 @@ def test_worse_beyond_the_bound_in_either_direction():
 def test_unresolved_when_the_parent_spreads_past_the_bound():
     wide = [0.6, 1.4, 0.7, 1.3, 1.0, 0.65, 1.35, 1.0, 0.9, 1.1]
     assert verdicts(wide, [v * 1.01 for v in wide])["run_s"] == "unresolved"
-    # the change winning every pair resolves it
-    assert verdicts(wide, [v * 0.99 for v in wide])["run_s"] == "within bound"
+    # winning every pair leaves it open while runs of the two sides overlap
+    assert verdicts(wide, [v * 0.99 for v in wide]) == {"run_s": "unresolved",
+                                                        "outputs_per_s": "unresolved"}
+    # every change run better than every parent run resolves it; by less
+    # than the parent's IQR (0.5) in the medians, that is no gain
+    assert verdicts(wide, [0.59] * 10)["run_s"] == "within bound"
 
 
 def test_failed_runs_are_counted_and_their_pairs_left_out():
-    change = [v * 0.8 for v in PARENT]
-    s = bench_pairs._summary(runs(PARENT, change, failed={(2, "change"), (5, "parent")}),
+    parent = PARENT + [1.0, 1.02]
+    change = [v * 0.8 for v in parent]
+    s = bench_pairs._summary(runs(parent, change, failed={(2, "change"), (5, "parent")}),
                              METRICS)
-    assert s["failed_runs"] == 2 and s["pairs"] == 8
-    assert s["attempted_parent"] == s["attempted_change"] == 80
-    assert s["metrics"]["run_s"]["change_wins"] == 8
+    assert s["failed_runs"] == 2 and s["pairs"] == 10
+    assert s["attempted_parent"] == s["attempted_change"] == 100
+    assert s["metrics"]["run_s"]["change_wins"] == 10
     assert s["metrics"]["run_s"]["verdict"] == "gain"
 
 

@@ -1611,7 +1611,10 @@ class TestRowRuns:
         built = spy_tables(monkeypatch)
         lengths = run_lengths(monkeypatch)
         if case == "no_table":
-            monkeypatch.setattr(core, "_MAX_BYTES", 16 * 8 ** 2 * 3 ** 2 + 1)
+            # room for the ket's reflection (16 * 32**2 bytes, built here
+            # when no earlier call on op did) and the 8**2 * 3**2 result,
+            # not for the result with one 32 * 32**2-byte c1 table entry
+            monkeypatch.setattr(core, "_MAX_BYTES", 32 * 32 ** 2)
         w = wigner_nc(op, dom, generic_label).values
         assert lengths == [3] * 3
         assert bool(built[0].c1_shifts) == (case == "table")

@@ -17,12 +17,13 @@ interpolation), the pairs the change won (ties count for neither), the
 change's median over the parent's less one, the parent's IQR over its
 median and a verdict against the metric's bound:
 
-    gain            the change wins at least 9 in 10 pairs, and its median
-                    is better than the parent's by more than the parent's IQR
+    gain            at least 10 pairs, the change wins at least 9 in 10 of
+                    them, and its median is better than the parent's by more
+                    than the parent's IQR
     worse           the change's median is worse than the parent's by more
                     than the bound
     unresolved      the parent's IQR over its median exceeds the bound, and
-                    the change does not win every pair
+                    some change run reads no better than some parent run
     within bound    anything else
 
 A run that exits non-zero is kept with its exit code and the tail of its
@@ -64,15 +65,19 @@ def _quartiles(xs):
     return {"q1": float(q1), "median": float(med), "q3": float(q3)}
 
 
-def _verdict(entry, bound, pairs):
-    """The verdict (module docstring) on one metric's summary entry."""
+def _verdict(entry, bound, vals):
+    """The verdict (module docstring) on one metric's summary entry, whose
+    pairs' values per side are ``vals``."""
     sign = 1.0 if entry["better"] == "lower" else -1.0
     par, chg, wins = entry["parent"], entry["change"], entry["change_wins"]
-    if wins >= 0.9 * pairs and sign * (par["median"] - chg["median"]) > par["q3"] - par["q1"]:
+    pairs = len(vals["parent"])
+    if (pairs >= 10 and wins >= 0.9 * pairs
+            and sign * (par["median"] - chg["median"]) > par["q3"] - par["q1"]):
         return "gain"
     if sign * entry["median_change_rel"] > bound:
         return "worse"
-    if entry["parent_iqr_rel"] > bound and wins < pairs:
+    worst_change = max(sign * v for v in vals["change"])
+    if entry["parent_iqr_rel"] > bound and worst_change >= min(sign * v for v in vals["parent"]):
         return "unresolved"
     return "within bound"
 
@@ -106,7 +111,7 @@ def _summary(runs, metrics):
             "median_change_rel": chg["median"] / par["median"] - 1.0,
             "parent_iqr_rel": (par["q3"] - par["q1"]) / par["median"],
         }
-        entry["verdict"] = _verdict(entry, m["bound"], len(pairs))
+        entry["verdict"] = _verdict(entry, m["bound"], vals)
     return out
 
 
