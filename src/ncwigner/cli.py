@@ -96,13 +96,18 @@ def write_field_file(path: str, grids: tuple[Grid1D, Grid1D], values: np.ndarray
                      meta: dict[str, str], fmt: str = "csv"):
     """Write a 2D complex field: '#'-prefixed metadata, then row-major
     samples with axis0 varying fastest (csv, json) or axis1 varying fastest
-    in blank-line separated axis0 blocks (gnuplot).  Non-finite values, or
-    values whose shape is not the grids', raise ValueError before the file
-    is opened."""
+    in blank-line separated axis0 blocks (gnuplot).  Non-finite values,
+    values whose shape is not the grids', and metadata that would not read
+    back (a key holding ':' or a line break, a value holding a line break)
+    raise ValueError before the file is opened."""
     g0, g1 = grids
     v = np.asarray(values, dtype=np.complex128)
     if fmt not in ("csv", "gnuplot", "json"):
         raise ValueError(f"unknown format {fmt!r}")
+    for key, val in meta.items():
+        if any(c in f"{key}" for c in ":\r\n") or any(c in f"{val}" for c in "\r\n"):
+            raise ValueError(f"field file {path}: metadata {key!r}: {val!r} would not read "
+                             "back; a key may hold no ':' or line break, a value no line break")
     if v.shape != (g0.n, g1.n):
         raise ValueError(f"field file {path}: values shape {v.shape} != grid shape "
                          f"{(g0.n, g1.n)}")

@@ -9,9 +9,13 @@ R^4 three times.  An irreducible sector is labelled by a real triple
 of the Lie algebra carries coordinates (k1*, k2*, k3*, k4*).
 
 Everything in this module is an immutable value object or a pure function;
-concurrent use needs no synchronisation.  The one mutable part, a field's
-memo of values derived from it (:meth:`ComplexField2D._derived`), keeps the
-first value stored for each key, so it needs none either.
+concurrent use needs no synchronisation.  Each value type validates and
+freezes in its own constructor, so a factory such as make_orbit_label or
+Domain4D.build adds no rule of its own; the sampled fields hold read-only
+copies of their values and compare and hash by identity.  The one mutable
+part, a field's memo of values derived from it
+(:meth:`ComplexField2D._derived`), keeps the first value stored for each
+key, so it needs no synchronisation either.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -136,15 +140,46 @@ class DimensionalConstants:
 class OrbitLabel:
     """Validated triple (k1, k2, k3) selecting an irreducible sector.
 
-    Construct through :func:`make_orbit_label`; the constructor itself does
-    not re-derive the sector.
+    The constructor validates the label and derives its sector.  Zero tests
+    on k2 and k3 are exact comparisons with 0.0 by design: sector semantics
+    must be unambiguous, and near-zero limits are expressed by generic
+    labels with explicitly small parameters.
+
+    Raises InvalidLabel for k1 = 0, for the degenerate surface
+    k1^2 alpha^2 - k2 k3 beta gamma = 0, for the uncovered pattern
+    k2 = 0 with k3 != 0, and where the label's formulas leave the float
+    range: k1^2, alpha^2 or (k1 alpha)^2 not a normal float, or the
+    discriminant not finite.
     """
 
     k1: float
     k2: float
     k3: float
     consts: DimensionalConstants
-    sector: Sector
+    sector: Sector = field(init=False)
+
+    def __post_init__(self):
+        raw = self.k1, self.k2, self.k3
+        for name, v in zip(("k1", "k2", "k3"), raw):
+            if not math.isfinite(v):
+                raise InvalidLabel(f"{name} must be finite, got {v!r}")
+            object.__setattr__(self, name, float(v))
+        k1, k2, k3, alpha = self.k1, self.k2, self.k3, self.consts.alpha
+        if k1 == 0.0:
+            raise InvalidLabel("k1 must be nonzero in every sector")
+        if k2 == 0.0 and k3 != 0.0:
+            raise InvalidLabel("labels with k2 = 0 but k3 != 0 are not covered")
+        if not all(map(_square_is_normal, (k1, alpha, k1 * alpha))):
+            raise InvalidLabel(f"k1 = {raw[0]!r} with alpha = {alpha!r} leaves the float "
+                               "range: k1^2, alpha^2 and (k1 alpha)^2 must be normal floats")
+        # k2 k3 beta gamma is a product: it may overflow, to +-inf, but not raise
+        disc = self.discriminant
+        if not math.isfinite(disc):
+            raise InvalidLabel("k1^2 alpha^2 - k2 k3 beta gamma overflows")
+        if k3 != 0.0 and disc == 0.0:  # k3 != 0 implies k2 != 0 here
+            raise InvalidLabel("degenerate orbit: k1^2 alpha^2 - k2 k3 beta gamma = 0")
+        object.__setattr__(self, "sector", Sector.GENERIC if k3 != 0.0 else
+                           Sector.TAU_ZERO if k2 != 0.0 else Sector.SIGMA_TAU_ZERO)
 
     @property
     def discriminant(self) -> float:
@@ -164,44 +199,8 @@ def _square_is_normal(x: float) -> bool:
 
 def make_orbit_label(k1: float, k2: float, k3: float,
                      consts: DimensionalConstants | None = None) -> OrbitLabel:
-    """Classify and validate an orbit label.
-
-    Zero tests on k2 and k3 are exact comparisons with 0.0 by design: sector
-    semantics must be unambiguous, and near-zero limits are expressed by
-    generic labels with explicitly small parameters.
-
-    Raises InvalidLabel for k1 = 0, for the degenerate surface
-    k1^2 alpha^2 - k2 k3 beta gamma = 0, for the uncovered pattern
-    k2 = 0 with k3 != 0, and where the label's formulas leave the float
-    range: k1^2, alpha^2 or (k1 alpha)^2 not a normal float, or the
-    discriminant not finite.
-    """
-    consts = consts if consts is not None else DimensionalConstants()
-    for name, v in (("k1", k1), ("k2", k2), ("k3", k3)):
-        if not math.isfinite(v):
-            raise InvalidLabel(f"{name} must be finite, got {v!r}")
-    if k1 == 0.0:
-        raise InvalidLabel("k1 must be nonzero in every sector")
-    if k2 == 0.0 and k3 != 0.0:
-        raise InvalidLabel("labels with k2 = 0 but k3 != 0 are not covered")
-    if not all(map(_square_is_normal, (k1, consts.alpha, k1 * consts.alpha))):
-        raise InvalidLabel(f"k1 = {k1!r} with alpha = {consts.alpha!r} leaves the float "
-                           "range: k1^2, alpha^2 and (k1 alpha)^2 must be normal floats")
-    # k2 k3 beta gamma is a product: it may overflow, to +-inf, but not raise
-    disc = k1 ** 2 * consts.alpha ** 2 - k2 * k3 * consts.beta * consts.gamma
-    if not math.isfinite(disc):
-        raise InvalidLabel("k1^2 alpha^2 - k2 k3 beta gamma overflows")
-    if k2 != 0.0 and k3 != 0.0:
-        if disc == 0.0:
-            raise InvalidLabel(
-                "degenerate orbit: k1^2 alpha^2 - k2 k3 beta gamma = 0"
-            )
-        sector = Sector.GENERIC
-    elif k2 != 0.0:
-        sector = Sector.TAU_ZERO
-    else:
-        sector = Sector.SIGMA_TAU_ZERO
-    return OrbitLabel(float(k1), float(k2), float(k3), consts, sector)
+    """The :class:`OrbitLabel` (k1, k2, k3) on consts (unit constants by default)."""
+    return OrbitLabel(k1, k2, k3, consts if consts is not None else DimensionalConstants())
 
 
 @dataclass(frozen=True)
@@ -410,7 +409,17 @@ class Grid2D:
 _FIELD_REPS = ("position", "momentum", "landau")
 
 
-@dataclass(frozen=True)
+def _set_frozen_values(holder, values, dtype, shape: tuple, what: str, copy: bool = True):
+    """holder.values = values as a read-only dtype array: a copy, or with copy=False
+    values itself if it has that dtype.  A shape other than ``shape`` raises ValueError."""
+    v = np.array(values, dtype=dtype) if copy else np.asarray(values, dtype=dtype)
+    if v.shape != shape:
+        raise ValueError(f"values shape {v.shape} != {what} shape {shape}")
+    v.flags.writeable = False
+    object.__setattr__(holder, "values", v)
+
+
+@dataclass(frozen=True, eq=False)
 class ComplexField2D:
     """Complex samples of a function on a 2D grid.
 
@@ -423,8 +432,8 @@ class ComplexField2D:
     Values are copied and made read-only on construction, so anything
     derived from them stays valid while the field lives: :meth:`_derived`
     keeps such results (the engine's reflected ket and peak |f|) in the
-    instance ``__dict__``, outside the dataclass fields, so equality and
-    repr ignore it.
+    instance ``__dict__``, outside the dataclass fields, so repr ignores
+    it.  Fields compare and hash by identity.
     """
 
     grid: Grid2D
@@ -432,16 +441,11 @@ class ComplexField2D:
     rep: str = "position"
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.complex128)
-        if v.shape != self.grid.shape:
-            raise ValueError(f"values shape {v.shape} != grid shape {self.grid.shape}")
-        if not np.all(np.isfinite(v)):
+        _set_frozen_values(self, self.values, np.complex128, self.grid.shape, "grid")
+        if not np.all(np.isfinite(self.values)):
             raise ValueError("field values must be finite")
         if self.rep not in _FIELD_REPS:
             raise ValueError(f"unknown representation tag {self.rep!r}")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
 
     def _derived(self, key: str, build):
         """The value build() returns for key, built at the first call on this
@@ -467,9 +471,6 @@ class ComplexField2D:
 
     def with_values(self, values: np.ndarray, rep: str | None = None) -> "ComplexField2D":
         return ComplexField2D(self.grid, values, rep if rep is not None else self.rep)
-
-    def with_rep(self, rep: str) -> "ComplexField2D":
-        return ComplexField2D(self.grid, self.values, rep)
 
     def norm(self) -> float:
         """Discrete L2 norm sqrt(h0 h1 sum |f|^2)."""
@@ -503,8 +504,10 @@ class Domain4D:
     """A 2D slice or full 4D grid over four named coordinates.
 
     ``varying`` lists the sampled coordinates (two for a slice, four for a
-    full grid) in the canonical order of ``names``; the rest are pinned in
-    ``fixed``.
+    full grid) in the canonical order of ``names``, each with its Grid1D in
+    ``grids``; the rest are pinned in ``fixed``, in the same order.  The
+    constructor refuses any other partition of the four names with
+    ValueError, and stores the fixed values as floats.
     """
 
     names: tuple[str, str, str, str]
@@ -512,28 +515,33 @@ class Domain4D:
     grids: tuple[Grid1D, ...]
     fixed: tuple[tuple[str, float], ...]
 
+    def __post_init__(self):
+        fixed = [name for name, _ in self.fixed]
+        unknown = set(self.varying).union(fixed) - set(self.names)
+        if unknown:
+            raise ValueError(f"unknown coordinates {sorted(unknown)}; expected {self.names}")
+        missing = set(self.names).difference(self.varying, fixed)
+        if missing:
+            raise ValueError(f"missing coordinates {sorted(missing)}")
+        if len(self.varying) not in (2, 4):
+            raise ValueError("a domain must vary exactly two or four coordinates")
+        if (len(self.varying) + len(fixed) != 4 or len(self.grids) != len(self.varying)
+                or not all(isinstance(g, Grid1D) for g in self.grids)
+                or any(list(p) != sorted(p, key=self.names.index) for p in (self.varying, fixed))):
+            raise ValueError(f"a domain needs each of {self.names} once, varying and fixed "
+                             "ones each in that order, and one Grid1D per varying one")
+        for name, v in self.fixed:
+            if not math.isfinite(float(v)):
+                raise ValueError(f"coordinate {name} must be finite, got {v}")
+        object.__setattr__(self, "fixed", tuple((name, float(v)) for name, v in self.fixed))
+
     @classmethod
     def build(cls, names: tuple[str, str, str, str], **coords) -> "Domain4D":
         """Each keyword is a coordinate name mapped to a Grid1D or a number."""
-        unknown = set(coords) - set(names)
-        if unknown:
-            raise ValueError(f"unknown coordinates {sorted(unknown)}; expected {names}")
-        missing = set(names) - set(coords)
-        if missing:
-            raise ValueError(f"missing coordinates {sorted(missing)}")
-        varying, grids, fixed = [], [], []
-        for name in names:
-            v = coords[name]
-            if isinstance(v, Grid1D):
-                varying.append(name)
-                grids.append(v)
-            elif math.isfinite(float(v)):
-                fixed.append((name, float(v)))
-            else:
-                raise ValueError(f"coordinate {name} must be finite, got {v}")
-        if len(varying) not in (2, 4):
-            raise ValueError("a domain must vary exactly two or four coordinates")
-        return cls(names, tuple(varying), tuple(grids), tuple(fixed))
+        keys = sorted(coords, key=lambda k: names.index(k) if k in names else len(names))
+        varying = tuple(k for k in keys if isinstance(coords[k], Grid1D))
+        return cls(names, varying, tuple(coords[k] for k in varying),
+                   tuple((k, coords[k]) for k in keys if k not in varying))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -572,12 +580,13 @@ def phase_space_domain(**coords) -> Domain4D:
     return Domain4D.build(PHASE_COORDS, **coords)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WignerField:
     """Sampled Wigner-type transform over a :class:`Domain4D`.
 
-    For a diagonal rank-one operator the values are real up to quadrature
-    noise; that is tested, not enforced here.
+    Values are copied and made read-only on construction; fields compare
+    and hash by identity.  For a diagonal rank-one operator the values are
+    real up to quadrature noise; that is tested, not enforced here.
     """
 
     domain: Domain4D
@@ -585,7 +594,7 @@ class WignerField:
     label: OrbitLabel | None = None
 
     def __post_init__(self):
-        self._freeze(np.asarray(self.values, dtype=np.complex128).copy())
+        _set_frozen_values(self, self.values, np.complex128, self.domain.shape, "domain")
 
     @classmethod
     def _adopt(cls, domain: Domain4D, values: np.ndarray,
@@ -593,14 +602,8 @@ class WignerField:
         """Field over domain that takes values without the constructor's
         copy; for transforms handing over a fresh complex array that
         nothing else holds."""
-        field = object.__new__(cls)
-        object.__setattr__(field, "domain", domain)
-        object.__setattr__(field, "label", label)
-        field._freeze(np.asarray(values, dtype=np.complex128))
-        return field
-
-    def _freeze(self, v: np.ndarray):
-        if v.shape != self.domain.shape:
-            raise ValueError(f"values shape {v.shape} != domain shape {self.domain.shape}")
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        w = object.__new__(cls)
+        object.__setattr__(w, "domain", domain)
+        object.__setattr__(w, "label", label)
+        _set_frozen_values(w, values, np.complex128, domain.shape, "domain", copy=False)
+        return w

@@ -48,6 +48,7 @@ from .core import (
     OrbitLabel,
     WignerField,
     _require_bytes,
+    _set_frozen_values,
 )
 from .numerics import _axis_reflect, _axis_shifter, _axis_weights
 
@@ -74,9 +75,12 @@ _STAR4D_PEAK_ARRAYS = 5
 # Marginals
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarginalField:
-    """Real marginal over the two remaining noncommutative coordinates."""
+    """Real marginal over the two remaining noncommutative coordinates.
+
+    Values are copied and made read-only on construction; marginals
+    compare and hash by identity."""
 
     grid: Grid2D
     values: np.ndarray
@@ -84,10 +88,7 @@ class MarginalField:
     residual_imag: float     # largest imaginary part dropped by the reduction
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != self.grid.shape:
-            raise ValueError("marginal values do not match the grid")
-        object.__setattr__(self, "values", v)
+        _set_frozen_values(self, self.values, float, self.grid.shape, "grid")
 
 
 def _marginal(w: WignerField, label: OrbitLabel, leading: bool) -> MarginalField:

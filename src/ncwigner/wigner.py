@@ -41,8 +41,10 @@ frequency-array objects and next to each other along the output's last
 centre axis, up to a whole row.  A longer run fills a result block of
 ``_RUN_BYTES`` per evaluator, one centre at a time, and writes it into the
 output at once; any other group is a run of one, written alone.  Every
-centre fills the evaluator's one integrand buffer, and every lattice c1
-after a c0's first reads the conjugate of its c0's bra rows, taken once.
+centre fills the evaluator's one integrand buffer: a c0's first lattice c1
+and an off-lattice c1 outside the table conjugate their bra rows straight
+into it, and every later lattice c1 reads the conjugate of its c0's bra
+rows, taken once.
 
 Each transform below is one call of the runner ``_transform`` with its
 entry of this coordinate dictionary (k1, k2, k3 label the sector; a, b, g
@@ -303,12 +305,13 @@ class _GroupEvaluator:
 
         Every centre fills the evaluator's one integrand buffer, zeroed
         here for every centre after the first, so h holds until the next
-        centre.  A c0's first lattice c1
-        conjugates its window of the bra rows; every later one reads its
-        window columns from the c0's conjugated bra rows, built at the
-        second (a copy: the axis-1 shifters keep reading the rows
-        themselves).  A call of one centre per c0 thus conjugates no more
-        than its window."""
+        centre.  A c0's first lattice c1 conjugates its window of the bra
+        rows straight into h, and an off-lattice c1 outside c1_shifts its
+        shifted bra rows, each then multiplied in place by the ket: no
+        conjugate temporary.  Every later lattice c1 reads its window
+        columns from the c0's conjugated bra rows, built at the second (a
+        copy: the axis-1 shifters keep reading the rows themselves).  A
+        call of one centre per c0 thus conjugates no more than its window."""
         n0, n1 = self.g0.n, self.g1.n
         if self._rows is None or self._rows[0] != c0:
             # axis 0, once per c0: the rows of h that can be nonzero and the
@@ -343,19 +346,20 @@ class _GroupEvaluator:
             if shifted is not None:
                 np.multiply(shifted[0][bra_rows], shifted[1][ket_rows], out=core)
             else:
-                np.multiply(np.conj(bra_shift(c1)), ket_shift(-c1), out=core)
+                np.conjugate(bra_shift(c1), out=core)
+                core *= ket_shift(-c1)
         else:
             cols, bra_cols, ket_cols = _overlap(r1, n1)
             core = h[rows, cols]
             conj_rows = self._conj_rows
             if conj_rows is None:  # the c0's first lattice c1: its window alone
                 self._conj_rows = False
-                conj_bra = np.conj(bra[:, bra_cols])
+                np.conjugate(bra[:, bra_cols], out=core)
+                core *= ket[:, ket_cols]
             else:
                 if conj_rows is False:
                     conj_rows = self._conj_rows = np.conj(bra)
-                conj_bra = conj_rows[:, bra_cols]
-            np.multiply(conj_bra, ket[:, ket_cols], out=core)
+                np.multiply(conj_rows[:, bra_cols], ket[:, ket_cols], out=core)
         return h, core
 
     def frequency_step(self, w0, w1):

@@ -15,10 +15,11 @@ METRICS = {"run_s": {"name": "run_s", "unit": "s", "better": "lower", "bound": 0
                              "bound": 0.25}}
 
 
-def runs(parent, change, failed=()):
+def runs(parent, change, failed=(), failed_ops=None):
     """Synthetic runs of one workload: pair k has run_s parent[k] and
     change[k] (outputs_per_s their inverses); (pair, side) in ``failed``
-    exited 3 instead."""
+    exited 3 instead, and (pair, side) -> n in ``failed_ops`` had n of its
+    10 ops fail."""
     out = []
     for pair, values in enumerate(zip(parent, change)):
         for side, v in zip(("parent", "change"), values):
@@ -27,7 +28,7 @@ def runs(parent, change, failed=()):
                 run.update(exit_code=3, stderr_tail="Traceback ...")
             else:
                 run.update(exit_code=0, result={
-                    "failed": 0, "attempted": 10,
+                    "failed": (failed_ops or {}).get((pair, side), 0), "attempted": 10,
                     "metrics": {"run_s": {"value": v}, "outputs_per_s": {"value": 1.0 / v}}})
             out.append(run)
     return out
@@ -97,3 +98,21 @@ def test_ties_win_nothing(better):
     m = {"run_s": {**METRICS["run_s"], "better": better}}
     s = bench_pairs._summary(runs(PARENT, PARENT), m)["metrics"]["run_s"]
     assert s["change_wins"] == 0 and s["ties"] == 10 and s["verdict"] == "within bound"
+
+
+def test_a_higher_failed_op_share_fails_the_comparison():
+    parent = change = PARENT[:5]
+    s = bench_pairs._summary(runs(parent, change), METRICS)
+    assert s["failed_share_parent"] == s["failed_share_change"] == 0.0
+    assert bench_pairs._exit_status(runs(parent, change), {"w": s}) == 0
+    # the runs exit 0 either way: only the share tells a failing change apart
+    more = runs(parent, change, failed_ops={(1, "parent"): 1, (3, "change"): 2})
+    s = bench_pairs._summary(more, METRICS)
+    assert (s["failed_share_parent"], s["failed_share_change"]) == (0.02, 0.04)
+    assert bench_pairs._exit_status(more, {"w": s}) == 1
+    # an equal or lower share passes, and a run that exits non-zero still fails it
+    fewer = runs(parent, change, failed_ops={(1, "parent"): 2, (3, "change"): 2})
+    assert bench_pairs._exit_status(fewer, {"w": bench_pairs._summary(fewer, METRICS)}) == 0
+    crashed = runs(parent, change, failed={(0, "parent")})
+    assert bench_pairs._exit_status(crashed,
+                                    {"w": bench_pairs._summary(crashed, METRICS)}) == 1

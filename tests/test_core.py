@@ -25,8 +25,9 @@ from ncwigner import (
     orbit_to_nc,
     plancherel_density,
 )
-from ncwigner.core import Domain4D, ORBIT_COORDS, WignerField, orbit_domain
+from ncwigner.core import NC_COORDS, Domain4D, ORBIT_COORDS, OrbitLabel, WignerField, orbit_domain
 from ncwigner.numerics import conjugate_grid
+from ncwigner.starprod import MarginalField
 
 
 class TestOrbitLabel:
@@ -255,3 +256,89 @@ class TestDomain:
         g = Grid1D.symmetric(4, 2.0)
         with pytest.raises(ValueError):
             orbit_domain(k1s=g, k2s=g, k3s=g, k4s=0.0)
+
+
+# Each public value type validates and freezes in its own constructor; every
+# case below reaches the constructor directly, past any factory.
+def mistagged_label():
+    consts = DimensionalConstants()
+    assert OrbitLabel(1.0, 0.0, 0.0, consts).sector is Sector.SIGMA_TAU_ZERO
+    with pytest.raises(TypeError):
+        OrbitLabel(1.0, 0.0, 0.0, consts, Sector.GENERIC)
+
+
+def label_with_k1_zero():
+    with pytest.raises(InvalidLabel, match="k1 must be nonzero"):
+        OrbitLabel(0.0, 1.0, 1.0, DimensionalConstants())
+
+
+def domain_missing_its_fixed_coordinates():
+    g = Grid1D.symmetric(4, 1.0)
+    with pytest.raises(ValueError, match=r"missing coordinates \['p1nc', 'p2nc'\]"):
+        Domain4D(NC_COORDS, ("q1nc", "q2nc"), (g, g), ())
+
+
+def marginal_copied_and_frozen():
+    vals = np.ones((4, 4))
+    m = MarginalField(Grid2D.square(4, 1.0), vals, "pnc", 0.0)
+    assert not np.shares_memory(m.values, vals)
+    with pytest.raises(ValueError):
+        m.values[0, 0] = 2.0
+
+
+def _pair(kind):
+    """Two distinct holders of kind with equal values."""
+    g = Grid1D.symmetric(4, 1.0)
+    if kind == "ComplexField2D":
+        f = ComplexField2D(Grid2D(g, g), np.ones((4, 4)))
+        return f, f.with_values(f.values)
+    if kind == "WignerField":
+        dom = orbit_domain(k1s=g, k2s=g, k3s=0.0, k4s=0.0)
+        return WignerField(dom, np.ones((4, 4))), WignerField(dom, np.ones((4, 4)))
+    return tuple(MarginalField(Grid2D(g, g), np.ones((4, 4)), "pnc", 0.0) for _ in range(2))
+
+
+def _identity_equality(kind):
+    def case():
+        a, b = _pair(kind)
+        assert a == a and not a == b and a != b
+        assert hash(a) == hash(a) and len({a, b}) == 2
+        if kind == "ComplexField2D":
+            assert RankOneOperator(a, b) == RankOneOperator(a, b)
+            assert RankOneOperator(a, b) != RankOneOperator(b, a)
+    case.__name__ = f"{kind}_compares_by_identity"
+    return case
+
+
+@pytest.mark.parametrize("case", [
+    mistagged_label, label_with_k1_zero, domain_missing_its_fixed_coordinates,
+    marginal_copied_and_frozen,
+    *map(_identity_equality, ("ComplexField2D", "WignerField", "MarginalField")),
+], ids=lambda case: case.__name__)
+def test_raw_constructor_validates_and_freezes(case):
+    case()
+
+
+def test_adopt_takes_the_array_without_a_copy():
+    g = Grid1D.symmetric(4, 1.0)
+    vals = np.ones((4, 4), dtype=complex)
+    w = WignerField._adopt(orbit_domain(k1s=g, k2s=g, k3s=0.0, k4s=0.0), vals)
+    assert np.shares_memory(w.values, vals) and not w.values.flags.writeable
+
+
+@pytest.mark.parametrize("varying, grids, fixed, match", [
+    pytest.param(("k2s", "k1s"), None, (("k3s", 0.0), ("k4s", 0.0)), "in that order",
+                 id="out_of_order"),
+    pytest.param(("k1s", "k2s"), None, (("k2s", 0.0), ("k3s", 0.0), ("k4s", 0.0)), "once",
+                 id="twice"),
+    pytest.param(("k1s", "k2s"), (1.0, 2.0), (("k3s", 0.0), ("k4s", 0.0)), "Grid1D",
+                 id="not_a_grid"),
+    pytest.param(("k1s", "k2s"), None, (("k3s", 0.0), ("k4s", math.inf)),
+                 "k4s must be finite", id="not_finite"),
+    pytest.param(("k1s",), None, (("k2s", 0.0), ("k3s", 0.0), ("k4s", 0.0)),
+                 "exactly two or four", id="one_varying"),
+])
+def test_raw_domain_refuses_partitions_build_cannot_make(varying, grids, fixed, match):
+    grids = grids or (Grid1D.symmetric(4, 1.0),) * len(varying)
+    with pytest.raises(ValueError, match=match):
+        Domain4D(ORBIT_COORDS, varying, grids, fixed)

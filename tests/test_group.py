@@ -94,7 +94,7 @@ def landau_field():
 
 @pytest.fixture(scope="module")
 def momentum_field(landau_field):
-    return landau_field.with_rep("momentum")
+    return landau_field.with_values(landau_field.values, "momentum")
 
 
 def grid_element(rng, h):

@@ -53,8 +53,8 @@ class TestStar2D:
         z = fine_gaussian.with_values(np.zeros(fine_gaussian.grid.shape))
         out = Grid2D.square(8, 2.0)
         assert np.all(star_vartheta(z, fine_gaussian, params_11, out=out).values == 0)
-        assert np.all(star_B(z, fine_gaussian.with_rep("momentum"), params_11,
-                             out=out).values == 0)
+        fm = fine_gaussian.with_values(fine_gaussian.values, "momentum")
+        assert np.all(star_B(z, fm, params_11, out=out).values == 0)
 
     def test_byte_budget_runs_before_any_2d_array(self, params_11, monkeypatch):
         # each kernel charges its result and its (n_out x N) k1-eta2 matrix,
@@ -67,11 +67,12 @@ class TestStar2D:
 
         f = gaussian_state(default_state_grid(32, 6.0))
         out = Grid2D(Grid1D.symmetric(8, 2.0), Grid1D.symmetric(12, 2.0))
+        fm = f.with_values(f.values, "momentum")
         need_v, need_b = 16 * 8 * (12 + 32), 16 * 12 * (8 + 32)
         monkeypatch.setattr(core, "_MAX_BYTES", need_v - 1)
         monkeypatch.setattr(starprod, "np", NoArrays())
         for fn, f_, what, need in ((star_vartheta, f, "star_vartheta", need_v),
-                                   (star_B, f.with_rep("momentum"), "star_B", need_b)):
+                                   (star_B, fm, "star_B", need_b)):
             with pytest.raises(GridTooLarge, match=rf"^{what}'s result and kernel matrix need "
                                rf"about {need} bytes, above the limit of {need_v - 1} "
                                r"bytes$"):
@@ -145,7 +146,7 @@ class TestStar2D:
         # and the kernel phase written out
         gf = fine_gaussian.grid
         out = Grid1D.symmetric(16, 3.0)
-        f = fine_gaussian.with_rep("momentum")
+        f = fine_gaussian.with_values(fine_gaussian.values, "momentum")
         g = gaussian_state(gf, hermite=(1, 0), rep="momentum")
         fc = f.with_values(np.conj(f.values))
         kernel = star_B(fc, g, params_11, out=Grid2D(out, out))
@@ -223,7 +224,7 @@ class TestStar2D:
         scaled = star_vartheta(f.with_values(a * f.values),
                                g2.with_values(b * g2.values), params_11, out=out)
         assert sup_rel(scaled.values, a * b * base.values) <= 1e-12
-        fm = fine_gaussian.with_rep("momentum")
+        fm = fine_gaussian.with_values(fine_gaussian.values, "momentum")
         gm = fm.with_values(np.conj(fm.values))
         base = star_B(fm, gm, params_11, out=out)
         scaled = star_B(fm.with_values(a * fm.values),

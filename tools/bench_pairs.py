@@ -26,9 +26,12 @@ median and a verdict against the metric's bound:
                     some change run reads no better than some parent run
     within bound    anything else
 
-A run that exits non-zero is kept with its exit code and the tail of its
-stderr, and its pair is left out of the metrics; the file is still written,
-and the script then exits 1.
+Each workload also holds each side's failed-op share over its counted pairs
+(ops that raised or missed their check, over ops attempted): perfbench exits
+0 on such runs.  A run that exits non-zero is kept with its exit code and the
+tail of its stderr, and its pair is left out of the metrics.  The file is
+always written; the script exits 1 when a run exited non-zero or when, on
+some workload, the change's failed-op share exceeds the parent's.
 """
 
 from __future__ import annotations
@@ -96,6 +99,8 @@ def _summary(runs, metrics):
            for k in ("failed", "attempted") for s in ("parent", "change")},
         "metrics": {},
     }
+    for s in ("parent", "change"):
+        out[f"failed_share_{s}"] = out[f"failed_{s}"] / max(out[f"attempted_{s}"], 1)
     for name, m in metrics.items():
         if not pairs or any(name not in side[p, s]["metrics"]
                             for p in pairs for s in ("parent", "change")):
@@ -113,6 +118,14 @@ def _summary(runs, metrics):
         }
         entry["verdict"] = _verdict(entry, m["bound"], vals)
     return out
+
+
+def _exit_status(runs, summary) -> int:
+    """1 when a run exited non-zero or the change's failed-op share exceeds
+    the parent's on some workload of summary, else 0."""
+    return int(any(r["exit_code"] for r in runs)
+               or any(w["failed_share_change"] > w["failed_share_parent"]
+                      for w in summary.values()))
 
 
 def main(argv=None) -> int:
@@ -163,7 +176,8 @@ def main(argv=None) -> int:
                 "JSON line; per metric: quartiles and median per side over the pairs, the "
                 "pairs the change won (ties count for neither), the parent's own IQR "
                 "relative to its median and a verdict against the metric's bound; a pair "
-                "with a failed run is left out of the metrics",
+                "with a failed run is left out of the metrics; failed_share_<side> is the "
+                "share of failed ops over the counted pairs",
         "parent": {"commit": commit},
         "change": {"commit": "the commit that adds this file"},
         "summary": {w: _summary([r for r in runs if r["workload"] == w], metrics)
@@ -173,7 +187,7 @@ def main(argv=None) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
-    return 1 if any(r["exit_code"] for r in runs) else 0
+    return _exit_status(runs, doc["summary"])
 
 
 if __name__ == "__main__":
