@@ -98,16 +98,20 @@ def write_field_file(path: str, grids: tuple[Grid1D, Grid1D], values: np.ndarray
     samples with axis0 varying fastest (csv, json) or axis1 varying fastest
     in blank-line separated axis0 blocks (gnuplot).  Non-finite values,
     values whose shape is not the grids', and metadata that would not read
-    back (a key holding ':' or a line break, a value holding a line break)
-    raise ValueError before the file is opened."""
+    back alike from every format (a key holding ':' or a line break, a value
+    holding a line break, either with leading or trailing whitespace, which
+    the text formats strip) raise ValueError before the file is opened."""
     g0, g1 = grids
     v = np.asarray(values, dtype=np.complex128)
     if fmt not in ("csv", "gnuplot", "json"):
         raise ValueError(f"unknown format {fmt!r}")
     for key, val in meta.items():
-        if any(c in f"{key}" for c in ":\r\n") or any(c in f"{val}" for c in "\r\n"):
+        key, val = f"{key}", f"{val}"
+        if (any(c in key for c in ":\r\n") or any(c in val for c in "\r\n")
+                or key != key.strip() or val != val.strip()):
             raise ValueError(f"field file {path}: metadata {key!r}: {val!r} would not read "
-                             "back; a key may hold no ':' or line break, a value no line break")
+                             "back; a key may hold no ':' or line break, a value no line "
+                             "break, and neither may start or end with whitespace")
     if v.shape != (g0.n, g1.n):
         raise ValueError(f"field file {path}: values shape {v.shape} != grid shape "
                          f"{(g0.n, g1.n)}")
@@ -407,14 +411,15 @@ def _log_run(meta: dict[str, str]):
 
 def _write_out(args, *field, text=None):
     """Write --out: a field file from (grids, values, meta), else ``text``.
-    A path it cannot write is an argument error."""
+    A path it cannot write, or a field the writer refuses, is an argument
+    error."""
     try:
         if field:
             write_field_file(args.out, *field, fmt=args.format)
         else:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise _CliFailure(2, f"--out: {exc}") from None
     print(f"[ncwig] wrote {args.out}", file=sys.stderr)
 
@@ -693,8 +698,9 @@ def _add_label_args(p, names=tuple(_LABEL_DEFAULTS), unset=False):
 
 
 def _add_state_args(p, extent=True):
-    p.add_argument("--state", default="gaussian:0,0",
-                   help="gaussian:n0,n1[,q01,p01|,q01,q02,p01,p02] or file:<path>")
+    p.add_argument("--state", default="gaussian:0,0", type=str.strip,
+                   help="gaussian:n0,n1[,q01,p01|,q01,q02,p01,p02] or file:<path>; "
+                        "leading and trailing whitespace is dropped")
     p.add_argument("--state-grid", type=_POINTS, default=128)
     if extent:
         p.add_argument("--state-extent", type=_EXTENT, default=10.0)

@@ -203,6 +203,13 @@ def _star_2d(fv: np.ndarray, gv: np.ndarray, grid: Grid2D, out: Grid2D,
     return res
 
 
+def _star_pref(params: NCParams, coupling: float = 1.0) -> float:
+    """The star kernels' prefactor sqrt|E| / (pi |hbar coupling|), with
+    E = hbar^2 - B theta: coupling vartheta for *_theta, B for *_B and 1 for
+    the 4D kernels."""
+    return math.sqrt(abs(params.det)) / (math.pi * abs(params.hbar * coupling))
+
+
 def star_vartheta(f: ComplexField2D, g: ComplexField2D, params: NCParams,
                   out: Grid2D | None = None) -> ComplexField2D:
     """Position-plane star product f *_theta g at fixed momenta.
@@ -214,10 +221,8 @@ def star_vartheta(f: ComplexField2D, g: ComplexField2D, params: NCParams,
         raise DegenerateParams("vartheta = 0 makes the *_theta kernel singular")
     grid = _common_plane(f, g)
     out = out if out is not None else grid
-    th = params.vartheta
-    pref = math.sqrt(abs(params.det)) / (math.pi * abs(params.hbar * th))
-    res = _star_2d(f.values, g.values, grid, out, 2.0 / th, "star_vartheta")
-    return ComplexField2D(out, pref * res, rep="position")
+    res = _star_2d(f.values, g.values, grid, out, 2.0 / params.vartheta, "star_vartheta")
+    return ComplexField2D(out, _star_pref(params, params.vartheta) * res, rep="position")
 
 
 def star_B(f: ComplexField2D, g: ComplexField2D, params: NCParams,
@@ -231,13 +236,12 @@ def star_B(f: ComplexField2D, g: ComplexField2D, params: NCParams,
     grid = _common_plane(f, g)
     out = out if out is not None else grid
     bf = params.bfield
-    pref = math.sqrt(abs(params.det)) / (math.pi * abs(params.hbar * bf))
     # exp(-(2i/B)(xi1 - k3)(xi2 - k4)) g(2 k3 - xi1, xi2) is the *_theta
     # summand with a = -2/B on the transposed plane (xi2, xi1)
     res = _star_2d(np.ascontiguousarray(f.values.T), np.ascontiguousarray(g.values.T),
                    Grid2D(grid.axis1, grid.axis0),
                    Grid2D(out.axis1, out.axis0), -2.0 / bf, "star_B")
-    return ComplexField2D(out, pref * res.T, rep="momentum")
+    return ComplexField2D(out, _star_pref(params, bf) * res.T, rep="momentum")
 
 
 # ---------------------------------------------------------------------------
@@ -273,20 +277,6 @@ def _require_star4d_bytes(shape):
     _require_bytes(f"4D star products on a {'x'.join(map(str, shape))} grid", need)
 
 
-def _star4d_setup(w1: WignerField, w2: WignerField):
-    if w1.domain != w2.domain:
-        raise ValueError("4D star-product factors must share one domain")
-    if not (w1.domain.names == ORBIT_COORDS and w1.domain.is_full):
-        raise ValueError("4D star products act on full orbit-coordinate fields")
-    _require_star4d_bytes(w1.domain.shape)
-    grids = w1.domain.grids
-    coords = [g.coords() for g in grids]
-    wt = [_axis_weights(g) for g in grids]
-    wt4 = (wt[0][:, None, None, None] * wt[1][None, :, None, None]
-           * wt[2][None, None, :, None] * wt[3][None, None, None, :])
-    return grids, coords, wt4
-
-
 def _star_4d(w1: WignerField, w2: WignerField, params: NCParams, phase_matrix,
              what: str) -> WignerField:
     """Trapezoid sum over (e, f, g, h) of
@@ -307,9 +297,17 @@ def _star_4d(w1: WignerField, w2: WignerField, params: NCParams, phase_matrix,
     f', g'] (zero off the grid) and R = Q K with K = exp(2i phi): two GEMMs
     and one gather instead of a loop over (b, c).
     """
-    grids, coords, wt4 = _star4d_setup(w1, w2)
+    if w1.domain != w2.domain:
+        raise ValueError("4D star-product factors must share one domain")
+    if not (w1.domain.names == ORBIT_COORDS and w1.domain.is_full):
+        raise ValueError("4D star products act on full orbit-coordinate fields")
+    _require_star4d_bytes(w1.domain.shape)
+    grids = w1.domain.grids
+    coords = [g.coords() for g in grids]
+    wt = [_axis_weights(g) for g in grids]
+    wt4 = (wt[0][:, None, None, None] * wt[1][None, :, None, None]
+           * wt[2][None, None, :, None] * wt[3][None, None, None, :])
     m = phase_matrix(params)
-    pref = math.sqrt(abs(params.det)) / (math.pi * abs(params.hbar))
     supp = _support_extent(np.maximum(np.abs(w1.values), np.abs(w2.values)), coords)
     ext = [float(np.max(np.abs(c))) for c in coords]
     coef = np.abs(m)
@@ -340,7 +338,7 @@ def _star_4d(w1: WignerField, w2: WignerField, params: NCParams, phase_matrix,
     del cf
     k = np.exp(2j * phi).reshape(n1 * n2, n0 * n3)
     r = q.reshape(n1 * n2, n1 * n2) @ k
-    r *= pref * k.conj()
+    r *= _star_pref(params) * k.conj()
     out = np.ascontiguousarray(r.reshape(n1, n2, n0, n3).transpose(2, 0, 1, 3))
     return WignerField._adopt(w1.domain, out, w1.label)
 

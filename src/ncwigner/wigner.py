@@ -13,38 +13,24 @@ frequencies land on the conjugate lattice, at least ``_FFT_MIN_POINTS`` of
 them) or one phase contraction (otherwise).  Along each axis, a centre a
 whole number of state steps away builds the product on the fields' overlap
 window alone, and any other centre Fourier-shifts the fields through
-:func:`ncwigner.numerics._axis_shifter`; the FFT's column pass covers the
-requested columns only.  When every centre's c0 is a whole number of state
-steps, each call shifts the fields along axis 1 once per off-lattice c1 that
-two or more groups share, over every row, into one table that every group
-and pool thread reads (32 n0 n1 bytes per c1, charged with the result to the
-byte budget and skipped when it would not fit); otherwise a c0's rows and
-their axis-1 shifters are kept for the run of equal c0.  A slower, structurally
-independent quadrature lives in :mod:`ncwigner.oracles`.  Results are
-charged to the byte budget ``core._MAX_BYTES`` before they are allocated.
-Work that depends on a field alone is done once per field, not once per
-call: the ket's reflection (16 n0 n1 bytes, charged before it is built and
-held while the ket lives) and each field's peak |f|, for the tail cut, are
-kept in the field's memo (``ComplexField2D._derived``).
+:func:`ncwigner.numerics._axis_shifter`.  When every c0 is a whole number
+of state steps, a call shifts the fields along axis 1 once per off-lattice
+c1 that two or more groups share, into one table (32 n0 n1 bytes per c1,
+skipped when it would not fit the byte budget ``core._MAX_BYTES``, which
+results are charged to before they are allocated).  The ket's reflection
+and each field's peak |f|, for the tail cut, are built once per field and
+kept in its memo (``ComplexField2D._derived``).  A slower, structurally
+independent quadrature lives in :mod:`ncwigner.oracles`.
 
-One loop, ``_phase_integral``, runs the centre groups and one enumerator,
-``_centre_groups``, feeds it.  Each coordinate map sends four broadcastable
-arrays to (w0, w1, c0, c1): the columns of a point array, or the axes of a
-Domain4D as an open mesh, so each mapped array spans only the axes it
-depends on.  The centre axes are those that c0 or c1 spans; a stable sort
-of their nodes on c0 + i c1 makes each group the nodes that share a centre,
-times the remaining (frequency) axes.  Groups run with c0 slowest, then c1,
-each group's nodes in input order, so a domain and its points give the same
-bits, and an nc or phase-space grid is one group per centre.  The loop takes
-them in row runs: consecutive one-node groups at one c0, on the same
-frequency-array objects and next to each other along the output's last
-centre axis, up to a whole row.  A longer run fills a result block of
-``_RUN_BYTES`` per evaluator, one centre at a time, and writes it into the
-output at once; any other group is a run of one, written alone.  Every
-centre fills the evaluator's one integrand buffer: a c0's first lattice c1
-and an off-lattice c1 outside the table conjugate their bra rows straight
-into it, and every later lattice c1 reads the conjugate of its c0's bra
-rows, taken once.
+The engine has three parts.  ``_centre_groups`` plans a call: each group is
+the nodes that share a centre, times the frequency axes, in the order of
+(c0, c1), and the plan marks where each c0's row of groups and each row run
+(consecutive one-node groups at one c0, next to each other along the
+output's last centre axis) begins.  One ``_GroupEvaluator`` holds what the
+fields and the table give, read-only once built, and serves every pool
+worker.  ``_phase_integral`` splits the groups into one chunk per worker;
+each chunk owns its integrand buffer, its result block, its last frequency
+step and the current c0's rows, and writes each row run at once.
 
 Each transform below is one call of the runner ``_transform`` with its
 entry of this coordinate dictionary (k1, k2, k3 label the sector; a, b, g
@@ -94,8 +80,8 @@ over the orbit to ||ket||^2 ||bra||^2): 1/a^2 on the generic sector,
 from __future__ import annotations
 
 import collections
-import copy
 import ctypes
+import bisect
 import functools
 import math
 import os
@@ -222,7 +208,10 @@ def _peak(f: ComplexField2D) -> float:
 
 
 class _GroupEvaluator:
-    """Evaluates the phase integral for batches of points sharing a centre."""
+    """Evaluates the phase integral for batches of points sharing a centre.
+    Read-only once ``share_c1_shifts`` has run, so every pool worker shares
+    one; what changes from centre to centre (the integrand buffer and the
+    current c0's rows) belongs to the caller."""
 
     def __init__(self, ket: ComplexField2D, bra: ComplexField2D,
                  omega0: float, omega1: float):
@@ -244,23 +233,9 @@ class _GroupEvaluator:
         # from the resolution guard.  The reflection permutes the ket's
         # samples, so its peak is the ket's own.
         self.tail_cut = 1e-13 * (_peak(bra) * _peak(ket))
-        # centre groups arrive sorted with c0 slowest: keep the last c0's
-        # field rows and their axis-1 shifters, and the conjugate of its bra
-        # rows once a second lattice c1 asks for it (_integrand; False after
-        # the first)
-        self._rows = None
-        self._conj_rows = None
-        # one integrand buffer (_integrand) and one result block of
-        # _RUN_BYTES for row runs longer than one (eval_run), each built at
-        # its first use, so a shallow copy made before any group builds its own
-        self._h = self._block = None
         # off-lattice c1 -> (conj(bra), ket_refl) Fourier-shifted along axis
-        # 1 by (+c1, -c1) over every row; filled once per call, before any
-        # copy, and read-only after (share_c1_shifts)
+        # 1 by (+c1, -c1) over every row (share_c1_shifts)
         self.c1_shifts = {}
-        # consecutive groups mostly repeat their frequency set (a product
-        # grid's always do); keep the last (w0, w1, step) eval_group built
-        self._group_step = None
 
     def check_resolution(self, w0, w1):
         """Requested phase frequencies must stay inside the grid Nyquist band."""
@@ -293,51 +268,53 @@ class _GroupEvaluator:
         for c in off:
             self.c1_shifts[c] = (np.conj(bra(c)), ket(-c))
 
-    def _integrand(self, c0, c1):
-        """(h, core): the integrand conj(B)(t + c) A(-t + c) on the state
-        grid and the view of h that can be nonzero, or (None, None) where h
-        vanishes.  Each axis chooses alone: an offset of r whole state steps
-        takes the overlap window [|r|, n - |r|) of bra[j + r] and
-        ket_refl[j - r] along it, any other the Fourier shift of every
-        sample, so h holds the bits of the zero-filled shifted copies
-        without building them.  An off-lattice c1 in c1_shifts reads its
-        window rows there; each row's axis-1 shift is the same bits.
+    def row(self, c0, c1s):
+        """The c0's field rows for its centres (c0, c1), c1 in c1s, that one
+        caller takes in turn, or None where every integrand at c0 vanishes.
 
-        Every centre fills the evaluator's one integrand buffer, zeroed
-        here for every centre after the first, so h holds until the next
-        centre.  A c0's first lattice c1 conjugates its window of the bra
-        rows straight into h, and an off-lattice c1 outside c1_shifts its
-        shifted bra rows, each then multiplied in place by the ket: no
-        conjugate temporary.  Every later lattice c1 reads its window
-        columns from the c0's conjugated bra rows, built at the second (a
-        copy: the axis-1 shifters keep reading the rows themselves).  A
-        call of one centre per c0 thus conjugates no more than its window."""
-        n0, n1 = self.g0.n, self.g1.n
-        if self._rows is None or self._rows[0] != c0:
-            # axis 0, once per c0: the rows of h that can be nonzero and the
-            # field rows that fill them (none for an empty window), with their
-            # axis-1 shifters, which run their FFT when an off-lattice c1 asks
-            r0 = _lattice_steps(c0, self.g0.step)
-            if r0 is None:  # every row, shifted: no c1_shifts for such a call
-                rows, bra_rows, ket_rows = slice(None), None, None
-                bra = _axis_shift(self.bra, c0, self.g0.step, axis=0)
-                ket = _axis_shift(self.ket_refl, -c0, self.g0.step, axis=0)
-            elif 2 * abs(r0) < n0:
-                rows, bra_rows, ket_rows = _overlap(r0, n0)
-                bra, ket = self.bra[bra_rows], self.ket_refl[ket_rows]
-            else:
-                rows = bra_rows = ket_rows = bra = ket = None
-            self._rows = (c0, rows, bra_rows, ket_rows, bra, ket,
-                          _axis_shifter(bra, self.g1.step, 1), _axis_shifter(ket, self.g1.step, 1))
-            self._conj_rows = None
-        _, rows, bra_rows, ket_rows, bra, ket, bra_shift, ket_shift = self._rows
-        # axis 1, per centre
+        A c0 of r whole state steps keeps the rows of the overlap window
+        [|r|, n0 - |r|), any other every row, Fourier-shifted; the axis-1
+        shifters of both run their FFT when an off-lattice c1 asks (no
+        c1_shifts for an off-lattice c0).  When two or more c1s are whole
+        numbers of state steps with a nonempty window, the conjugate of the
+        bra rows is taken once here for them to read (a copy: the shifters
+        keep reading the rows themselves); otherwise each conjugates its own
+        window (``integrand``)."""
+        r0 = _lattice_steps(c0, self.g0.step)
+        if r0 is None:
+            rows, bra_rows, ket_rows = slice(None), None, None
+            bra = _axis_shift(self.bra, c0, self.g0.step, axis=0)
+            ket = _axis_shift(self.ket_refl, -c0, self.g0.step, axis=0)
+        elif 2 * abs(r0) < self.g0.n:
+            rows, bra_rows, ket_rows = _overlap(r0, self.g0.n)
+            bra, ket = self.bra[bra_rows], self.ket_refl[ket_rows]
+        else:
+            return None
+        lattice = len(c1s) > 1 and sum(
+            r is not None and 2 * abs(r) < self.g1.n
+            for r in (_lattice_steps(c1, self.g1.step) for c1 in c1s)) > 1
+        return (rows, bra_rows, ket_rows, bra, ket, np.conj(bra) if lattice else None,
+                _axis_shifter(bra, self.g1.step, 1), _axis_shifter(ket, self.g1.step, 1))
+
+    def integrand(self, row, c1, h):
+        """(h, core): the integrand conj(B)(t + c) A(-t + c) at the centre
+        (c0, c1), for the c0's ``row``, in the buffer h, and the view of h
+        that can be nonzero; core is None where h vanishes.  h is the
+        caller's buffer, built with np.zeros when None and zeroed otherwise.
+
+        A c1 of r whole state steps takes the overlap window [|r|, n1 - |r|)
+        of the rows' columns, any other the rows' Fourier shift (or their
+        window rows of c1_shifts), so h holds the bits of the zero-filled
+        shifted copies without building them.  The bra rows are conjugated
+        straight into h, or read from the row's conjugate, and multiplied
+        in place by the ket: no conjugate temporary."""
+        n1 = self.g1.n
         r1 = _lattice_steps(c1, self.g1.step)
-        if rows is None or (r1 is not None and 2 * abs(r1) >= n1):
-            return None, None
-        h = self._h
+        if row is None or (r1 is not None and 2 * abs(r1) >= n1):
+            return h, None
+        rows, bra_rows, ket_rows, bra, ket, conj, bra_shift, ket_shift = row
         if h is None:
-            h = self._h = np.zeros((n0, n1), dtype=np.complex128)
+            h = np.zeros((self.g0.n, n1), dtype=np.complex128)
         else:
             h.fill(0)
         if r1 is None:
@@ -351,15 +328,11 @@ class _GroupEvaluator:
         else:
             cols, bra_cols, ket_cols = _overlap(r1, n1)
             core = h[rows, cols]
-            conj_rows = self._conj_rows
-            if conj_rows is None:  # the c0's first lattice c1: its window alone
-                self._conj_rows = False
+            if conj is None:
                 np.conjugate(bra[:, bra_cols], out=core)
                 core *= ket[:, ket_cols]
             else:
-                if conj_rows is False:
-                    conj_rows = self._conj_rows = np.conj(bra)
-                np.multiply(conj_rows[:, bra_cols], ket[:, ket_cols], out=core)
+                np.multiply(conj[:, bra_cols], ket[:, ket_cols], out=core)
         return h, core
 
     def frequency_step(self, w0, w1):
@@ -425,39 +398,6 @@ class _GroupEvaluator:
             return scale * (transform(h) * phase)
         return contract
 
-    def eval_group(self, c0, c1, w0, w1):
-        """I(w; c) for all (w0, w1) pairs at one centre (c0, c1), or 0.0
-        when the integrand lies below the tail cut.
-
-        The frequency step is built only for centres above the cut, so its
-        guards fire only where the integrand carries mass.  It is reused
-        from the last group that built one when both frequency arrays are
-        that group's, or equal to them.
-        """
-        h, core = self._integrand(float(c0), float(c1))
-        if h is None or np.max(np.abs(core)) <= self.tail_cut:
-            return 0.0
-        last = self._group_step
-        if last is None or not ((last[0] is w0 or np.array_equal(last[0], w0))
-                                and (last[1] is w1 or np.array_equal(last[1], w1))):
-            last = self._group_step = (w0, w1, self.frequency_step(w0, w1))
-        return last[2](h)
-
-    def eval_run(self, c0, c1s, w0, w1, shape):
-        """I(w; c) at the centres (c0, c1), c1 in c1s, of a row run: groups
-        on the frequency arrays w0 and w1, whose values fill ``shape`` each.
-        A run of one is eval_group's value.  A longer run fills the first
-        len(c1s) rows of the result block, one per centre in order, and
-        returns them."""
-        if len(c1s) == 1:
-            return self.eval_group(c0, c1s[0], w0, w1)
-        if self._block is None:
-            self._block = np.empty(_RUN_BYTES // 16, dtype=np.complex128)
-        block = self._block[:len(c1s) * math.prod(shape)].reshape(len(c1s), *shape)
-        for row, c1 in zip(block, c1s):
-            row[...] = self.eval_group(c0, c1, w0, w1)
-        return block
-
 
 @functools.cache
 def _blas_local_threads_setter():
@@ -485,80 +425,105 @@ def _blas_local_threads_setter():
     return None
 
 
-def _phase_integral(ket, bra, omega0, omega1, n_groups, group, out, centres):
-    """The engine's one loop: out[idx] = I(w; c) for each centre group
-    (c0, c1, w0, w1, idx) = group(k), k < n_groups; returns out.
-    ``centres`` holds the groups' (c0, c1) as two arrays.  One evaluator per
-    call reads the ket's reflection and both fields' peaks from the fields'
-    memos (built at the first call on each field) and builds its table of
-    axis-1 shifts (``share_c1_shifts``).  With at least 64 groups, and only
-    then is the worker count read, pool threads take contiguous chunks,
-    each with a shallow copy of it (the field arrays and the table shared,
-    its caches its own and empty), and run BLAS on one thread each, so the
-    pool alone sets the parallelism; the calling thread keeps its BLAS
-    threads.
+def _cuts(starts, lo, hi):
+    """lo, the sorted group indices ``starts`` (every index when None) that
+    lie inside (lo, hi), and hi: the bounds of the parts they cut [lo, hi)
+    into."""
+    if starts is None:
+        return range(lo, hi + 1)
+    return [lo, *starts[bisect.bisect_right(starts, lo):bisect.bisect_left(starts, hi)].tolist(),
+            hi]
 
-    ``run`` takes the groups of its chunk in row runs, so no run crosses a
-    chunk boundary: the next groups at the same c0 on the same frequency
-    arrays (objects, not equal values), each one node, one slice further
-    along the view's last centre axis, while the run's values fit the
-    ``_RUN_BYTES`` block.  One write stores each run's values
-    (``eval_run``): a run of one writes its group's value at the group's
-    idx, a longer one the block rows over the run's slice."""
-    def run(lo, hi, evaluator):
-        pending = group(lo)
-        shape = out.shape[len(pending[4]):]
-        cap = _RUN_BYTES // (out.itemsize * math.prod(shape))
-        k = lo + 1
-        while pending is not None:
-            c0, c1, w0, w1, idx = pending
-            c1s, pending = [c1], None
-            # a row run: the next groups at this c0 on these frequency
-            # arrays, one node each, along the view's last centre axis
-            while k < hi:
-                pending = group(k)
-                k += 1
-                b0, b1, v0, v1, nidx = pending
-                if (len(c1s) >= cap or b0 != c0 or v0 is not w0 or v1 is not w1
-                        or type(idx[-1]) is not slice or type(nidx[-1]) is not slice
-                        or nidx[:-1] != idx[:-1] or nidx[-1].start != idx[-1].start + len(c1s)):
-                    break
-                c1s.append(b1)
-                pending = None
-            if len(c1s) > 1:
-                idx = idx[:-1] + (slice(idx[-1].start, idx[-1].start + len(c1s)),)
-            out[idx] = evaluator.eval_run(c0, c1s, w0, w1, shape)
 
+def _phase_integral(ket, bra, omega0, omega1, plan):
+    """The engine's one loop: I(w; c) into plan.out for each centre group
+    of ``plan`` (``_centre_groups``); returns plan.out.
+
+    One evaluator per call serves every worker.  With at least 64 groups,
+    and only then is the worker count read, pool threads take contiguous
+    chunks and run BLAS on one thread each, so the pool alone sets the
+    parallelism; the calling thread keeps its BLAS threads.  A chunk takes
+    its groups a c0 row at a time and the plan's row runs cut at its edges
+    and at a ``_RUN_BYTES`` block.  It owns its integrand buffer, its block,
+    its last frequency step (kept while the frequency arrays are the same
+    objects or equal) and the current c0's rows.  A run of one writes its
+    value at the group's idx, a longer one the block over the run's slice."""
+    out, shape, c0s, c1s, group = plan.out, plan.shape, plan.c0, plan.c1, plan.group
+    n_groups = c0s.size
     if not n_groups:
         return out
     evaluator = _GroupEvaluator(ket, bra, omega0, omega1)
-    evaluator.share_c1_shifts(*centres, out.nbytes)
+    evaluator.share_c1_shifts(c0s, c1s, out.nbytes)
+    size = math.prod(shape)
+    cap = max(1, _RUN_BYTES // (out.itemsize * size))
+
+    def run(lo, hi):
+        h = block = last = None
+
+        def value(row, c1, w0, w1):  # I(w; c) at one centre, 0.0 under the tail cut
+            nonlocal h, last
+            h, core = evaluator.integrand(row, c1, h)
+            if core is None or np.max(np.abs(core)) <= evaluator.tail_cut:
+                return 0.0
+            if last is None or not ((last[0] is w0 or np.array_equal(last[0], w0))
+                                    and (last[1] is w1 or np.array_equal(last[1], w1))):
+                last = (w0, w1, evaluator.frequency_step(w0, w1))
+            return last[2](h)
+
+        rows = _cuts(plan.rows, lo, hi)
+        for a, b in zip(rows, rows[1:]):
+            row_c1 = c1s[a:b].tolist()
+            row = evaluator.row(float(c0s[a]), row_c1)
+            runs = _cuts(plan.runs, a, b)
+            for r, e in zip(runs, runs[1:]):
+                for start in range(r, e, cap):
+                    w0, w1, idx = group(start)
+                    run_c1 = row_c1[start - a:min(start + cap, e) - a]
+                    if len(run_c1) == 1:
+                        out[idx] = value(row, run_c1[0], w0, w1)
+                        continue
+                    if block is None:
+                        block = np.empty(_RUN_BYTES // 16, dtype=np.complex128)
+                    n = len(run_c1)
+                    values = block[:n * size].reshape(n, *shape)
+                    for k, c1 in enumerate(run_c1):
+                        values[k] = value(row, c1, w0, w1)
+                    out[idx[:-1] + (slice(idx[-1].start, idx[-1].start + n),)] = values
+
     workers = _worker_count() if n_groups >= 64 else 1
     if workers > 1:
         chunk = -(-n_groups // workers)
         with ThreadPoolExecutor(max_workers=workers, initializer=_blas_local_threads_setter(),
                                 initargs=(1,)) as pool:
-            futures = [
-                pool.submit(run, lo, min(lo + chunk, n_groups), copy.copy(evaluator))
-                for lo in range(0, n_groups, chunk)
-            ]
+            futures = [pool.submit(run, lo, min(lo + chunk, n_groups))
+                       for lo in range(0, n_groups, chunk)]
             for f in futures:
                 f.result()
     else:
-        run(0, n_groups, evaluator)
+        run(0, n_groups)
     return out
 
 
-def _centre_groups(w0, w1, c0, c1, out):
-    """(n_groups, group, view, centres) for _phase_integral: the centre
-    groups of out, to which the four arrays broadcast, and their (c0, c1).
+# the plan of one engine call (_centre_groups)
+_Plan = collections.namedtuple("_Plan", "out shape c0 c1 rows runs group")
 
-    The centre axes (those c0 or c1 spans) lead in view.  Their nodes are
-    sorted stably on the complex key c0 + i c1 (lexicographic, as
-    np.lexsort((c1, c0)), but faster); a group is a run of equal keys
-    (0.0 == -0.0: signed zeros share one) in input order, times the other
-    axes.  A frequency array spanning no centre axis is one object for all
-    groups, so the evaluator's step cache hits by identity.
+
+def _centre_groups(w0, w1, c0, c1, out):
+    """The plan of ``_phase_integral`` for out, to which the four arrays
+    broadcast.
+
+    The centre axes (those c0 or c1 spans) lead in the view plan.out, and
+    plan.shape is the shape of the other axes.  The centre nodes are sorted
+    stably on the complex key c0 + i c1 (as np.lexsort((c1, c0)), but
+    faster); a group is a run of equal keys (signed zeros share one) in
+    input order, times the other axes.  Group k has its centre at
+    (plan.c0[k], plan.c1[k]), and plan.group(k) gives its frequency arrays
+    and its index into plan.out, (w0, w1, idx).  After group 0, plan.rows
+    holds the first group of each c0 and plan.runs that of each row run:
+    consecutive one-node groups at one c0, next to each other along the
+    last centre axis.  Runs form only where neither frequency array spans a
+    centre axis, so that each is one object for all groups; otherwise
+    plan.runs is None and each group is a run of its own.
     """
     cax = [i for i in range(out.ndim) if np.shape(c0)[i] != 1 or np.shape(c1)[i] != 1]
     perm = cax + [i for i in range(out.ndim) if i not in cax]
@@ -579,6 +544,7 @@ def _centre_groups(w0, w1, c0, c1, out):
             return lambda idx: w
         return spread(w, cshape + w.shape[lead:]).__getitem__
 
+    runs_form = lead and all(np.shape(w)[i] == 1 for w in (w0, w1) for i in cax)
     c0, c1 = nodes(c0), nodes(c1)
     key = np.empty(c0.size, dtype=np.complex128)
     key.real = c0
@@ -586,8 +552,8 @@ def _centre_groups(w0, w1, c0, c1, out):
     order = np.argsort(key, kind="stable")
     del key  # 16 bytes per node; free it before the gathers below
     s0, s1 = c0[order], c1[order]
-    change = (s0[1:] != s0[:-1]) | (s1[1:] != s1[:-1])
-    bounds = np.flatnonzero(np.concatenate(([True], change, [True])))
+    new_c0 = s0[1:] != s0[:-1]
+    bounds = np.flatnonzero(np.concatenate(([True], new_c0 | (s1[1:] != s1[:-1]), [True])))
     # each sorted node's index along each centre axis (no copy for one axis)
     units = np.unravel_index(order, cshape) if lead > 1 else (order,)[:lead]
     f0, f1 = freq(w0), freq(w1)
@@ -598,11 +564,24 @@ def _centre_groups(w0, w1, c0, c1, out):
             idx = tuple(slice(u[a], u[a] + 1) for u in units)
         else:
             idx = tuple(u[a:b] for u in units)
-        return s0[a], s1[a], f0(idx), f1(idx), idx
+        return f0(idx), f1(idx), idx
 
     n_groups = bounds.size - 1 if c0.size else 0
     first = bounds[:n_groups]
-    return n_groups, group, out.transpose(perm), (s0[first], s1[first])
+    # group k > 0 begins a row (a run) when its first node's c0 is new (when
+    # it does not continue the run of group k - 1)
+    new_row = new_c0[first[1:] - 1]
+    runs = None
+    if runs_form and n_groups:
+        one = bounds[1:] - first == 1
+        u = [v[first] for v in units]
+        joins = one[1:] & one[:-1] & ~new_row & (u[-1][1:] == u[-1][:-1] + 1)
+        for v in u[:-1]:
+            joins &= v[1:] == v[:-1]
+        runs = np.flatnonzero(~joins) + 1
+    shape = tuple(out.shape[i] for i in perm[lead:])
+    return _Plan(out.transpose(perm), shape, s0[first], s1[first], np.flatnonzero(new_row) + 1,
+                 runs, group)
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +651,7 @@ def _transform(ket, bra, rep, pts, names, waves, omegas, pref, label, sector):
         if not math.isfinite(far):
             raise GridTooCoarse(f"centre offsets reach {far:.3g} state steps; "
                                 "shrink the output extent")
-    _phase_integral(ket, bra, *omegas, *_centre_groups(w0, w1, c0, c1, vals))
+    _phase_integral(ket, bra, *omegas, _centre_groups(w0, w1, c0, c1, vals))
     np.multiply(pref, vals, out=vals)  # in place: grids reach 4M values
     if domain is None:
         return vals

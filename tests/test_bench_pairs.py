@@ -15,11 +15,12 @@ METRICS = {"run_s": {"name": "run_s", "unit": "s", "better": "lower", "bound": 0
                              "bound": 0.25}}
 
 
-def runs(parent, change, failed=(), failed_ops=None):
+def runs(parent, change, failed=(), failed_ops=None, digests=None):
     """Synthetic runs of one workload: pair k has run_s parent[k] and
-    change[k] (outputs_per_s their inverses); (pair, side) in ``failed``
-    exited 3 instead, and (pair, side) -> n in ``failed_ops`` had n of its
-    10 ops fail."""
+    change[k] (outputs_per_s their inverses) and digest "d<k>" on both sides;
+    (pair, side) in ``failed`` exited 3 instead, (pair, side) -> n in
+    ``failed_ops`` had n of its 10 ops fail, and (pair, side) -> d in
+    ``digests`` had digest d."""
     out = []
     for pair, values in enumerate(zip(parent, change)):
         for side, v in zip(("parent", "change"), values):
@@ -27,9 +28,11 @@ def runs(parent, change, failed=(), failed_ops=None):
             if (pair, side) in failed:
                 run.update(exit_code=3, stderr_tail="Traceback ...")
             else:
-                run.update(exit_code=0, result={
-                    "failed": (failed_ops or {}).get((pair, side), 0), "attempted": 10,
-                    "metrics": {"run_s": {"value": v}, "outputs_per_s": {"value": 1.0 / v}}})
+                run.update(exit_code=0, digest=(digests or {}).get((pair, side), f"d{pair}"),
+                           result={"failed": (failed_ops or {}).get((pair, side), 0),
+                                   "attempted": 10,
+                                   "metrics": {"run_s": {"value": v},
+                                               "outputs_per_s": {"value": 1.0 / v}}})
             out.append(run)
     return out
 
@@ -116,3 +119,25 @@ def test_a_higher_failed_op_share_fails_the_comparison():
     crashed = runs(parent, change, failed={(0, "parent")})
     assert bench_pairs._exit_status(crashed,
                                     {"w": bench_pairs._summary(crashed, METRICS)}) == 1
+
+
+def test_pairs_with_equal_digests_are_counted():
+    s = bench_pairs._summary(runs(PARENT[:4], PARENT[:4]), METRICS)
+    assert s["pairs"] == s["digest_equal_pairs"] == 4
+    # a changed digest, a missing one and a failed pair count for nothing
+    mixed = runs(PARENT[:4], PARENT[:4], failed={(3, "change")},
+                 digests={(1, "change"): "other", (2, "parent"): None, (2, "change"): None})
+    s = bench_pairs._summary(mixed, METRICS)
+    assert s["pairs"] == 3 and s["digest_equal_pairs"] == 1
+
+
+def test_a_run_keeps_its_digest_line(tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        'print("# env nproc=2")\n'
+        'print("# digest sha256 (first round of each op list): 0123abcd")\n'
+        'print(\'{"attempted": 1, "failed": 0, "metrics": {}}\')\n')
+    record, env = bench_pairs._run(str(tmp_path), "w", 21, 1.0)
+    assert env == "nproc=2"
+    assert record == {"exit_code": 0, "digest": "0123abcd",
+                      "result": {"attempted": 1, "failed": 0, "metrics": {}}}

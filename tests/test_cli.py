@@ -61,6 +61,27 @@ class TestWignerCommand:
                      "--slice", "q2=0,p2=0", "--out", str(w2)]) == 0
         assert out.read_text() == w2.read_text()
 
+    def test_state_is_stripped_before_it_is_parsed_and_recorded(self, tmp_path, capsys):
+        out = tmp_path / "w.csv"
+        assert main(["wigner", "standard", "--state", "gaussian:0,0 ",
+                     "--state-grid", "16", "--state-extent", "4", "--grid", "4",
+                     "--extent", "1", "--slice", "q2=0,p2=0", "--out", str(out)]) == 0
+        assert "# state: gaussian:0,0" in out.read_text().splitlines()
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_a_field_the_writer_refuses_exits_2(self, tmp_path, capsys, monkeypatch):
+        def refuse(path, *args, **kwargs):
+            raise ValueError(f"field file {path}: refused")
+
+        monkeypatch.setattr(cli, "write_field_file", refuse)
+        out = tmp_path / "w.csv"
+        assert main(["wigner", "standard", "--state-grid", "16", "--state-extent", "4",
+                     "--grid", "4", "--extent", "1", "--slice", "q2=0,p2=0",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == f"ncwig: error: --out: field file {out}: refused"
+        assert not any("Traceback" in line for line in err)
+
     def test_formats(self, tmp_path):
         import json
 
@@ -198,6 +219,27 @@ class TestFieldFileWriter:
                              fmt=fmt)
         parse = cli._parse_json_field if fmt == "json" else cli._parse_text_field
         assert parse(str(out), out.read_text())[-1]["state"] == "gaussian:0,0"
+
+    @pytest.mark.parametrize("fmt", ["csv", "gnuplot", "json"])
+    def test_metadata_with_edge_whitespace_is_refused(self, tmp_path, fmt):
+        # the text readers strip each key and value and the json reader
+        # keeps them, so such metadata would read back differently
+        from ncwigner.core import Grid1D
+
+        g = Grid1D.symmetric(4, 1.0)
+        out = tmp_path / "f.txt"
+        for meta in ({"representation": "momentum "}, {" k": "v"}, {"k\t": "v"},
+                     {"k": "\tv"}, {"k": " "}):
+            with pytest.raises(ValueError, match="would not read back") as exc:
+                cli.write_field_file(str(out), (g, g), np.ones((4, 4)), meta, fmt=fmt)
+            assert "\n" not in str(exc.value)
+            assert not out.exists()
+        # inner whitespace and empty values read back as written
+        cli.write_field_file(str(out), (g, g), np.ones((4, 4)), {"k": "a b", "e": ""},
+                             fmt=fmt)
+        parse = cli._parse_json_field if fmt == "json" else cli._parse_text_field
+        meta = parse(str(out), out.read_text())[-1]
+        assert (meta["k"], meta["e"]) == ("a b", "")
 
     def test_csv_round_trip_keeps_signed_zeros_bitwise(self, tmp_path):
         from ncwigner.core import Grid1D

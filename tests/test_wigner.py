@@ -543,6 +543,19 @@ def permuted_values(op, pts, label, rng):
     return out
 
 
+def spy_centres(monkeypatch):
+    """List that gains (evaluator, thread ident, c1) for each centre whose
+    integrand the engine builds."""
+    seen = []
+    integrand = wigner._GroupEvaluator.integrand
+
+    def spy(self, row, c1, h):
+        seen.append((self, threading.get_ident(), c1))
+        return integrand(self, row, c1, h)
+    monkeypatch.setattr(wigner._GroupEvaluator, "integrand", spy)
+    return seen
+
+
 class TestCentreGrouping:
     def test_empty_point_array(self, generic_label, gauss_op):
         vals = wigner_generic(gauss_op, np.empty((0, 4)), generic_label)
@@ -572,14 +585,7 @@ class TestCentreGrouping:
 
     def test_signed_zero_centres_share_a_group(self, generic_label, gauss_op,
                                                monkeypatch):
-        centres = []
-        eval_group = wigner._GroupEvaluator.eval_group
-
-        def spy(self, c0, c1, w0, w1):
-            centres.append((c0, c1))
-            return eval_group(self, c0, c1, w0, w1)
-
-        monkeypatch.setattr(wigner._GroupEvaluator, "eval_group", spy)
+        centres = spy_centres(monkeypatch)
         pts = np.array([[0.3, -0.2, 0.0, 0.0],
                         [0.3, -0.2, -0.0, -0.0],
                         [0.3, -0.2, -0.0, 0.0]])
@@ -668,19 +674,14 @@ class TestBlasThreads:
 
     def test_setter_runs_once_in_each_pool_worker(self, generic_label, cloud_op,
                                                   monkeypatch):
-        calls, workers = [], set()
-        eval_group = wigner._GroupEvaluator.eval_group
-
-        def spy(self, c0, c1, w0, w1):
-            workers.add(threading.get_ident())
-            return eval_group(self, c0, c1, w0, w1)
-
-        monkeypatch.setattr(wigner._GroupEvaluator, "eval_group", spy)
+        calls = []
+        centres = spy_centres(monkeypatch)
         monkeypatch.setattr(wigner, "_blas_local_threads_setter",
                             lambda: lambda n: calls.append((threading.get_ident(), n)))
         monkeypatch.setattr(wigner, "_worker_count", lambda: 2)
         pts = centre_cloud(np.random.default_rng(24), cloud_op.ket, 96, scattered=False)
         wigner_nc(cloud_op, pts, generic_label)
+        workers = {ident for _, ident, _ in centres}
         idents = [ident for ident, _ in calls]
         assert [n for _, n in calls] == [1] * len(calls)
         assert len(set(idents)) == len(idents) == len(workers)
@@ -703,30 +704,26 @@ class TestBlasThreads:
     def test_pool_shares_one_reflected_ket(self, generic_label, cloud_op, monkeypatch):
         # the first call on a fresh operator reflects its ket once, one pass
         # per axis, and later calls read the reflection from the ket's memo;
-        # each chunk runs on a shallow copy that shares the field arrays
+        # every chunk runs on the call's one evaluator, which holds the
+        # memo's reflection and the bra's values themselves
         op = RankOneOperator(cloud_op.ket.with_values(cloud_op.ket.values),
                              cloud_op.bra.with_values(cloud_op.bra.values))
-        reflected, evaluators = [], set()
+        reflected = []
         reflect = wigner._axis_reflect
-        eval_group = wigner._GroupEvaluator.eval_group
 
         def counted(values, g, axis):
             reflected.append(axis)
             return reflect(values, g, axis)
 
-        def spy(self, c0, c1, w0, w1):
-            evaluators.add(self)
-            return eval_group(self, c0, c1, w0, w1)
-
         monkeypatch.setattr(wigner, "_axis_reflect", counted)
-        monkeypatch.setattr(wigner._GroupEvaluator, "eval_group", spy)
+        centres = spy_centres(monkeypatch)
         monkeypatch.setattr(wigner, "_worker_count", lambda: 2)
         pts = centre_cloud(np.random.default_rng(24), op.ket, 96, scattered=False)
         wigner_nc(op, pts, generic_label)
         assert reflected == [0, 1]
-        first, second = evaluators
-        assert np.shares_memory(first.ket_refl, second.ket_refl)
-        assert np.shares_memory(first.bra, second.bra)
+        (ev,) = {ev for ev, _, _ in centres}
+        assert ev.ket_refl is op.ket.__dict__["_memo"]["reflected"]
+        assert ev.bra is op.bra.values
         reflected.clear()
         wigner_nc(op, pts, generic_label)
         assert reflected == []
@@ -765,31 +762,37 @@ class TestFrequencyStepReuse:
         pts = theta_cloud(params, out, Grid1D.symmetric(4, 1.0), Grid1D(3, -0.5, 0.5))
         monkeypatch.setattr(wigner, "_worker_count", lambda: 1)
         groups, steps = [], []
-        eval_group = wigner._GroupEvaluator.eval_group
+        centre_groups = wigner._centre_groups
         step = wigner._GroupEvaluator.frequency_step
 
-        def spy_group(self, c0, c1, w0, w1):
-            groups.append((w0.copy(), w1.copy()))
-            return eval_group(self, c0, c1, w0, w1)
+        def spy_plan(*args):  # points: one group per run, so one group() per group
+            plan = centre_groups(*args)
+
+            def group(k):
+                w0, w1, idx = plan.group(k)
+                groups.append((w0.copy(), w1.copy()))
+                return w0, w1, idx
+            return plan._replace(group=group)
 
         def spy_step(self, w0, w1):
             steps.append(1)
             return step(self, w0, w1)
 
-        monkeypatch.setattr(wigner._GroupEvaluator, "eval_group", spy_group)
+        monkeypatch.setattr(wigner, "_centre_groups", spy_plan)
         monkeypatch.setattr(wigner._GroupEvaluator, "frequency_step", spy_step)
         vals = wigner_nc_params(gauss_position, pts, params)
         runs = 1 + sum(not (np.array_equal(a0, b0) and np.array_equal(a1, b1))
                        for (a0, a1), (b0, b1) in zip(groups, groups[1:]))
         assert 1 < len(steps) == runs < len(groups)
 
-        # a step per group gives the same bits
-        def fresh_step(self, c0, c1, w0, w1):
-            self._group_step = None
-            return eval_group(self, c0, c1, w0, w1)
-
-        monkeypatch.setattr(wigner._GroupEvaluator, "eval_group", fresh_step)
-        assert wigner_nc_params(gauss_position, pts, params).tobytes() == vals.tobytes()
+        # a step per group gives the same bits: each centre's points alone
+        hb, th, e = params.hbar, params.vartheta, params.det
+        centres = np.column_stack([(hb ** 2 * pts[:, 0] + hb * th * pts[:, 3]) / e, pts[:, 1]])
+        _, which = np.unique(centres, axis=0, return_inverse=True)
+        assert which.max() + 1 == len(groups)
+        for g in range(len(groups)):
+            alone = wigner_nc_params(gauss_position, pts[which == g], params)
+            assert alone.tobytes() == vals[which == g].tobytes()
 
 
 def theta_case(seed, n=48, extra=np.empty((0, 4))):
@@ -895,26 +898,36 @@ class TestC1ShiftTable:
         assert len(built) == 3 and all(ev.c1_shifts for ev in built)
         assert one.tobytes() == two.tobytes() == many.tobytes()
 
-    def test_pool_copies_share_one_table_built_once(self, monkeypatch):
+    def test_pool_shares_one_table_built_once(self, monkeypatch):
         evaluate, c1, step = theta_case(6)
         built = spy_tables(monkeypatch)
         shifts = count_axis1_shifts(monkeypatch)
-        evaluators = set()
-        eval_group = wigner._GroupEvaluator.eval_group
-
-        def spy(self, c0, c1, w0, w1):
-            evaluators.add(self)
-            return eval_group(self, c0, c1, w0, w1)
-
-        monkeypatch.setattr(wigner._GroupEvaluator, "eval_group", spy)
+        centres = spy_centres(monkeypatch)
         monkeypatch.setattr(wigner, "_worker_count", lambda: 2)
         evaluate()
         assert len(built) == 1 and len(shifts) == 2 * off_lattice(c1, step).size
-        first, second = evaluators
-        assert first.c1_shifts is second.c1_shifts is built[0].c1_shifts
-        for c, (bra, ket) in first.c1_shifts.items():
-            assert np.shares_memory(bra, second.c1_shifts[c][0])
-            assert np.shares_memory(ket, second.c1_shifts[c][1])
+        assert {ev for ev, _, _ in centres} == {built[0]} and built[0].c1_shifts
+
+    def test_pooled_call_leaves_its_one_evaluator_as_built(self, monkeypatch):
+        # every worker reads the evaluator; none sets, rebinds or adds an
+        # attribute, nor changes the table
+        evaluate, _, _ = theta_case(6)
+        seen = []
+        share = wigner._GroupEvaluator.share_c1_shifts
+
+        def spy(self, *args):
+            share(self, *args)
+            seen.append((self, dict(vars(self)), dict(self.c1_shifts)))
+        monkeypatch.setattr(wigner._GroupEvaluator, "share_c1_shifts", spy)
+        centres = spy_centres(monkeypatch)
+        monkeypatch.setattr(wigner, "_worker_count", lambda: 2)
+        evaluate()
+        (ev, attrs, table), = seen
+        assert {e for e, _, _ in centres} == {ev} and table
+        assert vars(ev).keys() == attrs.keys()
+        assert all(getattr(ev, k) is v for k, v in attrs.items())
+        assert ev.c1_shifts.keys() == table.keys()
+        assert all(ev.c1_shifts[c] is t for c, t in table.items())
 
     def test_any_off_lattice_c0_builds_no_table(self, monkeypatch):
         params = nc_params_from_label(make_orbit_label(1.0, -1.0, 1.0))
@@ -989,20 +1002,26 @@ class TestLatticeWindows:
         steps1 = (0, -1, 3, -4, 5, -5, 11, 0.5, -2.25)
         ev = self.evaluator()
         cases = [(r0 * ev.g0.step, r1 * ev.g1.step) for r0 in steps0 for r1 in steps1]
-        empty = 0
-        # one evaluator in both orders: its caches must not leak between centres
+        every_c1 = [r1 * ev.g1.step for r1 in steps1]
+        empty, h = 0, None
+        # one buffer in both orders, each c0's rows built for the centre
+        # alone and for the whole row (with the conjugated bra rows): nothing
+        # may leak between centres
         for c0, c1 in cases + cases[::-1]:
             ref = self.zero_filled_integrand(ev, c0, c1)
-            h, core = ev._integrand(c0, c1)
-            if h is None:
-                empty += 1
-                assert core is None and not ref.any()
-                continue
-            # signed zeros outside the window are the only freedom
-            assert (h + 0.0).tobytes() == (ref + 0.0).tobytes()
-            assert np.shares_memory(core, h)
-            assert np.max(np.abs(core)) == np.max(np.abs(ref))
-        assert 0 < empty < 2 * len(cases)
+            for c1s in ([c1], every_c1):
+                row = ev.row(c0, c1s)
+                assert row is None or (row[5] is None) == (len(c1s) == 1)
+                h, core = ev.integrand(row, c1, h)
+                if core is None:
+                    empty += 1
+                    assert not ref.any()
+                    continue
+                # signed zeros outside the window are the only freedom
+                assert (h + 0.0).tobytes() == (ref + 0.0).tobytes()
+                assert np.shares_memory(core, h)
+                assert np.max(np.abs(core)) == np.max(np.abs(ref))
+        assert 0 < empty < 4 * len(cases)
 
     @pytest.mark.parametrize("columns", [list(range(10)), list(range(0, 10, 2)),
                                          [7, 1, 7, 4, 9, 1], [3]])
@@ -1160,9 +1179,9 @@ class TestDomainGridPath:
 
     def test_frequency_step_runs_once_under_thread_stress(self, generic_label,
                                                          gauss_op, monkeypatch):
-        # more workers than cores and a short switch interval: each chunk's
-        # evaluator builds the frequency step at most once, and every worker
-        # must write the same bits as a single thread
+        # more workers than cores and a short switch interval: each chunk
+        # builds the frequency step at most once, and every worker must
+        # write the same bits as a single thread
         axis = gauss_op.ket.grid.axis0
         f = aligned_frequency_grid(axis, -generic_label.k1 * generic_label.consts.alpha, 4)
         c = aligned_center_grid(axis, 8)
@@ -1173,9 +1192,14 @@ class TestDomainGridPath:
         step = wigner._GroupEvaluator.frequency_step
 
         def counted(self, w0, w1):
-            calls.append(self)  # holds each evaluator, so no id is reused
             time.sleep(0.02)  # widen the window in which other workers arrive
-            return step(self, w0, w1)
+            contract, buffers = step(self, w0, w1), []
+            calls.append(buffers)
+
+            def spy(h):
+                buffers.append(h)  # holds each chunk's buffer, so no id is reused
+                return contract(h)
+            return spy
 
         monkeypatch.setattr(wigner._GroupEvaluator, "frequency_step", counted)
         monkeypatch.setattr(wigner, "_worker_count", lambda: 8)
@@ -1185,7 +1209,10 @@ class TestDomainGridPath:
             many = wigner_nc(gauss_op, dom, generic_label)
         finally:
             sys.setswitchinterval(interval)
-        assert 1 <= len(calls) == len(set(map(id, calls))) <= 8  # 64 centres, 8 chunks
+        # 64 centres, 8 chunks: each step serves one chunk's buffer alone
+        chunks = [{id(h) for h in buffers} for buffers in calls]
+        assert 1 <= len(calls) == len(set().union(*chunks)) <= 8
+        assert all(len(c) == 1 for c in chunks)
         assert many.values.tobytes() == one.values.tobytes()
 
     def test_result_is_not_copied(self, generic_label, gauss_op):
@@ -1515,16 +1542,33 @@ class TestFieldCopies:
         assert got.tobytes() == ref.tobytes()
 
 
-def run_lengths(monkeypatch):
-    """List that gains the centre count of each row run the engine evaluates."""
-    lengths = []
-    eval_run = wigner._GroupEvaluator.eval_run
+class RecordedView:
+    """The engine's output view, recording (run length, value shape) for
+    each write into it: a row run's block, or one group's values."""
 
-    def spy(self, c0, c1s, w0, w1, shape):
-        lengths.append(len(c1s))
-        return eval_run(self, c0, c1s, w0, w1, shape)
-    monkeypatch.setattr(wigner._GroupEvaluator, "eval_run", spy)
-    return lengths
+    def __init__(self, view, writes):
+        self.view, self.writes = view, writes
+
+    def __getattr__(self, name):
+        return getattr(self.view, name)
+
+    def __setitem__(self, idx, value):
+        run = idx[-1].stop - idx[-1].start if idx and isinstance(idx[-1], slice) else 1
+        self.writes.append((run, np.shape(value)))
+        self.view[idx] = value
+
+
+def spy_writes(monkeypatch):
+    """List that gains (run length, value shape) for each write the engine
+    makes into its output."""
+    writes = []
+    centre_groups = wigner._centre_groups
+
+    def spy(*args):
+        plan = centre_groups(*args)
+        return plan._replace(out=RecordedView(plan.out, writes))
+    monkeypatch.setattr(wigner, "_centre_groups", spy)
+    return writes
 
 
 class TestRowRuns:
@@ -1547,26 +1591,29 @@ class TestRowRuns:
         q = (aligned_frequency_grid(axis, -1.0, 8) if aligned
              else Grid1D(5, -0.7, 0.31))
         # 33 x 31 centres: with two workers the chunk boundary (group 512)
-        # falls inside row 16.  Each row runs from 17 steps below the origin,
-        # whose windows are empty, through tail-cut centres near the edge
+        # falls inside row 16 and cuts its run.  Each row runs from 17 steps
+        # below the origin, whose windows are empty, through tail-cut
+        # centres near the edge
         p1, p2 = Grid1D(33, -16 * s, s), Grid1D(31, -17 * s, s)
         dom = nc_domain(q1nc=q, q2nc=q, p1nc=p1, p2nc=p2)
-        lengths = run_lengths(monkeypatch)
+        writes = spy_writes(monkeypatch)
         monkeypatch.setenv("NCWIG_THREADS", "1")
         one = wigner_nc(op, dom, generic_label).values
-        assert lengths.count(31) == 33
-        monkeypatch.setenv("NCWIG_THREADS", "2")
+        assert [n for n, _ in writes] == [31] * 33
+        writes.clear()
+        monkeypatch.setattr(wigner, "_worker_count", lambda: 2)
         two = wigner_nc(op, dom, generic_label).values
+        assert sorted(n for n, _ in writes) == [15, 16] + [31] * 32
         pts = wigner_nc(op, dom.points(), generic_label)
         assert one.tobytes() == two.tobytes() == pts.tobytes()
         # the row at c0 = 14 steps holds both kinds of zero: cells of empty
         # windows and of centres under the tail cut
         ev = wigner._GroupEvaluator(op.ket, op.bra, -1.0, -1.0)
-        c0 = p1.coords()[30]
-        empty, cut = [], []
+        row = ev.row(p1.coords()[30], p2.coords().tolist())
+        empty, cut, h = [], [], None
         for j, c1 in enumerate(p2.coords()):
-            h, core = ev._integrand(c0, c1)
-            if h is None:
+            h, core = ev.integrand(row, c1, h)
+            if core is None:
                 empty.append(j)
             elif np.max(np.abs(core)) <= ev.tail_cut:
                 cut.append(j)
@@ -1580,43 +1627,43 @@ class TestRowRuns:
         p = aligned_center_grid(axis, 32)
         dom = nc_domain(q1nc=q, q2nc=q, p1nc=p, p2nc=p)
         monkeypatch.setenv("NCWIG_THREADS", "1")
-        lengths = run_lengths(monkeypatch)
-        writes = []
-        eval_run = wigner._GroupEvaluator.eval_run
-
-        def spy(self, c0, c1s, w0, w1, shape):
-            block = eval_run(self, c0, c1s, w0, w1, shape)
-            writes.append(np.shape(block))
-            return block
-        monkeypatch.setattr(wigner._GroupEvaluator, "eval_run", spy)
+        writes = spy_writes(monkeypatch)
         w = wigner_nc(op, dom, generic_label)
-        assert lengths == [32] * 32 and writes == [(32, 8, 8)] * 32
+        assert writes == [(32, (32, 8, 8))] * 32
         # the points of the same grid are groups of 64 nodes: runs of one
-        lengths.clear()
+        writes.clear()
         assert wigner_nc(op, dom.points(), generic_label).tobytes() == w.values.tobytes()
-        assert lengths == [1] * 1024
+        assert [n for n, _ in writes] == [1] * 1024
 
     @pytest.mark.parametrize("case", ["table", "no_table", "off_lattice_c0"])
     def test_conjugated_rows_serve_lattice_c1_alone(self, generic_label, op, monkeypatch,
                                                     case):
         # along each row: a lattice c1 (window), an off-lattice c1 (Fourier
         # shift: from the c1 table, or from the rows when it is skipped),
-        # and a lattice c1 again, which must read the conjugated rows while
-        # the shifters kept reading the rows themselves
+        # and a lattice c1 again; both lattice c1 read the conjugated rows
+        # while the shifters keep reading the rows themselves
         s = op.ket.grid.axis0.step
         q = aligned_frequency_grid(op.ket.grid.axis0, -1.0, 8)
         p1 = Grid1D(3, -s, 1.5 * s) if case == "off_lattice_c0" else Grid1D(3, -s, s)
         p2 = Grid1D(3, -2 * s, 1.5 * s)
         dom = nc_domain(q1nc=q, q2nc=q, p1nc=p1, p2nc=p2)
         built = spy_tables(monkeypatch)
-        lengths = run_lengths(monkeypatch)
+        writes = spy_writes(monkeypatch)
+        conjugated = []
+        row = wigner._GroupEvaluator.row
+
+        def spy_row(self, c0, c1s):
+            rows = row(self, c0, c1s)
+            conjugated.append(rows[5] is not None)
+            return rows
+        monkeypatch.setattr(wigner._GroupEvaluator, "row", spy_row)
         if case == "no_table":
             # room for the ket's reflection (16 * 32**2 bytes, built here
             # when no earlier call on op did) and the 8**2 * 3**2 result,
             # not for the result with one 32 * 32**2-byte c1 table entry
             monkeypatch.setattr(core, "_MAX_BYTES", 32 * 32 ** 2)
         w = wigner_nc(op, dom, generic_label).values
-        assert lengths == [3] * 3
+        assert [n for n, _ in writes] == [3] * 3 and conjugated == [True] * 3
         assert bool(built[0].c1_shifts) == (case == "table")
         for i, c0 in enumerate(p1.coords()):
             for j, c1 in enumerate(p2.coords()):

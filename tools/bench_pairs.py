@@ -28,7 +28,10 @@ median and a verdict against the metric's bound:
 
 Each workload also holds each side's failed-op share over its counted pairs
 (ops that raised or missed their check, over ops attempted): perfbench exits
-0 on such runs.  A run that exits non-zero is kept with its exit code and the
+0 on such runs.  Each run keeps the sha256 digest of its outputs (perfbench's
+``# digest sha256`` line), and each workload counts the pairs whose parent
+and change digests are equal: both sides of a pair run the same seed, so a
+change that keeps the bits reads ``digest_equal_pairs`` = ``pairs``.  A run that exits non-zero is kept with its exit code and the
 tail of its stderr, and its pair is left out of the metrics.  The file is
 always written; the script exits 1 when a run exited non-zero or when, on
 some workload, the change's failed-op share exceeds the parent's.
@@ -49,10 +52,13 @@ import numpy as np
 ROOT = os.getcwd()
 
 
+_DIGEST = "# digest sha256 (first round of each op list): "
+
+
 def _run(tree: str, workload: str, seed: int, seconds: float):
     """(record, env line) of one perfbench run in tree: the record holds the
-    exit code and, for a run that exits 0, its final JSON result, else the
-    tail of its stderr."""
+    exit code and, for a run that exits 0, its output digest and final JSON
+    result, else the tail of its stderr."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", repr(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
@@ -60,7 +66,8 @@ def _run(tree: str, workload: str, seed: int, seconds: float):
     env = next((ln[len("# env "):] for ln in lines if ln.startswith("# env ")), "")
     if proc.returncode:
         return {"exit_code": proc.returncode, "stderr_tail": proc.stderr[-2000:]}, env
-    return {"exit_code": 0, "result": json.loads(lines[-1])}, env
+    digest = next((ln[len(_DIGEST):] for ln in lines if ln.startswith(_DIGEST)), None)
+    return {"exit_code": 0, "digest": digest, "result": json.loads(lines[-1])}, env
 
 
 def _quartiles(xs):
@@ -91,8 +98,11 @@ def _summary(runs, metrics):
     failed = [r for r in runs if r["exit_code"]]
     pairs = sorted({r["pair"] for r in runs} - {r["pair"] for r in failed})
     side = {(r["pair"], r["side"]): r["result"] for r in runs if not r["exit_code"]}
+    digest = {(r["pair"], r["side"]): r.get("digest") for r in runs if not r["exit_code"]}
     out = {
         "pairs": len(pairs),
+        "digest_equal_pairs": sum(digest[p, "parent"] is not None
+                                  and digest[p, "parent"] == digest[p, "change"] for p in pairs),
         "failed_runs": len(failed),
         "seeds": sorted({r["seed"] for r in runs}),
         **{f"{k}_{s}": sum(side[p, s][k] for p in pairs)
@@ -177,7 +187,8 @@ def main(argv=None) -> int:
                 "pairs the change won (ties count for neither), the parent's own IQR "
                 "relative to its median and a verdict against the metric's bound; a pair "
                 "with a failed run is left out of the metrics; failed_share_<side> is the "
-                "share of failed ops over the counted pairs",
+                "share of failed ops over the counted pairs; digest_equal_pairs counts the "
+                "pairs whose two runs gave the same output digest",
         "parent": {"commit": commit},
         "change": {"commit": "the commit that adds this file"},
         "summary": {w: _summary([r for r in runs if r["workload"] == w], metrics)
