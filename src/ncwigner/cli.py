@@ -441,14 +441,25 @@ def _momentum_state_for_output(args, label: OrbitLabel, domain: Domain4D, state)
         w0, w1 = domain.axes()[:2]  # the q^nc axes are the frequencies
     kmax = 2.0 * omega * max(float(np.max(np.abs(w0))),
                              float(np.max(np.abs(w1))), 1e-9)
+    # The integrand conj(f)(c + t) f(c - t) carries the state's phase as
+    # exp(2i a q0.t) under a Gaussian envelope whose spectrum, the state's
+    # Wigner profile along q, reaches ``tails`` (the Hermite turning point
+    # plus 6 widths, where exp(-6^2) < 1e-15) around q0.  Summed over t at
+    # step h its phase frequencies repeat with period 2 pi/h, so the window
+    # [-kmax, kmax] stays clear of that band's images when 2 pi/h covers
+    # kmax + 2|a| (|q0| + tails).
+    tails = 6.0 + math.sqrt(2 * max(state[1]) + 1)
+    band = max(kmax, kmax / 2 + abs(a) * (max(abs(center[0]), abs(center[1])) + tails))
     # extent covers the state's momentum support; the step is refined until
-    # the conjugate band covers every requested output phase (each doubling charged)
+    # the conjugate band covers every requested output phase and the state's
+    # band (each doubling charged)
     extent = max(12.0, abs(center[2]) + 10.0, abs(center[3]) + 10.0) / abs(a)
     n = args.state_grid
-    while math.pi * n / (2.0 * extent) <= 1.05 * kmax:
+    while math.pi * n / (2.0 * extent) <= 1.05 * band:
         n *= 2
-        _require_bytes(f"the output frequencies need more than {n // 2} state points per "
-                       f"axis; states on {n}x{n} points", _STATE_POINT_BYTES * n * n)
+        _require_bytes(f"the output frequencies and the state's band need more than {n // 2} "
+                       f"state points per axis; states on {n}x{n} points",
+                       _STATE_POINT_BYTES * n * n)
     return _gaussian(state, "momentum", n, extent, a)
 
 

@@ -18,19 +18,26 @@ of state steps, a call shifts the fields along axis 1 once per off-lattice
 c1 that two or more groups share, into one table (32 n0 n1 bytes per c1,
 skipped when it would not fit the byte budget ``core._MAX_BYTES``, which
 results are charged to before they are allocated).  The ket's reflection
-and each field's peak |f|, for the tail cut, are built once per field and
-kept in its memo (``ComplexField2D._derived``).  A slower, structurally
-independent quadrature lives in :mod:`ncwigner.oracles`.
+and each field's peak |f| are built once per field and kept in its memo
+(``ComplexField2D._derived``).  A centre whose integrand stays at or below
+1e-13 of the peaks' product (the tail cut) gives 0 and skips the frequency
+side and its Nyquist guard; the integrand's row at t0 = 0 is read first,
+and only a centre whose row stays under the cut pays the full pass.  A
+slower, structurally independent quadrature lives in
+:mod:`ncwigner.oracles`.
 
 The engine has three parts.  ``_centre_groups`` plans a call: each group is
 the nodes that share a centre, times the frequency axes, in the order of
 (c0, c1), and the plan marks where each c0's row of groups and each row run
 (consecutive one-node groups at one c0, next to each other along the
-output's last centre axis) begins.  One ``_GroupEvaluator`` holds what the
-fields and the table give, read-only once built, and serves every pool
-worker.  ``_phase_integral`` splits the groups into one chunk per worker;
-each chunk owns its integrand buffer, its result block, its last frequency
-step and the current c0's rows, and writes each row run at once.
+output's last centre axis) begins; one centre node is one group, planned
+without a sort.  One ``_GroupEvaluator`` holds what the fields and the
+table give, read-only once built, and serves every pool worker.
+``_phase_integral`` splits the groups into one chunk per worker; each chunk
+owns its integrand buffer, its result block, its last frequency step and
+the current c0's rows, and writes each row run at once.  A call on one
+point maps its coordinates as floats, and a call of one group builds no c1
+table.
 
 Each transform below is one call of the runner ``_transform`` with its
 entry of this coordinate dictionary (k1, k2, k3 label the sector; a, b, g
@@ -219,8 +226,9 @@ class _GroupEvaluator:
             raise ValueError("ket and bra must share one grid")
         self.g0 = ket.grid.axis0
         self.g1 = ket.grid.axis1
-        self.t0 = self.g0.coords()
-        self.t1 = self.g1.coords()
+        # sample offsets from each axis' origin, for the contraction phases
+        self.x0 = self.g0.coords() - self.g0.origin
+        self.x1 = self.g1.coords() - self.g1.origin
         self.omega0 = omega0
         self.omega1 = omega1
         self.bra = bra.values
@@ -241,8 +249,8 @@ class _GroupEvaluator:
         """Requested phase frequencies must stay inside the grid Nyquist band."""
         m0 = 2.0 * self.omega0 * np.asarray(w0) / self.dk0
         m1 = 2.0 * self.omega1 * np.asarray(w1) / self.dk1
-        if np.any(np.abs(m0) > self.g0.n / 2 + _ALIGN_TOL) or \
-           np.any(np.abs(m1) > self.g1.n / 2 + _ALIGN_TOL):
+        if (np.abs(m0) > self.g0.n / 2 + _ALIGN_TOL).any() or \
+           (np.abs(m1) > self.g1.n / 2 + _ALIGN_TOL).any():
             raise GridTooCoarse(
                 "requested output frequencies exceed the state grid's Nyquist "
                 "band; refine the state grid or shrink the output extent"
@@ -335,6 +343,15 @@ class _GroupEvaluator:
                 np.multiply(conj[:, bra_cols], ket[:, ket_cols], out=core)
         return h, core
 
+    def in_tail(self, h, core):
+        """Whether every sample of the integrand core (in h) lies at or below
+        tail_cut.  The row of h at t0 = 0 lies inside every window, so one of
+        its samples above the cut decides at the cost of one row; only a
+        group whose row stays under it pays the full pass over core.  Both
+        tests reach the same decision (a NaN fails both comparisons)."""
+        return (not np.max(np.abs(h[self.g0.n // 2])) > self.tail_cut
+                and np.max(np.abs(core)) <= self.tail_cut)
+
     def frequency_step(self, w0, w1):
         """Frequency-side work for (w0, w1) pairs that share their centres.
 
@@ -347,12 +364,15 @@ class _GroupEvaluator:
         Returns contract(h) -> I(w; c) for an integrand h of those centres.
         """
         m0, m1 = self.check_resolution(w0, w1)
-        r0, r1 = np.round(m0), np.round(m1)
-        aligned = (np.all(np.abs(m0 - r0) <= _ALIGN_TOL)
-                   and np.all(np.abs(m1 - r1) <= _ALIGN_TOL))
         size = np.broadcast(w0, w1).size
+        if size >= _FFT_MIN_POINTS:  # below it the contraction runs, aligned or not
+            r0, r1 = np.round(m0), np.round(m1)
+            aligned = (np.all(np.abs(m0 - r0) <= _ALIGN_TOL)
+                       and np.all(np.abs(m1 - r1) <= _ALIGN_TOL))
+        else:
+            aligned = False
         n0, n1 = self.g0.n, self.g1.n
-        if aligned and size >= _FFT_MIN_POINTS:
+        if aligned:
             i0 = (r0.astype(int)) % n0
             cols, i1 = np.unique((r1.astype(int)) % n1, return_inverse=True)
             i1 = i1.reshape(np.shape(r1))
@@ -375,8 +395,8 @@ class _GroupEvaluator:
             if u0.size * u1.size <= 4 * size:
                 # pairs (near-)fill a product grid, as a product grid's
                 # always do: separable contraction
-                e0 = np.exp(1j * np.outer(u0, self.t0 - self.g0.origin))
-                e1 = np.exp(1j * np.outer(u1, self.t1 - self.g1.origin))
+                e0 = np.exp(1j * np.outer(u0, self.x0))
+                e1 = np.exp(1j * np.outer(u1, self.x1))
                 inv0 = inv0.reshape(kap0.shape)
                 inv1 = inv1.reshape(kap1.shape)
 
@@ -385,8 +405,8 @@ class _GroupEvaluator:
             else:
                 # scattered points; each row's sum is independent of its
                 # position, so the values do not depend on the point order
-                e0 = np.exp(1j * np.outer(kap0, self.t0 - self.g0.origin))
-                e1 = np.exp(1j * np.outer(kap1, self.t1 - self.g1.origin))
+                e0 = np.exp(1j * np.outer(kap0, self.x0))
+                e1 = np.exp(1j * np.outer(kap1, self.x1))
 
                 def transform(h):
                     return np.einsum("mi,mi->m", e0 @ h, e1)
@@ -439,21 +459,25 @@ def _phase_integral(ket, bra, omega0, omega1, plan):
     """The engine's one loop: I(w; c) into plan.out for each centre group
     of ``plan`` (``_centre_groups``); returns plan.out.
 
-    One evaluator per call serves every worker.  With at least 64 groups,
+    One evaluator per call serves every worker; it builds its c1 table
+    (share_c1_shifts) only for two or more groups.  With at least 64 groups,
     and only then is the worker count read, pool threads take contiguous
     chunks and run BLAS on one thread each, so the pool alone sets the
     parallelism; the calling thread keeps its BLAS threads.  A chunk takes
     its groups a c0 row at a time and the plan's row runs cut at its edges
     and at a ``_RUN_BYTES`` block.  It owns its integrand buffer, its block,
     its last frequency step (kept while the frequency arrays are the same
-    objects or equal) and the current c0's rows.  A run of one writes its
-    value at the group's idx, a longer one the block over the run's slice."""
+    objects or equal) and the current c0's rows.  A centre under the tail
+    cut (``in_tail``) gives 0 without a frequency step.  A run of one writes
+    its value at the group's idx, a longer one the block over the run's
+    slice."""
     out, shape, c0s, c1s, group = plan.out, plan.shape, plan.c0, plan.c1, plan.group
     n_groups = c0s.size
     if not n_groups:
         return out
     evaluator = _GroupEvaluator(ket, bra, omega0, omega1)
-    evaluator.share_c1_shifts(c0s, c1s, out.nbytes)
+    if n_groups > 1:  # the table holds only a c1 that two groups share
+        evaluator.share_c1_shifts(c0s, c1s, out.nbytes)
     size = math.prod(shape)
     cap = max(1, _RUN_BYTES // (out.itemsize * size))
 
@@ -463,7 +487,7 @@ def _phase_integral(ket, bra, omega0, omega1, plan):
         def value(row, c1, w0, w1):  # I(w; c) at one centre, 0.0 under the tail cut
             nonlocal h, last
             h, core = evaluator.integrand(row, c1, h)
-            if core is None or np.max(np.abs(core)) <= evaluator.tail_cut:
+            if core is None or evaluator.in_tail(h, core):
                 return 0.0
             if last is None or not ((last[0] is w0 or np.array_equal(last[0], w0))
                                     and (last[1] is w1 or np.array_equal(last[1], w1))):
@@ -524,8 +548,18 @@ def _centre_groups(w0, w1, c0, c1, out):
     last centre axis.  Runs form only where neither frequency array spans a
     centre axis, so that each is one object for all groups; otherwise
     plan.runs is None and each group is a run of its own.
+
+    One centre node (no centre axis) is one group: its plan is built
+    directly, with plan.out the output itself, the frequency arrays as given
+    and idx (), and holds the empty plan.rows and the None plan.runs that
+    the sort would give it.
     """
     cax = [i for i in range(out.ndim) if np.shape(c0)[i] != 1 or np.shape(c1)[i] != 1]
+    if not cax:  # one centre node, so one group: no key, sort, bounds or starts
+        w0, w1 = np.asarray(w0, dtype=float), np.asarray(w1, dtype=float)
+        return _Plan(out, out.shape, np.asarray(c0, dtype=float).reshape(1),
+                     np.asarray(c1, dtype=float).reshape(1), np.empty(0, dtype=np.intp), None,
+                     lambda k: (w0, w1, ()))
     perm = cax + [i for i in range(out.ndim) if i not in cax]
     lead = len(cax)
     cshape = tuple(out.shape[i] for i in cax)
@@ -551,7 +585,12 @@ def _centre_groups(w0, w1, c0, c1, out):
     key.imag = c1
     order = np.argsort(key, kind="stable")
     del key  # 16 bytes per node; free it before the gathers below
-    s0, s1 = c0[order], c1[order]
+    # a column of an (M, 4) point array (c1 = k2* in the parameter form) is
+    # strided, and a gather from it runs several times slower than from a
+    # contiguous copy; made before the other gather and dropped at once, the
+    # copy keeps the plan within the sort's 24 bytes per node
+    s1 = np.ascontiguousarray(c1)[order]
+    s0 = c0[order]
     new_c0 = s0[1:] != s0[:-1]
     bounds = np.flatnonzero(np.concatenate(([True], new_c0 | (s1[1:] != s1[:-1]), [True])))
     # each sorted node's index along each centre axis (no copy for one axis)
@@ -643,11 +682,14 @@ def _transform(ket, bra, rep, pts, names, waves, omegas, pref, label, sector):
     shape = np.broadcast(*cols).shape
     _require_result_bytes(shape)
     vals = np.empty(shape, dtype=np.complex128)
-    w0, w1, c0, c1 = waves(*cols)
+    if shape == (1,):  # one point: its maps on floats, the same bits without array calls
+        w0, w1, c0, c1 = (np.array([v]) for v in waves(*cols[:, 0].tolist()))
+    else:
+        w0, w1, c0, c1 = waves(*cols)
     for c, g in ((c0, ket.grid.axis0), (c1, ket.grid.axis1)):
         # the engine counts centre offsets in state steps; refuse any count
         # that overflows before a group runs
-        far = float(max(abs(np.max(c)), abs(np.min(c)))) / g.step if np.size(c) else 0.0
+        far = float(np.max(np.abs(c))) / g.step if np.size(c) else 0.0
         if not math.isfinite(far):
             raise GridTooCoarse(f"centre offsets reach {far:.3g} state steps; "
                                 "shrink the output extent")

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 import ncwigner.cli as cli
+from ncwigner import RankOneOperator, make_orbit_label, wigner_nc
 from ncwigner.cli import main, read_field_file
-from ncwigner.core import Domain4D
+from ncwigner.core import Domain4D, Grid1D, Grid2D, nc_domain
+from ncwigner.oracles import gaussian_state_momentum
 
 
 def run(argv, capsys=None):
@@ -117,6 +119,58 @@ class TestWignerCommand:
             main(["wigner", "qm", "--grid", "not-a-number", "--out", "x.csv"])
         assert exc.value.code == 2
         assert "--grid" in capsys.readouterr().err
+
+
+class TestDisplacedStates:
+    """A built-in state displaced to q0 along q^nc puts the images of its
+    Wigner band at q0 - k pi/(|omega| h); its state step is refined until
+    they stay out of the output window, each doubling charged."""
+
+    def run(self, tmp_path, capsys, variant, state, extent="2.5", extra=()):
+        out = tmp_path / "w.csv"
+        code = main([*WIGNER[variant], "--state", state, "--grid", "16", "--extent", extent,
+                     *extra, "--out", str(out)])
+        err = capsys.readouterr().err
+        grid = re.search(r"state-grid: n=(\d+)", err)
+        return code, err, grid and int(grid.group(1)), code == 0 and read_field_file(str(out))
+
+    @pytest.mark.parametrize("variant", ["nc", "generic"])
+    @pytest.mark.parametrize("q0", ["12", "14", "16", "33.51"])
+    def test_displaced_state_matches_a_fine_state_grid(self, tmp_path, capsys, variant, q0):
+        # at the default 128 points the q0 = 14 nc slice read 0.0671 (94% of
+        # the peak) where the fine grid reads <= 4e-18
+        peak = np.max(np.abs(self.run(tmp_path, capsys, variant, "gaussian:0,0")[3].values))
+        code, err, n, field = self.run(tmp_path, capsys, variant, f"gaussian:0,0,{q0},0")
+        if code == 4:
+            assert len([ln for ln in err.splitlines() if ln.startswith("ncwig: error:")]) == 1
+            return
+        assert code == 0 and n > 128
+        fine = self.run(tmp_path, capsys, variant, f"gaussian:0,0,{q0},0",
+                        extra=("--state-grid", "512"))[3]
+        assert np.max(np.abs(field.values - fine.values)) <= 1e-8 * peak
+
+    @pytest.mark.parametrize("state", ["gaussian:0,0", "gaussian:1,2"])
+    @pytest.mark.parametrize("extent", ["1", "2.5", "5", "7.5"])
+    def test_undisplaced_state_keeps_its_grid_and_bytes(self, tmp_path, capsys, state, extent):
+        # the window alone sets the grid, as before the state's band was
+        # counted: 128 points over [-12, 12), the nc transform of that state
+        code, _, n, field = self.run(tmp_path, capsys, "nc", state, extent=extent)
+        assert code == 0 and n == 128
+        hermite = tuple(int(k) for k in state.split(":")[1].split(","))
+        f = gaussian_state_momentum(Grid2D.square(128, 12.0), 1.0, hermite=hermite)
+        g = Grid1D.symmetric(16, float(extent))
+        ref = wigner_nc(RankOneOperator(f, f), nc_domain(q1nc=g, q2nc=g, p1nc=0.0, p2nc=0.0),
+                        make_orbit_label(1.0, -1.0, 1.0))
+        assert field.values.tobytes() == ref.values.tobytes()
+
+    def test_band_refinement_is_charged(self, tmp_path, capsys, monkeypatch):
+        import ncwigner.core as core
+        # q0 = 14 needs 256 points per axis; the budget holds 128
+        monkeypatch.setattr(core, "_MAX_BYTES", cli._STATE_POINT_BYTES * 128 ** 2)
+        code, err, _, _ = self.run(tmp_path, capsys, "nc", "gaussian:0,0,14,0")
+        errors = [ln for ln in err.splitlines() if ln.startswith("ncwig: error:")]
+        assert code == 4 and len(errors) == 1
+        assert "the state's band need more than 128 state points per axis" in errors[0]
 
 
 def old_field_rows(grids, values, fmt):

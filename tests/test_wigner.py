@@ -1670,3 +1670,114 @@ class TestRowRuns:
                 alone = wigner_nc(op, nc_domain(q1nc=q, q2nc=q, p1nc=c0, p2nc=c1),
                                   generic_label).values
                 assert alone.tobytes() == w[:, :, i, j].tobytes()
+
+
+class TestTailProbe:
+    """The tail cut first reads the integrand's row at t0 = 0; a group
+    whose row stays under the cut is decided by the full pass."""
+
+    def test_centre_vanishing_on_the_t0_row_keeps_its_value(self, generic_label):
+        # bra at +4 and ket at -4 along axis 0 (widths 0.5): at c0 = 0 the
+        # integrand conj(B)(t) A(-t) sits near t0 = 4 and vanishes at t0 = 0
+        grid = default_state_grid(64, 8.0)
+        bra = gaussian_state(grid, widths=(0.5, 0.5), center=(4.0, 0.0, 0.0, 0.0),
+                             rep="momentum")
+        ket = gaussian_state(grid, widths=(0.5, 0.5), center=(-4.0, 0.0, 0.0, 0.0),
+                             rep="momentum")
+        op = RankOneOperator(ket=ket, bra=bra)
+        step = grid.axis0.step
+        pt = orbit_from_wave_coords(generic_label, 0.37, -0.21, 0.0, 2 * step)
+        ev = wigner._GroupEvaluator(ket, bra, 1.0, 1.0)
+        h, core_ = ev.integrand(ev.row(0.0, [2 * step]), 2 * step, None)
+        assert np.max(np.abs(h[grid.axis0.n // 2])) <= ev.tail_cut < np.max(np.abs(core_))
+        fast = wigner_generic(op, [pt], generic_label)[0]
+        slow = direct_wigner_oracle(op, pt, generic_label)
+        assert abs(slow) > 1e3 * ev.tail_cut
+        assert abs(fast - slow) <= 1e-8 * abs(slow)
+
+
+# the labels of memo_transforms' orbit transforms
+_ONE_POINT_LABELS = {"wigner_generic": (1.0, -1.0, 1.0), "wigner_tau0": (1.0, -1.0, 0.0),
+                     "wigner_qm_orbit": (1.0, 0.0, 0.0)}
+
+
+def points_at(name, w, c):
+    """Points of memo_transforms' ``name`` whose frequencies are the rows of w
+    and whose centres are the rows of c, through each transform's inverse map
+    (the centres land within the engine's lattice tolerance)."""
+    (w0, w1), (c0, c1) = w.T, c.T
+    if name in _ONE_POINT_LABELS:
+        label = make_orbit_label(*_ONE_POINT_LABELS[name])
+        return np.array([orbit_from_wave_coords(label, *x).as_array()
+                         for x in zip(w0, w1, c0, c1)])
+    if name == "wigner_nc":
+        return np.column_stack([w0, w1, c0, c1])
+    if name == "wigner_nc_params":  # hbar 1, vartheta 0.3, bfield -0.2; k4* = w1
+        e = 1.0 - (-0.2) * 0.3
+        return np.column_stack([e * c0 - 0.3 * w1, c1, w0, w1])
+    return np.column_stack([c0, c1, w0, w1])  # position forms: centres q, frequencies p
+
+
+class TestOnePointCalls:
+    """A call on one point takes the one-node plan, no c1 table, the tail
+    probe and its maps on floats: the bits of the same point inside a call
+    on many."""
+
+    @pytest.mark.parametrize("name", list(memo_transforms(make_orbit_label(1.0, -1.0, 1.0))))
+    def test_one_point_matches_its_place_in_a_cloud(self, generic_label, monkeypatch, name):
+        call, rep, _ = memo_transforms(generic_label)[name]
+        rng = np.random.default_rng(26)
+        grid = default_state_grid(32, 4.0)
+        ket, bra = (random_hermite_gaussian(rng, grid, rep=rep) for _ in range(2))
+        step = grid.axis0.step
+        # 64 distinct centres within 6 steps, 16 of each kind: both on the
+        # lattice, either off it by a fraction of a step, or both off it
+        j = rng.choice(13 * 13, size=64, replace=False)
+        off = np.array([(k % 2, k // 2 % 2) for k in range(64)]) * (0.37, 0.61)
+        c = (np.column_stack([j // 13, j % 13]) - 6 + off) * step
+        pts = points_at(name, rng.uniform(-1.5, 1.5, size=(64, 2)), c)
+        plans = []
+        centre_groups = wigner._centre_groups
+
+        def spy(*args):
+            plans.append(centre_groups(*args))
+            return plans[-1]
+        monkeypatch.setattr(wigner, "_centre_groups", spy)
+        many = call(ket, bra, pts)
+        (plan,) = plans
+        kinds = {(numerics._lattice_steps(c0, step) is None,
+                  numerics._lattice_steps(c1, step) is None)
+                 for c0, c1 in zip(plan.c0, plan.c1)}
+        assert plan.c0.size == 64 and len(kinds) == 4
+        for i in range(64):
+            assert call(ket, bra, pts[i:i + 1]).tobytes() == many[i:i + 1].tobytes()
+
+    def test_one_group_builds_no_c1_table(self, generic_label, gauss_op, monkeypatch):
+        built = spy_tables(monkeypatch)
+        step = gauss_op.ket.grid.axis0.step
+        pts = np.array([[0.3, -0.2, 0.0, 0.37 * step], [0.1, 0.4, 0.0, 0.37 * step]])
+        wigner_nc(gauss_op, pts[:1], generic_label)
+        wigner_nc(gauss_op, pts, generic_label)   # two points, one group
+        assert not built
+        wigner_nc(gauss_op, pts + [0.0, 0.0, step, 0.0] * np.array([[0], [1]]), generic_label)
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("domain", [False, True])
+    def test_one_node_plan_matches_the_general_plan_of_one_group(self, domain):
+        # one node takes the short path, two nodes at one centre the sort
+        w0, w1, c0, c1 = (np.array([x]) for x in (0.3, -0.2, 0.25, -0.5))
+        if domain:  # a 4 x 3 slice of frequencies at one centre
+            w0, w1, c0, c1 = np.ix_(Grid1D(4, -0.6, 0.3).coords(),
+                                    Grid1D(3, -0.5, 0.5).coords(), c0, c1)
+        out = np.empty(np.broadcast(w0, w1, c0, c1).shape, dtype=np.complex128)
+        one = wigner._centre_groups(w0, w1, c0, c1, out)
+        pair = wigner._centre_groups(w0, w1, *(np.concatenate([a, a], axis=-1)
+                                               for a in (c0, c1, out)))
+        assert one.c0.tolist() == pair.c0.tolist() == [0.25]
+        assert one.c1.tolist() == pair.c1.tolist() == [-0.5]
+        assert one.rows.tolist() == pair.rows.tolist() == []
+        assert list(wigner._cuts(one.runs, 0, 1)) == list(wigner._cuts(pair.runs, 0, 1)) \
+            == [0, 1]
+        assert one.out.shape == one.shape == out.shape
+        f0, f1, idx = one.group(0)
+        assert idx == () and f0.tolist() == w0.tolist() and f1.tolist() == w1.tolist()
