@@ -447,15 +447,16 @@ def _momentum_state_for_output(args, label: OrbitLabel, domain: Domain4D, state)
     # plus 6 widths, where exp(-6^2) < 1e-15) around q0.  Summed over t at
     # step h its phase frequencies repeat with period 2 pi/h, so the window
     # [-kmax, kmax] stays clear of that band's images when 2 pi/h covers
-    # kmax + 2|a| (|q0| + tails).
+    # kmax + 2|a| (|q0| + tails); the tails carry their own margin, so the
+    # 5% margin stays on the window alone.
     tails = 6.0 + math.sqrt(2 * max(state[1]) + 1)
-    band = max(kmax, kmax / 2 + abs(a) * (max(abs(center[0]), abs(center[1])) + tails))
+    band = max(1.05 * kmax, kmax / 2 + abs(a) * (max(abs(center[0]), abs(center[1])) + tails))
     # extent covers the state's momentum support; the step is refined until
     # the conjugate band covers every requested output phase and the state's
     # band (each doubling charged)
     extent = max(12.0, abs(center[2]) + 10.0, abs(center[3]) + 10.0) / abs(a)
     n = args.state_grid
-    while math.pi * n / (2.0 * extent) <= 1.05 * band:
+    while math.pi * n / (2.0 * extent) <= band:
         n *= 2
         _require_bytes(f"the output frequencies and the state's band need more than {n // 2} "
                        f"state points per axis; states on {n}x{n} points",

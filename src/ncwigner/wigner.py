@@ -35,9 +35,8 @@ without a sort.  One ``_GroupEvaluator`` holds what the fields and the
 table give, read-only once built, and serves every pool worker.
 ``_phase_integral`` splits the groups into one chunk per worker; each chunk
 owns its integrand buffer, its result block, its last frequency step and
-the current c0's rows, and writes each row run at once.  A call on one
-point maps its coordinates as floats, and a call of one group builds no c1
-table.
+the current c0's rows, and writes each row run at once.  A call of one
+group builds no c1 table.
 
 Each transform below is one call of the runner ``_transform`` with its
 entry of this coordinate dictionary (k1, k2, k3 label the sector; a, b, g
@@ -261,10 +260,12 @@ class _GroupEvaluator:
         """Fill c1_shifts for the group centres (c0, c1) when every c0 is a
         whole number of state steps, so that each group reads its window
         rows of the table.  It holds each off-lattice c1 that two or more
-        groups share (a c1 of one group gains nothing from it) at 32 n0 n1
-        bytes, charged with the result's ``result_bytes`` to the byte
-        budget; a table that would not fit is skipped, and the groups then
-        shift their own rows."""
+        groups share (a c1 of one group gains nothing from it, so a call of
+        one group returns at once) at 32 n0 n1 bytes, charged with the
+        result's ``result_bytes`` to the byte budget; a table that would not
+        fit is skipped, and the groups then shift their own rows."""
+        if c0.size < 2:
+            return
         if any(_lattice_steps(c, self.g0.step) is None for c in set(c0.tolist())):
             return
         step = self.g1.step
@@ -459,8 +460,7 @@ def _phase_integral(ket, bra, omega0, omega1, plan):
     """The engine's one loop: I(w; c) into plan.out for each centre group
     of ``plan`` (``_centre_groups``); returns plan.out.
 
-    One evaluator per call serves every worker; it builds its c1 table
-    (share_c1_shifts) only for two or more groups.  With at least 64 groups,
+    One evaluator per call serves every worker.  With at least 64 groups,
     and only then is the worker count read, pool threads take contiguous
     chunks and run BLAS on one thread each, so the pool alone sets the
     parallelism; the calling thread keeps its BLAS threads.  A chunk takes
@@ -476,8 +476,7 @@ def _phase_integral(ket, bra, omega0, omega1, plan):
     if not n_groups:
         return out
     evaluator = _GroupEvaluator(ket, bra, omega0, omega1)
-    if n_groups > 1:  # the table holds only a c1 that two groups share
-        evaluator.share_c1_shifts(c0s, c1s, out.nbytes)
+    evaluator.share_c1_shifts(c0s, c1s, out.nbytes)
     size = math.prod(shape)
     cap = max(1, _RUN_BYTES // (out.itemsize * size))
 
@@ -585,12 +584,7 @@ def _centre_groups(w0, w1, c0, c1, out):
     key.imag = c1
     order = np.argsort(key, kind="stable")
     del key  # 16 bytes per node; free it before the gathers below
-    # a column of an (M, 4) point array (c1 = k2* in the parameter form) is
-    # strided, and a gather from it runs several times slower than from a
-    # contiguous copy; made before the other gather and dropped at once, the
-    # copy keeps the plan within the sort's 24 bytes per node
-    s1 = np.ascontiguousarray(c1)[order]
-    s0 = c0[order]
+    s0, s1 = c0[order], c1[order]
     new_c0 = s0[1:] != s0[:-1]
     bounds = np.flatnonzero(np.concatenate(([True], new_c0 | (s1[1:] != s1[:-1]), [True])))
     # each sorted node's index along each centre axis (no copy for one axis)
@@ -682,10 +676,7 @@ def _transform(ket, bra, rep, pts, names, waves, omegas, pref, label, sector):
     shape = np.broadcast(*cols).shape
     _require_result_bytes(shape)
     vals = np.empty(shape, dtype=np.complex128)
-    if shape == (1,):  # one point: its maps on floats, the same bits without array calls
-        w0, w1, c0, c1 = (np.array([v]) for v in waves(*cols[:, 0].tolist()))
-    else:
-        w0, w1, c0, c1 = waves(*cols)
+    w0, w1, c0, c1 = waves(*cols)
     for c, g in ((c0, ket.grid.axis0), (c1, ket.grid.axis1)):
         # the engine counts centre offsets in state steps; refuse any count
         # that overflows before a group runs

@@ -11,6 +11,7 @@ from ncwigner import RankOneOperator, make_orbit_label, wigner_nc
 from ncwigner.cli import main, read_field_file
 from ncwigner.core import Domain4D, Grid1D, Grid2D, nc_domain
 from ncwigner.oracles import gaussian_state_momentum
+from ncwigner.starprod import marginal_momentum
 
 
 def run(argv, capsys=None):
@@ -149,8 +150,11 @@ class TestDisplacedStates:
                         extra=("--state-grid", "512"))[3]
         assert np.max(np.abs(field.values - fine.values)) <= 1e-8 * peak
 
-    @pytest.mark.parametrize("state", ["gaussian:0,0", "gaussian:1,2"])
-    @pytest.mark.parametrize("extent", ["1", "2.5", "5", "7.5"])
+    @pytest.mark.parametrize("state, extent", [
+        *((s, e) for s in ("gaussian:0,0", "gaussian:1,2") for e in ("1", "2.5", "5", "7.5")),
+        # kmax 14, tails 6 + sqrt(11): 2 pi/h = 33.5 on 128 points covers
+        # kmax + 2 tails = 32.6
+        ("gaussian:5,5", "7")])
     def test_undisplaced_state_keeps_its_grid_and_bytes(self, tmp_path, capsys, state, extent):
         # the window alone sets the grid, as before the state's band was
         # counted: 128 points over [-12, 12), the nc transform of that state
@@ -162,6 +166,21 @@ class TestDisplacedStates:
         ref = wigner_nc(RankOneOperator(f, f), nc_domain(q1nc=g, q2nc=g, p1nc=0.0, p2nc=0.0),
                         make_orbit_label(1.0, -1.0, 1.0))
         assert field.values.tobytes() == ref.values.tobytes()
+
+    def test_high_hermite_marginal_keeps_its_grid_and_bytes(self, tmp_path):
+        # kmax 10 over the default int-extent 5, tails 6 + sqrt(25):
+        # 2 pi/h = 33.5 on 128 points covers kmax + 2 tails = 32
+        out = tmp_path / "m.csv"
+        code = main([*MARGINAL, "--state", "gaussian:12,0", "--grid", "8", "--int-grid", "16",
+                     "--out", str(out)])
+        assert code == 0
+        label = make_orbit_label(1.0, -1.0, 1.0)
+        f = gaussian_state_momentum(Grid2D.square(128, 12.0), 1.0, hermite=(12, 0))
+        q, p = Grid1D.symmetric(16, 5.0), Grid1D.symmetric(8, 5.0)
+        w4 = wigner_nc(RankOneOperator(f, f), nc_domain(q1nc=q, q2nc=q, p1nc=p, p2nc=p), label)
+        ref = marginal_momentum(w4, label)
+        values = read_field_file(str(out)).values  # the real marginal, written as complex
+        assert values.tobytes() == ref.values.astype(np.complex128).tobytes()
 
     def test_band_refinement_is_charged(self, tmp_path, capsys, monkeypatch):
         import ncwigner.core as core

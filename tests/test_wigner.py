@@ -1719,9 +1719,8 @@ def points_at(name, w, c):
 
 
 class TestOnePointCalls:
-    """A call on one point takes the one-node plan, no c1 table, the tail
-    probe and its maps on floats: the bits of the same point inside a call
-    on many."""
+    """A call on one point takes the one-node plan, no c1 table and the
+    tail probe: the bits of the same point inside a call on many."""
 
     @pytest.mark.parametrize("name", list(memo_transforms(make_orbit_label(1.0, -1.0, 1.0))))
     def test_one_point_matches_its_place_in_a_cloud(self, generic_label, monkeypatch, name):
@@ -1758,9 +1757,10 @@ class TestOnePointCalls:
         pts = np.array([[0.3, -0.2, 0.0, 0.37 * step], [0.1, 0.4, 0.0, 0.37 * step]])
         wigner_nc(gauss_op, pts[:1], generic_label)
         wigner_nc(gauss_op, pts, generic_label)   # two points, one group
-        assert not built
+        assert [e.c1_shifts for e in built] == [{}, {}]
+        # two groups at one off-lattice c1 share its shifts
         wigner_nc(gauss_op, pts + [0.0, 0.0, step, 0.0] * np.array([[0], [1]]), generic_label)
-        assert len(built) == 1
+        assert len(built) == 3 and list(built[2].c1_shifts) == [0.37 * step]
 
     @pytest.mark.parametrize("domain", [False, True])
     def test_one_node_plan_matches_the_general_plan_of_one_group(self, domain):
